@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import __version__, data, lemma, report
-from .config import (OUTDIR_ENV, apply_seed_override, build_experiment,
+from .config import (OUTDIR_ENV, _to_mapping, apply_seed_override, build_experiment,
                      parse_flat_config)
 from .errors import ConfigError, LongRemixError, ParseError
 from .trainer import run_stage1_hct, run_training
@@ -114,15 +114,8 @@ def cmd_noise(args) -> int:
     else:
         ds = data.make_synthetic_dataset(args.dataset, args.n, args.classes,
                                          args.spread, seed=args.data_seed)
-    mapping = None
-    if args.mapping:
-        mapping = {}
-        for part in args.mapping.split(","):
-            src, sep, dst = part.partition(":")
-            if not sep:
-                raise ConfigError(f"--mapping expects 'src:dst' pairs, got {part!r}")
-            mapping[int(src)] = int(dst)
-    spec = data.NoiseSpec(kind=args.kind, eta=args.eta, mapping=mapping, seed=args.seed)
+    spec = data.NoiseSpec(kind=args.kind, eta=args.eta,
+                          mapping=_to_mapping("--mapping", args.mapping), seed=args.seed)
     noisy = data.apply_noise(ds, spec)
     outdir = args.out or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)

@@ -1,15 +1,17 @@
 """Flat key-value experiment configuration.
 
 The format is plain text, one ``section.key = value`` per line, ``#``
-comments allowed. Every key has a default; the effective (fully
-materialized) config is echoed into the metrics JSON so a run can be
-reproduced from its own output.
+comments allowed. Each key is a field of one of the spec dataclasses below,
+which gives its name, type and default; the effective (fully materialized)
+config is echoed into the metrics JSON so a run can be reproduced from its
+own output.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .data import NoiseSpec
 from .errors import ConfigError
@@ -39,9 +41,9 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class ReportSpec:
-    formats: tuple = ("json", "csv")
+    formats: tuple[str, ...] = ("json", "csv")
     prcurve: bool = True
-    tau_grid: tuple = DEFAULT_TAU_GRID
+    tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     gmm_dump: bool = False
     plan_digests: bool = False
     checkpoints: bool = False
@@ -116,123 +118,79 @@ def _to_mapping(key, value):
     return mapping
 
 
-def _to_int_tuple(key, value):
-    return tuple(_to_int(key, v.strip()) for v in value.split(",") if v.strip())
+def _to_tuple(item):
+    def parse(key, value):
+        return tuple(item(key, v.strip()) for v in value.split(",") if v.strip())
+    return parse
 
 
-def _to_float_tuple(key, value):
-    return tuple(_to_float(key, v.strip()) for v in value.split(",") if v.strip())
+def _to_str(key, value):
+    return value
 
 
-def _to_str_tuple(key, value):
-    return tuple(v.strip() for v in value.split(",") if v.strip())
-
-
+# One parser per field annotation; a field of any other type fails at import.
 _PARSERS = {
-    "dataset.kind": str,
-    "dataset.n": _to_int,
-    "dataset.test_n": _to_int,
-    "dataset.classes": _to_int,
-    "dataset.spread": _to_float,
-    "dataset.path": str,
-    "dataset.test_path": str,
-    "noise.kind": str,
-    "noise.eta": _to_float,
-    "noise.mapping": _to_mapping,
-    "noise.seed": _to_int,
-    "train.mode": str,
-    "train.tau": _to_float,
-    "train.zeta": _to_int,
-    "train.alpha": _to_float,
-    "train.lambda_u": _to_float,
-    "train.lambda_reg": _to_float,
-    "train.epochs": _to_int,
-    "train.warmup": _to_int,
-    "train.batch_size": _to_int,
-    "train.lr": _to_float,
-    "train.lr_drop": _to_float,
-    "train.momentum": _to_float,
-    "train.weight_decay": _to_float,
-    "train.hidden": _to_int_tuple,
-    "train.normalize_losses": _to_bool,
-    "train.data_seed": _to_int,
-    "train.model1_seed": _to_int,
-    "train.model2_seed": _to_int,
-    "train.plan_seed": _to_int,
-    "output.dir": str,
-    "report.formats": _to_str_tuple,
-    "report.prcurve": _to_bool,
-    "report.tau_grid": _to_float_tuple,
-    "report.gmm_dump": _to_bool,
-    "report.plan_digests": _to_bool,
-    "report.checkpoints": _to_bool,
+    int: _to_int,
+    float: _to_float,
+    bool: _to_bool,
+    str: _to_str,
+    dict | None: _to_mapping,
+    tuple[int, ...]: _to_tuple(_to_int),
+    tuple[float, ...]: _to_tuple(_to_float),
+    tuple[str, ...]: _to_tuple(_to_str),
 }
+
+# ExperimentConfig field -> its type: a spec dataclass, or str for outdir.
+_SECTIONS = get_type_hints(ExperimentConfig)
+
+# The config keys that are not named ``<section>.<field>``.
+_RENAMED = {"train.warmup_epochs": "train.warmup", "outdir": "output.dir"}
+
+DEFAULT_OUTDIR = "runs/experiment"
+
+
+def _config_keys() -> dict:
+    """Config key -> (ExperimentConfig field, spec field, parser) in
+    ExperimentConfig field order, which is also the echo order. The spec
+    field is None for ``output.dir``, a field of ExperimentConfig itself."""
+    keys = {}
+    for section, spec in _SECTIONS.items():
+        if section == "outdir":
+            keys[_RENAMED[section]] = (section, None, _PARSERS[spec])
+            continue
+        hints = get_type_hints(spec)
+        for f in fields(spec):
+            path = f"{section}.{f.name}"
+            keys[_RENAMED.get(path, path)] = (section, f.name, _PARSERS[hints[f.name]])
+    return keys
+
+
+_KEYS = _config_keys()
 
 
 def build_experiment(mapping, outdir_override=None) -> ExperimentConfig:
     """Typed ExperimentConfig from a flat string mapping.
 
-    Unknown keys are errors. When the noise is asymmetric and the loss
-    weights were not set explicitly, both default to 0.
+    Unknown keys are errors. Keys the mapping leaves out take their
+    dataclass field's default, except that under asymmetric noise both loss
+    weights default to 0.
     """
-    values = {}
+    given = {section: {} for section in _SECTIONS}
     for key, raw in mapping.items():
-        parser = _PARSERS.get(key)
-        if parser is None:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key: {key}")
-        values[key] = parser(key, raw) if parser is not str else raw
-
-    def take(key, default):
-        return values[key] if key in values else default
-
-    dataset = DatasetSpec(
-        kind=take("dataset.kind", "blobs"),
-        n=take("dataset.n", 2000),
-        test_n=take("dataset.test_n", 1000),
-        classes=take("dataset.classes", 16),
-        spread=take("dataset.spread", 0.15),
-        path=take("dataset.path", ""),
-        test_path=take("dataset.test_path", ""),
-    )
-    noise = NoiseSpec(
-        kind=take("noise.kind", "none"),
-        eta=take("noise.eta", 0.0),
-        mapping=take("noise.mapping", None),
-        seed=take("noise.seed", 0),
-    )
-    asym = noise.kind == "asymmetric"
-    train = TrainConfig(
-        mode=take("train.mode", "full-longremix"),
-        tau=take("train.tau", 0.5),
-        zeta=take("train.zeta", 5),
-        alpha=take("train.alpha", 0.2),
-        lambda_u=take("train.lambda_u", 0.0 if asym else 10.0),
-        lambda_reg=take("train.lambda_reg", 0.0 if asym else 1.0),
-        epochs=take("train.epochs", 60),
-        warmup_epochs=take("train.warmup", 10),
-        batch_size=take("train.batch_size", 64),
-        lr=take("train.lr", 0.02),
-        lr_drop=take("train.lr_drop", 0.1),
-        momentum=take("train.momentum", 0.8),
-        weight_decay=take("train.weight_decay", 5e-4),
-        hidden=take("train.hidden", (64, 64)),
-        normalize_losses=take("train.normalize_losses", True),
-        data_seed=take("train.data_seed", 1),
-        model1_seed=take("train.model1_seed", 11),
-        model2_seed=take("train.model2_seed", 22),
-        plan_seed=take("train.plan_seed", 33),
-    )
-    report = ReportSpec(
-        formats=take("report.formats", ("json", "csv")),
-        prcurve=take("report.prcurve", True),
-        tau_grid=take("report.tau_grid", DEFAULT_TAU_GRID),
-        gmm_dump=take("report.gmm_dump", False),
-        plan_digests=take("report.plan_digests", False),
-        checkpoints=take("report.checkpoints", False),
-    )
-    outdir = outdir_override or os.environ.get(OUTDIR_ENV) or take("output.dir", "runs/experiment")
-    return ExperimentConfig(dataset=dataset, noise=noise, train=train,
-                            outdir=outdir, report=report)
+        section, name, parse = _KEYS[key]
+        given[section][name] = parse(key, raw)
+    configured_outdir = given.pop("outdir").get(None, DEFAULT_OUTDIR)
+    parts = {"outdir": outdir_override or os.environ.get(OUTDIR_ENV) or configured_outdir}
+    for section in given:
+        if section == "train" and parts["noise"].kind == "asymmetric":
+            given[section] = {"lambda_u": 0.0, "lambda_reg": 0.0, **given[section]}
+        parts[section] = _SECTIONS[section](**given[section])
+    if parts["train"].mode == "ce" and parts["report"].gmm_dump:
+        raise ConfigError("report.gmm_dump = true needs GMM fits, which train.mode = ce "
+                          "does not run")
+    return ExperimentConfig(**parts)
 
 
 def apply_seed_override(mapping, seed) -> dict:
@@ -247,6 +205,8 @@ def apply_seed_override(mapping, seed) -> dict:
 
 
 def _fmt_value(v):
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, tuple):
@@ -260,46 +220,11 @@ def _fmt_value(v):
 
 def effective_config(exp: ExperimentConfig) -> dict:
     """Canonical flat echo of every key, defaults materialized."""
-    d, n, t, r = exp.dataset, exp.noise, exp.train, exp.report
-    return {
-        "dataset.kind": d.kind,
-        "dataset.n": _fmt_value(d.n),
-        "dataset.test_n": _fmt_value(d.test_n),
-        "dataset.classes": _fmt_value(d.classes),
-        "dataset.spread": _fmt_value(d.spread),
-        "dataset.path": d.path,
-        "dataset.test_path": d.test_path,
-        "noise.kind": n.kind,
-        "noise.eta": _fmt_value(n.eta),
-        "noise.mapping": _fmt_value(n.mapping) if n.mapping else "",
-        "noise.seed": _fmt_value(n.seed),
-        "train.mode": t.mode,
-        "train.tau": _fmt_value(t.tau),
-        "train.zeta": _fmt_value(t.zeta),
-        "train.alpha": _fmt_value(t.alpha),
-        "train.lambda_u": _fmt_value(t.lambda_u),
-        "train.lambda_reg": _fmt_value(t.lambda_reg),
-        "train.epochs": _fmt_value(t.epochs),
-        "train.warmup": _fmt_value(t.warmup_epochs),
-        "train.batch_size": _fmt_value(t.batch_size),
-        "train.lr": _fmt_value(t.lr),
-        "train.lr_drop": _fmt_value(t.lr_drop),
-        "train.momentum": _fmt_value(t.momentum),
-        "train.weight_decay": _fmt_value(t.weight_decay),
-        "train.hidden": _fmt_value(t.hidden),
-        "train.normalize_losses": _fmt_value(t.normalize_losses),
-        "train.data_seed": _fmt_value(t.data_seed),
-        "train.model1_seed": _fmt_value(t.model1_seed),
-        "train.model2_seed": _fmt_value(t.model2_seed),
-        "train.plan_seed": _fmt_value(t.plan_seed),
-        "output.dir": exp.outdir,
-        "report.formats": _fmt_value(r.formats),
-        "report.prcurve": _fmt_value(r.prcurve),
-        "report.tau_grid": _fmt_value(r.tau_grid),
-        "report.gmm_dump": _fmt_value(r.gmm_dump),
-        "report.plan_digests": _fmt_value(r.plan_digests),
-        "report.checkpoints": _fmt_value(r.checkpoints),
-    }
+    echo = {}
+    for key, (section, name, _) in _KEYS.items():
+        value = getattr(exp, section)
+        echo[key] = _fmt_value(value if name is None else getattr(value, name))
+    return echo
 
 
 def serialize_flat(mapping) -> str:

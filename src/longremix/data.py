@@ -49,7 +49,7 @@ class NoisyDataset:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    kind: str                 # "symmetric" | "asymmetric" | "none"
+    kind: str = "none"        # "symmetric" | "asymmetric" | "none"
     eta: float = 0.0
     mapping: dict | None = None
     seed: int = 0

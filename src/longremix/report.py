@@ -175,6 +175,32 @@ def write_json(doc, path):
         fh.write("\n")
 
 
+def _write_bundle(outdir, doc, formats, written=None) -> ReportBundle:
+    """Write ``metrics.json`` and the plot CSVs that ``formats`` ask for, then
+    the manifest over them plus the ``written`` files already in ``outdir``;
+    every listed file must exist and be non-empty."""
+    files = dict(written or {})
+    if "json" in formats:
+        write_json(doc, os.path.join(outdir, "metrics.json"))
+        files["metrics"] = "metrics.json"
+    if "csv" in formats:
+        with open(os.path.join(outdir, "epochs.csv"), "w", encoding="utf-8") as fh:
+            fh.write(epochs_csv_text(doc["stages"]))
+        files["epochs"] = "epochs.csv"
+        if doc.get("prcurve"):
+            with open(os.path.join(outdir, "prcurve.csv"), "w", encoding="utf-8") as fh:
+                fh.write(prcurve_csv_text(doc["prcurve"]))
+            files["prcurve"] = "prcurve.csv"
+    manifest = {"files": files, "schema_version": doc.get("schema_version", SCHEMA_VERSION)}
+    manifest_path = os.path.join(outdir, "bundle.json")
+    write_json(manifest, manifest_path)
+    for name, rel in files.items():
+        path = os.path.join(outdir, rel)
+        if not os.path.exists(path) or os.path.getsize(path) == 0:
+            raise StateError(f"bundle file {name} ({rel}) missing or empty")
+    return ReportBundle(outdir=outdir, files=files, manifest_path=manifest_path)
+
+
 def emit_report(result: ExperimentResult, exp: ExperimentConfig, noise_info,
                 dataset_info, prcurve_rows=None, extra_files=None) -> ReportBundle:
     """Write the configured bundle and its manifest; every declared file must
@@ -182,17 +208,6 @@ def emit_report(result: ExperimentResult, exp: ExperimentConfig, noise_info,
     os.makedirs(exp.outdir, exist_ok=True)
     doc = metrics_document(result, exp, noise_info, dataset_info, prcurve_rows)
     files = {}
-    if "json" in exp.report.formats:
-        write_json(doc, os.path.join(exp.outdir, "metrics.json"))
-        files["metrics"] = "metrics.json"
-    if "csv" in exp.report.formats:
-        with open(os.path.join(exp.outdir, "epochs.csv"), "w", encoding="utf-8") as fh:
-            fh.write(epochs_csv_text(doc["stages"]))
-        files["epochs"] = "epochs.csv"
-        if prcurve_rows:
-            with open(os.path.join(exp.outdir, "prcurve.csv"), "w", encoding="utf-8") as fh:
-                fh.write(prcurve_csv_text(prcurve_rows))
-            files["prcurve"] = "prcurve.csv"
     if exp.report.gmm_dump:
         with open(os.path.join(exp.outdir, "gmm.jsonl"), "w", encoding="utf-8") as fh:
             for stage in result.stages:
@@ -211,37 +226,11 @@ def emit_report(result: ExperimentResult, exp: ExperimentConfig, noise_info,
             name = f"{net.tag}.ckpt"
             nn.save_checkpoint(net, os.path.join(exp.outdir, name))
             files[net.tag] = name
-    for name, rel in (extra_files or {}).items():
-        files[name] = rel
-    manifest = {"files": files, "schema_version": SCHEMA_VERSION}
-    manifest_path = os.path.join(exp.outdir, "bundle.json")
-    write_json(manifest, manifest_path)
-    _validate_bundle(exp.outdir, files)
-    return ReportBundle(outdir=exp.outdir, files=files, manifest_path=manifest_path)
-
-
-def _validate_bundle(outdir, files):
-    for name, rel in files.items():
-        path = os.path.join(outdir, rel)
-        if not os.path.exists(path) or os.path.getsize(path) == 0:
-            raise StateError(f"bundle file {name} ({rel}) missing or empty")
+    files.update(extra_files or {})
+    return _write_bundle(exp.outdir, doc, exp.report.formats, files)
 
 
 def reemit_from_metrics(doc, outdir) -> ReportBundle:
     """Regenerate the CSV side of a bundle from an existing metrics document."""
     os.makedirs(outdir, exist_ok=True)
-    files = {}
-    write_json(doc, os.path.join(outdir, "metrics.json"))
-    files["metrics"] = "metrics.json"
-    with open(os.path.join(outdir, "epochs.csv"), "w", encoding="utf-8") as fh:
-        fh.write(epochs_csv_text(doc["stages"]))
-    files["epochs"] = "epochs.csv"
-    if doc.get("prcurve"):
-        with open(os.path.join(outdir, "prcurve.csv"), "w", encoding="utf-8") as fh:
-            fh.write(prcurve_csv_text(doc["prcurve"]))
-        files["prcurve"] = "prcurve.csv"
-    manifest = {"files": files, "schema_version": doc.get("schema_version", SCHEMA_VERSION)}
-    manifest_path = os.path.join(outdir, "bundle.json")
-    write_json(manifest, manifest_path)
-    _validate_bundle(outdir, files)
-    return ReportBundle(outdir=outdir, files=files, manifest_path=manifest_path)
+    return _write_bundle(outdir, doc, ("json", "csv"))

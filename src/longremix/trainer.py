@@ -46,11 +46,11 @@ class TrainConfig:
     epochs: int = 60          # selection epochs per stage
     warmup_epochs: int = 10
     batch_size: int = 64
-    lr: float = 0.05
+    lr: float = 0.02
     lr_drop: float = 0.1      # factor applied at the stage midpoint
     momentum: float = 0.8
     weight_decay: float = 5e-4
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     normalize_losses: bool = True
     data_seed: int = 1
     model1_seed: int = 11
@@ -312,13 +312,7 @@ def _run_selection_stage(cfg, ds, test, stage_no, stage_tag, split_mode,
             histories=histories, core=core, longmix_plans=longmix_plans,
             gmm_rows=gmm_rows, plan_rows=plan_rows, snapshots=snapshots)
         rows.append(row)
-    captured = None
-    if capture_core:
-        eligible = [(e, s) for e, s in snapshots if e >= (cfg.epochs + 1) // 2]
-        if eligible:
-            captured = select_core_set(eligible, cfg.epochs)
-        else:
-            captured = CoreSet.empty()
+    captured = select_core_set(snapshots, cfg.epochs) if capture_core else None
     return StageOutcome(record=_finalize_record(stage_tag, rows, captured),
                         nets=(net1, net2), histories=histories, guessed=guessed,
                         core_set=captured,

@@ -23,6 +23,49 @@ output.dir = {out}
 """
 
 
+# The full echo of an empty config: every key, in order, with the exact
+# formatting metrics.json records.
+GOLDEN_DEFAULT_ECHO = (
+    "dataset.kind = blobs",
+    "dataset.n = 2000",
+    "dataset.test_n = 1000",
+    "dataset.classes = 16",
+    "dataset.spread = 0.15",
+    "dataset.path = ",
+    "dataset.test_path = ",
+    "noise.kind = none",
+    "noise.eta = 0.0",
+    "noise.mapping = ",
+    "noise.seed = 0",
+    "train.mode = full-longremix",
+    "train.tau = 0.5",
+    "train.zeta = 5",
+    "train.alpha = 0.2",
+    "train.lambda_u = 10.0",
+    "train.lambda_reg = 1.0",
+    "train.epochs = 60",
+    "train.warmup = 10",
+    "train.batch_size = 64",
+    "train.lr = 0.02",
+    "train.lr_drop = 0.1",
+    "train.momentum = 0.8",
+    "train.weight_decay = 0.0005",
+    "train.hidden = 64,64",
+    "train.normalize_losses = true",
+    "train.data_seed = 1",
+    "train.model1_seed = 11",
+    "train.model2_seed = 22",
+    "train.plan_seed = 33",
+    "output.dir = runs/experiment",
+    "report.formats = json,csv",
+    "report.prcurve = true",
+    "report.tau_grid = 0.0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1.0",
+    "report.gmm_dump = false",
+    "report.plan_digests = false",
+    "report.checkpoints = false",
+)
+
+
 def write_conf(tmp_path, mode="baseline", name="exp.conf", out=None, extra=""):
     path = tmp_path / name
     out = out or str(tmp_path / "out")
@@ -39,6 +82,18 @@ class TestConfigParsing:
         reparsed = config.parse_flat_config(config.serialize_flat(echo))
         exp2 = config.build_experiment(reparsed)
         assert config.effective_config(exp2) == echo
+
+    def test_golden_echo_order_and_formatting(self):
+        echo = config.serialize_flat(config.effective_config(config.build_experiment({})))
+        assert echo == "\n".join(GOLDEN_DEFAULT_ECHO) + "\n"
+        asym = config.build_experiment({
+            "noise.kind": "asymmetric", "noise.eta": "0.4", "noise.mapping": "2:3,0:1"})
+        expected = dict(line.split(" = ") for line in GOLDEN_DEFAULT_ECHO)
+        expected.update({"noise.kind": "asymmetric", "noise.eta": "0.4",
+                         "noise.mapping": "0:1,2:3", "train.lambda_u": "0.0",
+                         "train.lambda_reg": "0.0"})
+        assert config.serialize_flat(config.effective_config(asym)) == "".join(
+            f"{k} = {v}\n" for k, v in expected.items())
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="train.beta"):
@@ -138,6 +193,13 @@ class TestTrainCommand:
         path, _ = write_conf(tmp_path, extra="future.flag = on\n")
         assert cli.main(["train", "--config", str(path)]) == 2
 
+    def test_ce_with_gmm_dump_exits_2_before_training(self, tmp_path, capsys):
+        path, out = write_conf(tmp_path, mode="ce", extra="report.gmm_dump = true\n")
+        assert cli.main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "report.gmm_dump" in err and "ce" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.conf")]) == 2
 
@@ -219,6 +281,12 @@ class TestNoiseCommand:
     def test_asymmetric_limit_exit_2(self, tmp_path):
         assert cli.main(["noise", "--kind", "asymmetric", "--eta", "0.6",
                          "--mapping", "0:1", "--out", str(tmp_path)]) == 2
+
+    def test_bad_mapping_token_exit_2(self, tmp_path, capsys):
+        assert cli.main(["noise", "--kind", "asymmetric", "--eta", "0.3",
+                         "--mapping", "a:1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--mapping" in err and "'a'" in err
 
 
 class TestReportCommand:

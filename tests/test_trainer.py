@@ -17,7 +17,7 @@ def blob_pair(n=300, classes=4, spread=0.15, seed=1, noise=0.0, noise_seed=7):
 
 def small_cfg(**kw):
     base = dict(mode="baseline", epochs=6, warmup_epochs=3, zeta=3, batch_size=64,
-                lambda_u=25.0, lambda_reg=1.0)
+                lambda_u=25.0, lambda_reg=1.0, lr=0.05)
     base.update(kw)
     return TrainConfig(**base)
 
