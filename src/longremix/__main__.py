@@ -1,0 +1,6 @@
+"""``python -m longremix``: the same entry point as the ``longremix`` script."""
+
+from .cli import console_entry
+
+if __name__ == "__main__":
+    console_entry()

@@ -22,6 +22,7 @@ from . import __version__, data, lemma, report
 from .config import (OUTDIR_ENV, _to_mapping, apply_seed_override, build_experiment,
                      parse_flat_config)
 from .errors import ConfigError, LongRemixError, ParseError
+from .gmm import MIN_FIT_SAMPLES
 from .trainer import run_stage1_hct, run_training
 
 
@@ -42,7 +43,10 @@ def _build_datasets(exp):
         train = data.load_csv_dataset(d.path)
         if not d.test_path:
             raise ConfigError("dataset.test_path is required for csv training runs")
-        test = data.load_csv_dataset(d.test_path)
+        test = data.load_csv_dataset(d.test_path, class_names=train.class_names)
+        if test.dim != train.dim:
+            raise ConfigError(f"{d.test_path} has {test.dim} feature columns, "
+                              f"but the training set {d.path} has {train.dim}")
     else:
         train = data.make_synthetic_dataset(d.kind, d.n, d.classes, d.spread,
                                             seed=exp.train.data_seed)
@@ -50,6 +54,14 @@ def _build_datasets(exp):
                                            seed=exp.train.data_seed + 1000003)
     noisy = data.apply_noise(train, exp.noise)
     return noisy, test
+
+
+def _require_mixture_rows(exp, ds):
+    """Reject a training set too small for the per-epoch loss mixture."""
+    if ds.n < MIN_FIT_SAMPLES:
+        source = exp.dataset.path if exp.dataset.kind == "csv" else "dataset.n"
+        raise ConfigError(f"{source}: {ds.n} training rows; the loss mixture needs "
+                          f"at least {MIN_FIT_SAMPLES}")
 
 
 def _dataset_info(exp, ds, test):
@@ -60,9 +72,9 @@ def _dataset_info(exp, ds, test):
 def cmd_train(args) -> int:
     exp = _load_config(args.config, args.seed, args.out)
     ds, test = _build_datasets(exp)
-    result = run_training(exp.train, ds, test,
-                          collect_gmm=exp.report.gmm_dump,
-                          collect_plans=exp.report.plan_digests)
+    if exp.train.mode != "ce":
+        _require_mixture_rows(exp, ds)
+    result = run_training(exp.train, ds, test)
     curve = None
     if exp.report.prcurve and result.stages[0].histories is not None:
         stage1 = result.stages[0]
@@ -78,6 +90,7 @@ def cmd_train(args) -> int:
 def cmd_prcurve(args) -> int:
     exp = _load_config(args.config, args.seed, args.out)
     ds, test = _build_datasets(exp)
+    _require_mixture_rows(exp, ds)
     stage1 = run_stage1_hct(exp.train, ds, test)
     curve = report.pr_curve(stage1.histories[0], ds.mask, exp.report.tau_grid,
                             stage1.guessed, ds.labels)

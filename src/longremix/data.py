@@ -106,11 +106,13 @@ def make_synthetic_dataset(kind, n, classes, spread, seed) -> NoisyDataset:
     return _clean(feats, labels, classes)
 
 
-def load_csv_dataset(path) -> NoisyDataset:
+def load_csv_dataset(path, class_names=None) -> NoisyDataset:
     """UTF-8 CSV with a header row: feature columns, then a final ``label`` column.
 
-    Label tokens map to class indices in first-appearance order. Parse
-    failures name the offending 1-based file row.
+    Label tokens map to class indices in first-appearance order, or through
+    ``class_names`` when given (a test set takes its training set's names),
+    in which case an unknown token is a parse error. Parse failures name the
+    offending 1-based file row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -124,7 +126,7 @@ def load_csv_dataset(path) -> NoisyDataset:
             raise ParseError(f"last column must be named 'label', got {header[-1]!r}", row=1)
         d = len(header) - 1
         feats, tokens = [], []
-        token_index: dict = {}
+        token_index = {name: c for c, name in enumerate(class_names or ())}
         for row_no, row in enumerate(reader, start=2):
             if len(row) != d + 1:
                 raise ParseError(f"expected {d + 1} columns, got {len(row)}", row=row_no)
@@ -142,6 +144,9 @@ def load_csv_dataset(path) -> NoisyDataset:
             if not token:
                 raise ParseError("missing label", row=row_no)
             if token not in token_index:
+                if class_names is not None:
+                    raise ParseError(f"label {token!r} in {path} is not a training class "
+                                     f"{list(class_names)}", row=row_no)
                 token_index[token] = len(token_index)
             feats.append(vals)
             tokens.append(token)

@@ -15,6 +15,7 @@ import numpy as np
 from .nn import Network, forward
 
 VAR_FLOOR = 1e-6
+MIN_FIT_SAMPLES = 4  # fewest losses fit_gmm_em accepts
 WEIGHT_FLOOR = 1e-8
 
 
@@ -94,8 +95,8 @@ def fit_gmm_em(lv: LossVector, tol=1e-6, max_iter=100, seed=0) -> GmmParams:
     are rejected, so the recorded likelihood path is non-decreasing.
     """
     x = np.asarray(lv.values, dtype=float)
-    if len(x) < 4:
-        raise ValueError("need at least 4 samples to fit the mixture")
+    if len(x) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit the mixture")
     if float(x.max() - x.min()) <= 1e-12:
         return _collapsed(x)
 

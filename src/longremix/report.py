@@ -202,7 +202,7 @@ def _write_bundle(outdir, doc, formats, written=None) -> ReportBundle:
 
 
 def emit_report(result: ExperimentResult, exp: ExperimentConfig, noise_info,
-                dataset_info, prcurve_rows=None, extra_files=None) -> ReportBundle:
+                dataset_info, prcurve_rows=None) -> ReportBundle:
     """Write the configured bundle and its manifest; every declared file must
     exist and be non-empty."""
     os.makedirs(exp.outdir, exist_ok=True)
@@ -226,7 +226,6 @@ def emit_report(result: ExperimentResult, exp: ExperimentConfig, noise_info,
             name = f"{net.tag}.ckpt"
             nn.save_checkpoint(net, os.path.join(exp.outdir, name))
             files[net.tag] = name
-    files.update(extra_files or {})
     return _write_bundle(exp.outdir, doc, exp.report.formats, files)
 
 

@@ -2,13 +2,9 @@
 two-stage schedule (confidence-window selection, then guided retraining
 from scratch with the captured core set pinned into the labelled set).
 
-Modes:
-
-* ``ce``             - plain cross-entropy on the observed labels.
-* ``baseline``       - single stage, single-epoch splits, clean-set-sized plans.
-* ``longmix``        - single stage, single-epoch splits, dataset-sized plans.
-* ``retrain-only``   - both stages, clean-set-sized plans.
-* ``full-longremix`` - both stages, dataset-sized plans.
+Mode ``ce`` is plain cross-entropy on the observed labels. Every other mode
+is the sequence of stages that ``MODE_STAGES`` lists for it: ``run_stage``
+runs one stage and ``run_training`` runs a mode's stages in order.
 
 Each epoch, model 1's losses produce the split that trains model 2 and
 vice versa; evaluation averages the two softmax outputs.
@@ -29,8 +25,20 @@ from .seeding import MIX_LAMBDA, PLAN_DRAW, WARMUP_SHUFFLE, derive_rng
 from .selector import (CoreSet, LossHistory, baseline_split, clean_set_metrics,
                        guided_split, hct_split, select_core_set)
 
-MODES = ("ce", "baseline", "longmix", "retrain-only", "full-longremix")
-TWO_STAGE_MODES = ("retrain-only", "full-longremix")
+# (stage tag, split mode, dataset-sized plans) for each stage of a mode.
+# baseline/longmix: one stage of single-epoch splits; retrain-only and
+# full-longremix: the confidence-window stage, then the guided stage. Plans
+# stay clean-set-sized in the window stage: the oversampled plans belong to
+# the guided stage, and dataset-sized plans during selection were observed
+# to collapse the loss bimodality the window depends on.
+STAGE1_HCT = ("stage1-hct", "hct", False)
+MODE_STAGES = {
+    "baseline": (("baseline", "baseline", False),),
+    "longmix": (("longmix", "baseline", True),),
+    "retrain-only": (STAGE1_HCT, ("stage2-guided", "guided", False)),
+    "full-longremix": (STAGE1_HCT, ("stage2-guided", "guided", True)),
+}
+MODES = ("ce", *MODE_STAGES)
 
 
 @dataclass
@@ -106,8 +114,6 @@ class RunRecord:
     best_acc: float
     best_epoch: int
     last10_acc: float | None
-    core_set_size: int | None = None
-    core_set_epoch: int | None = None
 
 
 @dataclass
@@ -153,15 +159,22 @@ def evaluate(net1: nn.Network, net2: nn.Network, test: NoisyDataset) -> float:
     return float((probs.argmax(axis=1) == test.true_labels).mean())
 
 
-def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
-    return cfg.lr if epoch <= cfg.epochs // 2 else cfg.lr * cfg.lr_drop
+def _set_epoch_lr(opts, cfg: TrainConfig, epoch: int) -> float:
+    lr = cfg.lr if epoch <= cfg.epochs // 2 else cfg.lr * cfg.lr_drop
+    for opt in opts:
+        opt.lr = lr
+    return lr
 
 
-def _supervised_pass(net, opt, ds: NoisyDataset, rng, batch_size):
+def _supervised_pass(net, opt, ds: NoisyDataset, cfg: TrainConfig, m, stage_no, pass_no):
+    """Cross-entropy pass of model ``m`` over all observed labels, shuffled by
+    the model's seed and the stage-wide pass number (warmup epochs first,
+    then selection epochs)."""
     targets = one_hot(ds.labels, ds.num_classes)
+    rng = derive_rng((cfg.model1_seed, cfg.model2_seed)[m], WARMUP_SHUFFLE, stage_no, pass_no)
     order = rng.permutation(ds.n)
-    for start in range(0, ds.n, batch_size):
-        sel = order[start:start + batch_size]
+    for start in range(0, ds.n, cfg.batch_size):
+        sel = order[start:start + cfg.batch_size]
         grads = nn.backward(net, (ds.features[sel], targets[sel]), "cross_entropy")
         nn.sgd_step(net, grads, opt)
 
@@ -172,20 +185,13 @@ def warmup(net1, net2, ds: NoisyDataset, epochs, cfg: TrainConfig, stage_no,
     if epochs < 1:
         raise ConfigError("warmup needs at least one epoch")
     opts = [nn.init_optimizer(n, cfg.lr, cfg.momentum, cfg.weight_decay) for n in (net1, net2)]
-    seeds = (cfg.model1_seed, cfg.model2_seed)
     for e in range(1, epochs + 1):
-        for net, opt, seed in zip((net1, net2), opts, seeds):
-            rng = derive_rng(seed, WARMUP_SHUFFLE, stage_no, e)
-            _supervised_pass(net, opt, ds, rng, cfg.batch_size)
+        for m, (net, opt) in enumerate(zip((net1, net2), opts)):
+            _supervised_pass(net, opt, ds, cfg, m, stage_no, e)
         if rows is not None and test is not None:
             rows.append(EpochMetrics(stage=stage_tag, epoch=e, phase="warmup",
                                      lr=cfg.lr, test_acc=evaluate(net1, net2, test)))
     return net1, net2
-
-
-def train_accuracy(net1, net2, ds: NoisyDataset) -> float:
-    probs = (nn.forward(net1, ds.features) + nn.forward(net2, ds.features)) / 2.0
-    return float((probs.argmax(axis=1) == ds.labels).mean())
 
 
 def _epoch_posteriors(net, ds, cfg, epoch):
@@ -196,8 +202,7 @@ def _epoch_posteriors(net, ds, cfg, epoch):
     return clean_posterior(params, lv.values), params
 
 
-def _train_on_split(net, opt, split, ds, cfg, stage_no, epoch, model_no,
-                    longmix_plans, collect_plans):
+def _train_on_split(net, opt, split, ds, cfg, stage_no, epoch, model_no, longmix_plans):
     """One full pass over the epoch plan built from ``split``."""
     plan = build_epoch_plan(split.labeled_idx, split.unlabeled_idx, ds.n,
                             seed=(cfg.plan_seed, PLAN_DRAW, stage_no, epoch, model_no),
@@ -212,27 +217,24 @@ def _train_on_split(net, opt, split, ds, cfg, stage_no, epoch, model_no,
                  (ub.features[start:stop], ub.targets[start:stop]))
         grads = nn.backward(net, batch, spec)
         nn.sgd_step(net, grads, opt)
-    digest = plan_digest(plan) if collect_plans else None
-    return plan.x_ops, plan.u_ops, digest
+    return plan.x_ops, plan.u_ops, plan_digest(plan)
 
 
 def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
                   cfg: TrainConfig, stage_no, stage_tag, epoch, split_mode,
-                  histories=None, core=None, longmix_plans=True,
-                  gmm_rows=None, plan_rows=None, snapshots=None):
+                  histories, core, longmix_plans, gmm_rows, plan_rows, snapshots):
     """One co-training epoch; model m's losses produce the split that trains
-    the other model. Returns the epoch metrics row."""
+    the other model. Appends the epoch's GMM rows, plan digests and windowed
+    splits to ``gmm_rows``, ``plan_rows`` and ``snapshots``; returns the
+    epoch metrics row and the guessed-label table."""
     nets = (net1, net2)
-    lr = _epoch_lr(cfg, epoch)
-    for opt in opts:
-        opt.lr = lr
+    lr = _set_epoch_lr(opts, cfg, epoch)
 
     guessed = (nn.forward(net1, ds.features) + nn.forward(net2, ds.features)) / 2.0
     splits, stats = [], []
     for m, net in enumerate(nets):
         posteriors, params = _epoch_posteriors(net, ds, cfg, epoch)
-        if gmm_rows is not None:
-            gmm_rows.append(gmm_record(params, epoch, net.tag))
+        gmm_rows.append(gmm_record(params, epoch, net.tag))
         if split_mode == "hct":
             histories[m].push(posteriors)
             if histories[m].full:
@@ -244,7 +246,7 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
         else:
             split = baseline_split(posteriors, cfg.tau, guessed, ds.labels)
         splits.append(split)
-        if snapshots is not None and split.kind == "hct":
+        if split.kind == "hct":
             snapshots.append((epoch, split))
 
     for m, (net, opt) in enumerate(zip(nets, opts)):
@@ -252,18 +254,14 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
         metrics = clean_set_metrics(splits[m], ds.mask)
         if split.x_size == 0:
             # cannot mix without labelled anchors: supervised pass on all data
-            rng = derive_rng((cfg.model1_seed, cfg.model2_seed)[m], WARMUP_SHUFFLE,
-                             stage_no, cfg.warmup_epochs + epoch)
-            _supervised_pass(net, opt, ds, rng, cfg.batch_size)
+            _supervised_pass(net, opt, ds, cfg, m, stage_no, cfg.warmup_epochs + epoch)
             x_ops, u_ops, fallback = ds.n, 0, True
         else:
-            x_ops, u_ops, digest = _train_on_split(
-                net, opt, split, ds, cfg, stage_no, epoch, m,
-                longmix_plans, plan_rows is not None)
+            x_ops, u_ops, digest = _train_on_split(net, opt, split, ds, cfg, stage_no,
+                                                   epoch, m, longmix_plans)
             fallback = False
-            if plan_rows is not None:
-                plan_rows.append({"stage": stage_tag, "epoch": epoch,
-                                  "model": net.tag, "digest": digest})
+            plan_rows.append({"stage": stage_tag, "epoch": epoch,
+                              "model": net.tag, "digest": digest})
         stats.append(ModelEpochStats(
             split_kind=splits[m].kind, x_size=splits[m].x_size, u_size=splits[m].u_size,
             precision=metrics.precision, recall=metrics.recall,
@@ -274,106 +272,76 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
                         model1=stats[0], model2=stats[1]), guessed
 
 
-def _finalize_record(stage_tag, rows, core=None) -> RunRecord:
+def _finalize_record(stage_tag, rows) -> RunRecord:
     accs = [r.test_acc for r in rows]
     best_pos = int(np.argmax(accs))
     return RunRecord(
         stage=stage_tag, epochs=rows,
         best_acc=accs[best_pos],
         best_epoch=rows[best_pos].epoch,
-        last10_acc=float(np.mean(accs[-10:])) if len(accs) >= 10 else None,
-        core_set_size=None if core is None else core.size,
-        core_set_epoch=None if core is None else core.epoch)
+        last10_acc=float(np.mean(accs[-10:])) if len(accs) >= 10 else None)
 
 
-def _init_pair(cfg: TrainConfig, ds: NoisyDataset, stage_no):
+def _start_stage(cfg: TrainConfig, ds: NoisyDataset, test, stage_no, stage_tag):
+    """A fresh pair from the stage's seeds, warmed up, with fresh optimisers;
+    returns the nets, the optimisers and the warmup rows."""
     sizes = (ds.dim, *cfg.hidden, ds.num_classes)
-    net1 = nn.init_network(sizes, seed=(cfg.model1_seed, stage_no), tag="model1")
-    net2 = nn.init_network(sizes, seed=(cfg.model2_seed, stage_no), tag="model2")
-    return net1, net2
-
-
-def _run_selection_stage(cfg, ds, test, stage_no, stage_tag, split_mode,
-                         longmix_plans, core=None, capture_core=False,
-                         collect_gmm=False, collect_plans=False) -> StageOutcome:
-    net1, net2 = _init_pair(cfg, ds, stage_no)
+    nets = (nn.init_network(sizes, seed=(cfg.model1_seed, stage_no), tag="model1"),
+            nn.init_network(sizes, seed=(cfg.model2_seed, stage_no), tag="model2"))
     rows: list = []
-    warmup(net1, net2, ds, cfg.warmup_epochs, cfg, stage_no, test, stage_tag, rows)
-    opts = [nn.init_optimizer(n, cfg.lr, cfg.momentum, cfg.weight_decay) for n in (net1, net2)]
+    warmup(*nets, ds, cfg.warmup_epochs, cfg, stage_no, test, stage_tag, rows)
+    opts = [nn.init_optimizer(n, cfg.lr, cfg.momentum, cfg.weight_decay) for n in nets]
+    return nets, opts, rows
+
+
+def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, stage_tag,
+              split_mode, longmix_plans, core=None) -> StageOutcome:
+    """Warmup, then ``cfg.epochs`` co-training epochs on ``split_mode`` splits.
+
+    ``baseline`` thresholds each epoch's posteriors. ``hct`` uses the
+    confidence window, falling back to single-epoch splits until the window
+    fills, and captures the core set from the second half of the stage.
+    ``guided`` pins ``core`` into the labelled set every epoch."""
+    nets, opts, rows = _start_stage(cfg, ds, test, stage_no, stage_tag)
     histories = (LossHistory(ds.n, cfg.zeta), LossHistory(ds.n, cfg.zeta)) \
         if split_mode == "hct" else None
-    snapshots: list = [] if capture_core else None
-    gmm_rows: list = [] if collect_gmm else None
-    plan_rows: list = [] if collect_plans else None
+    snapshots, gmm_rows, plan_rows = [], [], []
     guessed = None
     for epoch in range(1, cfg.epochs + 1):
         row, guessed = cotrain_epoch(
-            net1, net2, opts, ds, test, cfg, stage_no, stage_tag, epoch, split_mode,
-            histories=histories, core=core, longmix_plans=longmix_plans,
-            gmm_rows=gmm_rows, plan_rows=plan_rows, snapshots=snapshots)
+            *nets, opts, ds, test, cfg, stage_no, stage_tag, epoch, split_mode,
+            histories, core, longmix_plans, gmm_rows, plan_rows, snapshots)
         rows.append(row)
-    captured = select_core_set(snapshots, cfg.epochs) if capture_core else None
-    return StageOutcome(record=_finalize_record(stage_tag, rows, captured),
-                        nets=(net1, net2), histories=histories, guessed=guessed,
-                        core_set=captured,
-                        gmm_rows=gmm_rows or [], plan_rows=plan_rows or [])
+    captured = select_core_set(snapshots, cfg.epochs) if split_mode == "hct" else None
+    return StageOutcome(record=_finalize_record(stage_tag, rows), nets=nets,
+                        histories=histories, guessed=guessed, core_set=captured,
+                        gmm_rows=gmm_rows, plan_rows=plan_rows)
 
 
-def run_stage1_hct(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset,
-                   collect_gmm=False, collect_plans=False) -> StageOutcome:
-    """Warmup plus confidence-window selection epochs; captures the core set
-    from the second half of the stage. Falls back to single-epoch splits
-    until the window fills.
-
-    Plans stay clean-set-sized here: the oversampled plans belong to the
-    guided stage, and dataset-sized plans during selection were observed to
-    collapse the loss bimodality the window depends on."""
-    return _run_selection_stage(cfg, ds, test, stage_no=1, stage_tag="stage1-hct",
-                                split_mode="hct", longmix_plans=False,
-                                capture_core=True, collect_gmm=collect_gmm,
-                                collect_plans=collect_plans)
-
-
-def run_stage2_guided(cfg: TrainConfig, ds: NoisyDataset, core: CoreSet,
-                      test: NoisyDataset, collect_gmm=False,
-                      collect_plans=False) -> StageOutcome:
-    """Retrains from scratch (fresh seeds, repeated warmup) with the core set
-    pinned into the labelled set every epoch."""
-    longmix_plans = cfg.mode in ("longmix", "full-longremix")
-    return _run_selection_stage(cfg, ds, test, stage_no=2, stage_tag="stage2-guided",
-                                split_mode="guided", longmix_plans=longmix_plans,
-                                core=core, collect_gmm=collect_gmm,
-                                collect_plans=collect_plans)
+def run_stage1_hct(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset) -> StageOutcome:
+    """The confidence-window stage of the two-stage modes, on its own."""
+    return run_stage(cfg, ds, test, 1, *STAGE1_HCT)
 
 
 def _run_ce(cfg: TrainConfig, ds, test) -> StageOutcome:
-    net1, net2 = _init_pair(cfg, ds, stage_no=1)
-    rows: list = []
-    warmup(net1, net2, ds, cfg.warmup_epochs, cfg, 1, test, "ce", rows)
-    opts = [nn.init_optimizer(n, cfg.lr, cfg.momentum, cfg.weight_decay) for n in (net1, net2)]
+    nets, opts, rows = _start_stage(cfg, ds, test, 1, "ce")
     for epoch in range(1, cfg.epochs + 1):
-        lr = _epoch_lr(cfg, epoch)
-        for opt in opts:
-            opt.lr = lr
-        for net, opt, seed in zip((net1, net2), opts, (cfg.model1_seed, cfg.model2_seed)):
-            rng = derive_rng(seed, WARMUP_SHUFFLE, 1, cfg.warmup_epochs + epoch)
-            _supervised_pass(net, opt, ds, rng, cfg.batch_size)
+        lr = _set_epoch_lr(opts, cfg, epoch)
+        for m, (net, opt) in enumerate(zip(nets, opts)):
+            _supervised_pass(net, opt, ds, cfg, m, 1, cfg.warmup_epochs + epoch)
         rows.append(EpochMetrics(stage="ce", epoch=epoch, phase="train", lr=lr,
-                                 test_acc=evaluate(net1, net2, test)))
-    return StageOutcome(record=_finalize_record("ce", rows), nets=(net1, net2))
+                                 test_acc=evaluate(*nets, test)))
+    return StageOutcome(record=_finalize_record("ce", rows), nets=nets)
 
 
-def run_training(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset,
-                 collect_gmm=False, collect_plans=False) -> ExperimentResult:
-    """Execute the configured mode end to end."""
+def run_training(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset) -> ExperimentResult:
+    """Execute the configured mode end to end; the core set a stage captures
+    is passed to the stages after it."""
     if cfg.mode == "ce":
         return ExperimentResult(cfg, [_run_ce(cfg, ds, test)], core_set=None)
-    if cfg.mode in ("baseline", "longmix"):
-        out = _run_selection_stage(
-            cfg, ds, test, stage_no=1, stage_tag=cfg.mode, split_mode="baseline",
-            longmix_plans=cfg.mode == "longmix",
-            collect_gmm=collect_gmm, collect_plans=collect_plans)
-        return ExperimentResult(cfg, [out], core_set=None)
-    stage1 = run_stage1_hct(cfg, ds, test, collect_gmm, collect_plans)
-    stage2 = run_stage2_guided(cfg, ds, stage1.core_set, test, collect_gmm, collect_plans)
-    return ExperimentResult(cfg, [stage1, stage2], core_set=stage1.core_set)
+    stages, core = [], None
+    for stage_no, stage in enumerate(MODE_STAGES[cfg.mode], start=1):
+        outcome = run_stage(cfg, ds, test, stage_no, *stage, core=core)
+        stages.append(outcome)
+        core = outcome.core_set or core
+    return ExperimentResult(cfg, stages, core_set=core)

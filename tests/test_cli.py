@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +336,73 @@ class TestOptionalDumps:
         net = nn.load_checkpoint(tmp_path / "out" / "model1.ckpt")
         assert net.tag == "model1"
         assert net.input_dim == 2
+
+
+def _separable_rows():
+    """200 rows of two classes a unit either side of zero, alternating cat/dog."""
+    rng = np.random.default_rng(0)
+    return [(sign + rng.normal(scale=0.1), label)
+            for sign, label in ((-1.0, "cat"), (1.0, "dog")) * 100]
+
+
+def _write_csv(path, rows, width=1):
+    header = ",".join(f"x{j}" for j in range(width))
+    path.write_text(f"{header},label\n" + "".join(
+        ",".join([repr(x)] * width) + f",{label}\n" for x, label in rows))
+
+
+# (case, training rows, test rows, test width, mode, exit code, stderr substring)
+ROWS = _separable_rows()
+CSV_CASES = [
+    ("dog-first-test-file", ROWS, sorted(ROWS, key=lambda r: r[1] != "dog"), 1,
+     "baseline", 0, None),
+    ("unseen-test-label", ROWS, ROWS[:5] + [(0.0, "bird")] + ROWS[5:], 1,
+     "baseline", 2, "row 7: label 'bird' in test.csv"),
+    ("test-width-differs", ROWS, ROWS, 2, "baseline", 2, "test.csv has 2 feature columns"),
+    ("three-training-rows", ROWS[:3], ROWS, 1, "baseline", 2, "train.csv: 3 training rows"),
+]
+
+
+@pytest.mark.parametrize("case,train_rows,test_rows,width,mode,code,message", CSV_CASES,
+                         ids=[c[0] for c in CSV_CASES])
+def test_csv_contract(tmp_path, capsys, monkeypatch, case, train_rows, test_rows, width,
+                      mode, code, message):
+    monkeypatch.chdir(tmp_path)
+    _write_csv(tmp_path / "train.csv", train_rows)
+    _write_csv(tmp_path / "test.csv", test_rows, width)
+    conf = tmp_path / "exp.conf"
+    conf.write_text("dataset.kind = csv\ndataset.path = train.csv\ndataset.test_path = test.csv\n"
+                    f"train.mode = {mode}\ntrain.epochs = 4\ntrain.warmup = 2\n"
+                    "train.zeta = 2\noutput.dir = out\n")
+    assert cli.main(["train", "--config", str(conf)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+        return
+    # the same rows in first-appearance order score the same
+    got = json.loads((tmp_path / "out" / "metrics.json").read_text())["summary"]["best_acc"]
+    _write_csv(tmp_path / "test.csv", sorted(test_rows, key=lambda r: r[1] != "cat"), width)
+    assert cli.main(["train", "--config", str(conf)]) == 0
+    want = json.loads((tmp_path / "out" / "metrics.json").read_text())["summary"]["best_acc"]
+    assert got == want == 1.0
+
+
+def test_readme_config_example_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    exp = config.build_experiment(config.parse_flat_config(block))
+    assert (exp.noise.kind, exp.noise.eta, exp.outdir) == ("symmetric", 0.8, "runs/exp")
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "longremix", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("longremix ")
 
 
 def test_help_documents_subcommands():

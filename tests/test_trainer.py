@@ -43,7 +43,7 @@ class TestWarmup:
         net1 = nn.init_network((2, 64, 64, 2), seed=(11, 1), tag="model1")
         net2 = nn.init_network((2, 64, 64, 2), seed=(22, 1), tag="model2")
         warmup(net1, net2, ds, 20, cfg, stage_no=1)
-        assert trainer.train_accuracy(net1, net2, ds) >= 0.99
+        assert evaluate(net1, net2, ds) >= 0.99
 
     def test_different_seeds_different_parameters(self):
         ds, _ = blob_pair(n=100, classes=2)
@@ -169,7 +169,8 @@ class TestStages:
         fresh2 = nn.init_network((2, *cfg.hidden, 3), seed=(cfg.model1_seed, 2), tag="model1")
         # stage-2 training started from the stage-2 seed, not stage-1 weights:
         # replaying stage 2 from that seed reproduces its record exactly
-        replay = trainer.run_stage2_guided(cfg, ds, res.core_set, test)
+        replay = trainer.run_stage(cfg, ds, test, 2, "stage2-guided", "guided", True,
+                                   core=res.core_set)
         assert replay.record == res.stages[1].record
         assert any((a != b).any() for a, b in zip(stage1_net.weights, fresh2.weights))
 
@@ -203,10 +204,10 @@ class TestStages:
         from longremix.selector import CoreSet
         ds, test = blob_pair(n=150, classes=3, noise=0.4)
         cfg = small_cfg(mode="full-longremix")
-        guided = trainer.run_stage2_guided(cfg, ds, CoreSet.empty(), test)
-        plain = trainer._run_selection_stage(cfg, ds, test, stage_no=2,
-                                             stage_tag="stage2-guided",
-                                             split_mode="baseline", longmix_plans=True)
+        guided = trainer.run_stage(cfg, ds, test, 2, "stage2-guided", "guided", True,
+                                   core=CoreSet.empty())
+        plain = trainer.run_stage(cfg, ds, test, stage_no=2, stage_tag="stage2-guided",
+                                  split_mode="baseline", longmix_plans=True)
         for a, b in zip(guided.record.epochs, plain.record.epochs):
             assert a.test_acc == b.test_acc
             if a.phase == "train":
