@@ -41,6 +41,9 @@ def _build_datasets(exp):
     d = exp.dataset
     if d.kind == "csv":
         train = data.load_csv_dataset(d.path)
+        if train.num_classes < 2:
+            raise ConfigError(f"{d.path}: every training label is {train.class_names[0]!r}; "
+                              "training needs at least 2 classes")
         if not d.test_path:
             raise ConfigError("dataset.test_path is required for csv training runs")
         test = data.load_csv_dataset(d.test_path, class_names=train.class_names)

@@ -112,46 +112,48 @@ def load_csv_dataset(path, class_names=None) -> NoisyDataset:
     Label tokens map to class indices in first-appearance order, or through
     ``class_names`` when given (a test set takes its training set's names),
     in which case an unknown token is a parse error. Parse failures name the
-    offending 1-based file row.
+    file and the offending 1-based file row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError("empty file", row=1) from None
+            raise ParseError("empty file", row=1, path=path) from None
         if len(header) < 2:
-            raise ParseError("need at least one feature column and a label column", row=1)
+            raise ParseError("need at least one feature column and a label column",
+                             row=1, path=path)
         if header[-1].strip() != "label":
-            raise ParseError(f"last column must be named 'label', got {header[-1]!r}", row=1)
+            raise ParseError(f"last column must be named 'label', got {header[-1]!r}",
+                             row=1, path=path)
         d = len(header) - 1
         feats, tokens = [], []
         token_index = {name: c for c, name in enumerate(class_names or ())}
         for row_no, row in enumerate(reader, start=2):
             if len(row) != d + 1:
-                raise ParseError(f"expected {d + 1} columns, got {len(row)}", row=row_no)
+                raise ParseError(f"expected {d + 1} columns, got {len(row)}", row=row_no, path=path)
             vals = []
             for col, cell in zip(header[:-1], row[:-1]):
                 cell = cell.strip()
                 if not cell:
-                    raise ParseError(f"missing value in column {col!r}", row=row_no)
+                    raise ParseError(f"missing value in column {col!r}", row=row_no, path=path)
                 try:
                     vals.append(float(cell))
                 except ValueError:
                     raise ParseError(f"non-numeric value {cell!r} in column {col!r}",
-                                     row=row_no) from None
+                                     row=row_no, path=path) from None
             token = row[-1].strip()
             if not token:
-                raise ParseError("missing label", row=row_no)
+                raise ParseError("missing label", row=row_no, path=path)
             if token not in token_index:
                 if class_names is not None:
-                    raise ParseError(f"label {token!r} in {path} is not a training class "
-                                     f"{list(class_names)}", row=row_no)
+                    raise ParseError(f"label {token!r} is not a training class "
+                                     f"{list(class_names)}", row=row_no, path=path)
                 token_index[token] = len(token_index)
             feats.append(vals)
             tokens.append(token)
     if not feats:
-        raise ParseError("no data rows", row=1)
+        raise ParseError("no data rows", row=1, path=path)
     labels = np.array([token_index[t] for t in tokens], dtype=int)
     return _clean(np.array(feats), labels, len(token_index), class_names=list(token_index))
 

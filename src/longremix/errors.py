@@ -14,10 +14,14 @@ class StateError(LongRemixError):
 
 
 class ParseError(LongRemixError):
-    """A file could not be parsed; carries the offending row when known."""
+    """A file could not be parsed; carries the file and the offending row
+    when known."""
 
-    def __init__(self, message, row=None):
+    def __init__(self, message, row=None, path=None):
         if row is not None:
             message = f"row {row}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.row = row
+        self.path = path

@@ -4,6 +4,13 @@ The posterior responsibility of the smaller-mean component is the
 probability that a training sample is clean. EM is initialized from the
 10th/90th loss percentiles so the component identities stay stable from
 epoch to epoch (no label switching), which makes the fit deterministic.
+
+The fit is also byte-stable. Each EM iteration evaluates the component
+log-densities once, and the M-step sums over samples run in sample order,
+as a reduce over the samples axis of an ``(n, 2)`` array does; a plain 1-D
+``np.sum`` adds pairwise and rounds differently. Holding the order fixed
+keeps the fitted parameters, ``gmm.jsonl`` and every split downstream the
+same bit for bit whichever layout the arrays take.
 """
 
 from __future__ import annotations
@@ -51,9 +58,11 @@ class GmmParams:
             raise ValueError("clean component must be the smaller-mean component")
 
 
-def per_sample_losses(net: Network, ds, epoch=0) -> LossVector:
-    """Unreduced cross-entropy of the observed label under ``net``."""
-    probs = forward(net, ds.features)
+def per_sample_losses(net: Network, ds, epoch=0, probs=None) -> LossVector:
+    """Unreduced cross-entropy of the observed label under ``net``; ``probs``
+    is ``net``'s softmax over ``ds.features`` when the caller already has it."""
+    if probs is None:
+        probs = forward(net, ds.features)
     picked = probs[np.arange(ds.n), ds.labels]
     return LossVector(values=-np.log(np.maximum(picked, 1e-12)), epoch=epoch)
 
@@ -72,10 +81,22 @@ def _log_normal(x, mean, var):
     return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
 
 
-def _mean_ll(x, weights, means, variances):
-    comp = np.log(weights)[None, :] + _log_normal(x[:, None], means[None, :], variances[None, :])
-    hi = comp.max(axis=1, keepdims=True)
-    return float(np.mean(hi[:, 0] + np.log(np.exp(comp - hi).sum(axis=1))))
+def _e_step(x, weights, means, variances):
+    """Responsibilities ``(2, n)`` and the mean log-likelihood, from one
+    evaluation of the component log-densities; each component is a
+    contiguous row, so the per-sample max and sum are plain 1-D ops."""
+    comp = np.log(weights)[:, None] + _log_normal(x[None, :], means[:, None], variances[:, None])
+    hi = np.maximum(comp[0], comp[1])
+    resp = np.exp(comp - hi)
+    total = resp[0] + resp[1]
+    resp /= total
+    return resp, float(np.mean(hi + np.log(total)))
+
+
+def _row_sums(a):
+    # running sums add samples in order, as an axis-0 reduce over (n, 2) does;
+    # a 1-D np.sum is pairwise and differs in the last bits
+    return np.cumsum(a, axis=1)[:, -1]
 
 
 def _collapsed(values) -> GmmParams:
@@ -86,13 +107,13 @@ def _collapsed(values) -> GmmParams:
                      clean_component=0, collapsed=True)
 
 
-def fit_gmm_em(lv: LossVector, tol=1e-6, max_iter=100, seed=0) -> GmmParams:
+def fit_gmm_em(lv: LossVector, tol=1e-6, max_iter=100) -> GmmParams:
     """EM fit of a 2-component 1-D mixture to the loss values.
 
-    ``seed`` is accepted for interface uniformity; the percentile-anchored
-    initialization makes the fit deterministic without it. Steps that would
-    lower the mean log-likelihood (possible only via the variance floor)
-    are rejected, so the recorded likelihood path is non-decreasing.
+    The percentile-anchored initialization makes the fit deterministic.
+    Steps that would lower the mean log-likelihood (possible only via the
+    variance floor) are rejected, so the recorded likelihood path is
+    non-decreasing.
     """
     x = np.asarray(lv.values, dtype=float)
     if len(x) < MIN_FIT_SAMPLES:
@@ -106,27 +127,21 @@ def fit_gmm_em(lv: LossVector, tol=1e-6, max_iter=100, seed=0) -> GmmParams:
     weights = np.array([0.5, 0.5])
     variances = np.full(2, max(float(np.var(x)), VAR_FLOOR))
 
-    ll = _mean_ll(x, weights, means, variances)
+    resp, ll = _e_step(x, weights, means, variances)
     path = [ll]
     n_iter = 0
     for _ in range(max_iter):
-        # E-step in log space
-        comp = np.log(weights)[None, :] + _log_normal(x[:, None], means[None, :], variances[None, :])
-        comp -= comp.max(axis=1, keepdims=True)
-        resp = np.exp(comp)
-        resp /= resp.sum(axis=1, keepdims=True)
         # M-step with variance floor
-        mass = resp.sum(axis=0)
+        mass = _row_sums(resp)
         if (mass / len(x) < WEIGHT_FLOOR).any():
             return _collapsed(x)
-        new_means = (resp * x[:, None]).sum(axis=0) / mass
-        new_vars = np.maximum((resp * (x[:, None] - new_means[None, :]) ** 2).sum(axis=0) / mass,
-                              VAR_FLOOR)
+        new_means = _row_sums(resp * x) / mass
+        new_vars = np.maximum(_row_sums(resp * (x - new_means[:, None]) ** 2) / mass, VAR_FLOOR)
         new_weights = mass / len(x)
-        new_ll = _mean_ll(x, new_weights, new_means, new_vars)
+        new_resp, new_ll = _e_step(x, new_weights, new_means, new_vars)
         if new_ll < ll:
             break  # floored step would regress; keep previous parameters
-        weights, means, variances = new_weights, new_means, new_vars
+        weights, means, variances, resp = new_weights, new_means, new_vars, new_resp
         improved = new_ll - ll
         ll = new_ll
         path.append(ll)

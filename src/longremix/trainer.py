@@ -194,8 +194,8 @@ def warmup(net1, net2, ds: NoisyDataset, epochs, cfg: TrainConfig, stage_no,
     return net1, net2
 
 
-def _epoch_posteriors(net, ds, cfg, epoch):
-    lv = per_sample_losses(net, ds, epoch=epoch)
+def _epoch_posteriors(net, ds, cfg, epoch, probs):
+    lv = per_sample_losses(net, ds, epoch=epoch, probs=probs)
     if cfg.normalize_losses:
         lv = normalize_losses(lv)
     params = fit_gmm_em(lv)
@@ -230,10 +230,11 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
     nets = (net1, net2)
     lr = _set_epoch_lr(opts, cfg, epoch)
 
-    guessed = (nn.forward(net1, ds.features) + nn.forward(net2, ds.features)) / 2.0
+    probs = [nn.forward(net, ds.features) for net in nets]
+    guessed = (probs[0] + probs[1]) / 2.0
     splits, stats = [], []
     for m, net in enumerate(nets):
-        posteriors, params = _epoch_posteriors(net, ds, cfg, epoch)
+        posteriors, params = _epoch_posteriors(net, ds, cfg, epoch, probs[m])
         gmm_rows.append(gmm_record(params, epoch, net.tag))
         if split_mode == "hct":
             histories[m].push(posteriors)

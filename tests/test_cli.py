@@ -346,9 +346,10 @@ def _separable_rows():
 
 
 def _write_csv(path, rows, width=1):
+    """A feature of None is written as an empty cell."""
     header = ",".join(f"x{j}" for j in range(width))
     path.write_text(f"{header},label\n" + "".join(
-        ",".join([repr(x)] * width) + f",{label}\n" for x, label in rows))
+        ",".join(["" if x is None else repr(x)] * width) + f",{label}\n" for x, label in rows))
 
 
 # (case, training rows, test rows, test width, mode, exit code, stderr substring)
@@ -357,7 +358,12 @@ CSV_CASES = [
     ("dog-first-test-file", ROWS, sorted(ROWS, key=lambda r: r[1] != "dog"), 1,
      "baseline", 0, None),
     ("unseen-test-label", ROWS, ROWS[:5] + [(0.0, "bird")] + ROWS[5:], 1,
-     "baseline", 2, "row 7: label 'bird' in test.csv"),
+     "baseline", 2, "test.csv: row 7: label 'bird' is not a training class"),
+    ("test-file-missing-cell", ROWS, ROWS[:1] + [(None, "dog")] + ROWS[1:], 1,
+     "baseline", 2, "test.csv: row 3: missing value in column 'x0'"),
+    ("single-class-training", [r for r in ROWS if r[1] == "cat"], ROWS, 1, "baseline", 2,
+     "train.csv: every training label is 'cat'; training needs at least 2 classes"),
+    ("single-class-test-file", ROWS, [r for r in ROWS if r[1] == "dog"], 1, "baseline", 0, None),
     ("test-width-differs", ROWS, ROWS, 2, "baseline", 2, "test.csv has 2 feature columns"),
     ("three-training-rows", ROWS[:3], ROWS, 1, "baseline", 2, "train.csv: 3 training rows"),
 ]

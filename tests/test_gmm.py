@@ -31,6 +31,12 @@ class TestPerSampleLosses:
             y[ds.labels[i]] = 1.0
             assert lv.values[i] == pytest.approx(nn.cross_entropy(p, y), abs=1e-12)
 
+    def test_given_probs_match_own_forward(self):
+        ds = make_synthetic_dataset("blobs", n=300, classes=5, spread=0.3, seed=3)
+        net = nn.init_network([2, 16, 5], seed=6)
+        given = gmm.per_sample_losses(net, ds, probs=nn.forward(net, ds.features))
+        assert given.values.tobytes() == gmm.per_sample_losses(net, ds).values.tobytes()
+
     def test_perfect_net_zero_loss(self):
         ds = make_synthetic_dataset("blobs", n=20, classes=2, spread=0.05, seed=2)
         # logits strongly aligned with the true blob side (centers at +-2 on x)
@@ -81,10 +87,11 @@ class TestEmFit:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         lv = two_cluster_losses(rng)
-        a = gmm.fit_gmm_em(lv, seed=1)
-        b = gmm.fit_gmm_em(lv, seed=2)  # seed is inert by design
+        a = gmm.fit_gmm_em(lv)
+        b = gmm.fit_gmm_em(lv)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.weights, b.weights)
+        np.testing.assert_array_equal(a.variances, b.variances)
 
     def test_constant_input_collapses(self):
         params = gmm.fit_gmm_em(gmm.LossVector(np.full(10, 0.4)))
@@ -101,6 +108,119 @@ class TestEmFit:
         params = gmm.fit_gmm_em(gmm.LossVector(vals))
         if not params.collapsed:
             assert (params.variances >= gmm.VAR_FLOOR * (1 - 1e-12)).all()
+
+
+def reference_fit(x):
+    """The EM of ``fit_gmm_em`` at its defaults, with the components along
+    axis 1 of ``(n, 2)`` arrays: (weights, means, variances, likelihood
+    path, n_iter, collapsed), ordered by mean."""
+    def log_normal(v, mean, var):
+        return -0.5 * (np.log(2.0 * np.pi * var) + (v - mean) ** 2 / var)
+
+    def comp(weights, means, variances):
+        return np.log(weights)[None, :] + log_normal(x[:, None], means[None, :],
+                                                     variances[None, :])
+
+    def mean_ll(weights, means, variances):
+        c = comp(weights, means, variances)
+        hi = c.max(axis=1, keepdims=True)
+        return float(np.mean(hi[:, 0] + np.log(np.exp(c - hi).sum(axis=1))))
+
+    def collapsed():
+        center = float(np.mean(x))
+        return (np.array([0.5, 0.5]), np.array([center, center]),
+                np.array([gmm.VAR_FLOOR, gmm.VAR_FLOOR]), (), 0, True)
+
+    if float(x.max() - x.min()) <= 1e-12:
+        return collapsed()
+    means = np.percentile(x, [10.0, 90.0]).astype(float)
+    if means[1] - means[0] <= 1e-12:
+        means = np.array([float(x.min()), float(x.max())])
+    weights = np.array([0.5, 0.5])
+    variances = np.full(2, max(float(np.var(x)), gmm.VAR_FLOOR))
+    ll = mean_ll(weights, means, variances)
+    path, n_iter = [ll], 0
+    for _ in range(100):
+        c = comp(weights, means, variances)
+        c -= c.max(axis=1, keepdims=True)
+        resp = np.exp(c)
+        resp /= resp.sum(axis=1, keepdims=True)
+        mass = resp.sum(axis=0)
+        if (mass / len(x) < gmm.WEIGHT_FLOOR).any():
+            return collapsed()
+        new_means = (resp * x[:, None]).sum(axis=0) / mass
+        new_vars = np.maximum((resp * (x[:, None] - new_means[None, :]) ** 2).sum(axis=0) / mass,
+                              gmm.VAR_FLOOR)
+        new_weights = mass / len(x)
+        new_ll = mean_ll(new_weights, new_means, new_vars)
+        if new_ll < ll:
+            break
+        weights, means, variances = new_weights, new_means, new_vars
+        improved, ll = new_ll - ll, new_ll
+        path.append(ll)
+        n_iter += 1
+        if improved < 1e-6:
+            break
+    order = np.argsort(means)
+    return weights[order], means[order], variances[order], tuple(path), n_iter, False
+
+
+def reference_vectors():
+    """240 seeded loss vectors, n from MIN_FIT_SAMPLES to 3000 on a log scale:
+    uniform, skewed two-cluster (minority share 1-50%), exponential, and
+    min-max normalized cross-entropy-like mixtures."""
+    rng = np.random.default_rng(2024)
+    sizes = np.geomspace(gmm.MIN_FIT_SAMPLES, 3000, 240).astype(int)
+    for i, n in enumerate(sizes):
+        kind = i % 4
+        if kind == 0:
+            x = rng.random(n)
+        elif kind == 1:
+            k = max(1, int(n * rng.uniform(0.01, 0.5)))
+            x = np.concatenate([rng.normal(0.15, 0.05, n - k), rng.normal(0.85, 0.1, k)])
+        elif kind == 2:
+            x = rng.exponential(rng.uniform(0.1, 3.0), n)
+        else:
+            clean = rng.exponential(0.05, n)
+            noisy = rng.normal(2.5, 0.6, n)
+            x = gmm.normalize_losses(gmm.LossVector(
+                np.where(rng.random(n) < rng.uniform(0.2, 0.8), noisy, clean))).values
+        yield x
+
+
+def assert_matches_reference(x):
+    want = reference_fit(np.asarray(x, dtype=float))
+    got = gmm.fit_gmm_em(gmm.LossVector(x))
+    assert got.weights.tobytes() == want[0].tobytes()
+    assert got.means.tobytes() == want[1].tobytes()
+    assert got.variances.tobytes() == want[2].tobytes()
+    assert (got.log_likelihoods, got.n_iter, got.collapsed) == want[3:]
+    return got
+
+
+class TestEmMatchesReference:
+    """fit_gmm_em must reproduce the (n, 2) formulation bit for bit, so that
+    gmm.jsonl and every split downstream of it stay byte-identical."""
+
+    def test_seeded_vectors(self):
+        fits = [assert_matches_reference(x) for x in reference_vectors()]
+        assert len(fits) == 240
+        assert any(p.n_iter == 100 for p in fits)  # some fits run to the iteration cap
+
+    def test_weight_floor_collapse(self, monkeypatch):
+        # raise the floor so a 2% minority cluster's component falls below it
+        monkeypatch.setattr(gmm, "WEIGHT_FLOOR", 0.05)
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(0.2, 0.05, 980), rng.normal(0.9, 0.02, 20)])
+        assert assert_matches_reference(x).collapsed
+
+    def test_variance_floor_rejected_step(self):
+        x = np.concatenate([np.full(50, 0.1) + np.linspace(0, 1e-9, 50),
+                            np.linspace(0.8, 1.0, 10)])
+        got = assert_matches_reference(x)
+        # stopped below the cap while still improving by more than tol: a step was rejected
+        assert got.n_iter < 100 and got.log_likelihoods[-1] - got.log_likelihoods[-2] >= 1e-6
+        assert got.variances[0] == gmm.VAR_FLOOR
 
 
 class TestCleanPosterior:
