@@ -132,6 +132,9 @@ def cmd_noise(args) -> int:
                                          args.spread, seed=args.data_seed)
     spec = data.NoiseSpec(kind=args.kind, eta=args.eta,
                           mapping=_to_mapping("--mapping", args.mapping), seed=args.seed)
+    if spec.kind != "none" and ds.num_classes < 2:
+        raise ConfigError(f"{args.csv}: every label is {ds.class_names[0]!r}; "
+                          f"{spec.kind} noise needs at least 2 classes")
     noisy = data.apply_noise(ds, spec)
     outdir = args.out or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)

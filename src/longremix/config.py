@@ -9,6 +9,7 @@ own output.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -101,9 +102,12 @@ def _to_int(key, value):
 
 def _to_float(key, value):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 
 def _to_mapping(key, value):

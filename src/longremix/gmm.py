@@ -27,20 +27,10 @@ WEIGHT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
-class LossVector:
-    values: np.ndarray
-    epoch: int = 0
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class GmmParams:
     weights: np.ndarray    # (2,), sum 1
-    means: np.ndarray      # (2,)
+    means: np.ndarray      # (2,), clean (smaller-mean) component first
     variances: np.ndarray  # (2,), floored
-    clean_component: int   # index of the smaller mean
     collapsed: bool = False
     log_likelihoods: tuple = ()  # mean log-likelihood after each accepted step
     n_iter: int = 0
@@ -54,27 +44,27 @@ class GmmParams:
             raise ValueError("mixture weights must lie in (0, 1)")
         if (self.variances < VAR_FLOOR * (1 - 1e-12)).any():
             raise ValueError("variance below floor")
-        if self.clean_component != int(np.argmin(self.means)):
+        if not self.means[0] <= self.means[1]:
             raise ValueError("clean component must be the smaller-mean component")
 
 
-def per_sample_losses(net: Network, ds, epoch=0, probs=None) -> LossVector:
+def per_sample_losses(net: Network, ds, probs=None) -> np.ndarray:
     """Unreduced cross-entropy of the observed label under ``net``; ``probs``
     is ``net``'s softmax over ``ds.features`` when the caller already has it."""
     if probs is None:
         probs = forward(net, ds.features)
     picked = probs[np.arange(ds.n), ds.labels]
-    return LossVector(values=-np.log(np.maximum(picked, 1e-12)), epoch=epoch)
+    return -np.log(np.maximum(picked, 1e-12))
 
 
-def normalize_losses(lv: LossVector) -> LossVector:
+def normalize_losses(losses) -> np.ndarray:
     """Min-max rescale to [0, 1]; a constant vector maps to all 0.5."""
-    if len(lv) == 0:
+    if len(losses) == 0:
         raise ValueError("empty loss vector")
-    lo, hi = float(lv.values.min()), float(lv.values.max())
+    lo, hi = float(losses.min()), float(losses.max())
     if hi - lo <= 1e-12:
-        return LossVector(np.full_like(lv.values, 0.5), lv.epoch)
-    return LossVector((lv.values - lo) / (hi - lo), lv.epoch)
+        return np.full_like(losses, 0.5)
+    return (losses - lo) / (hi - lo)
 
 
 def _log_normal(x, mean, var):
@@ -103,11 +93,10 @@ def _collapsed(values) -> GmmParams:
     center = float(np.mean(values)) if len(values) else 0.5
     return GmmParams(weights=np.array([0.5, 0.5]),
                      means=np.array([center, center]),
-                     variances=np.array([VAR_FLOOR, VAR_FLOOR]),
-                     clean_component=0, collapsed=True)
+                     variances=np.array([VAR_FLOOR, VAR_FLOOR]), collapsed=True)
 
 
-def fit_gmm_em(lv: LossVector, tol=1e-6, max_iter=100) -> GmmParams:
+def fit_gmm_em(losses, tol=1e-6, max_iter=100) -> GmmParams:
     """EM fit of a 2-component 1-D mixture to the loss values.
 
     The percentile-anchored initialization makes the fit deterministic.
@@ -115,7 +104,7 @@ def fit_gmm_em(lv: LossVector, tol=1e-6, max_iter=100) -> GmmParams:
     variance floor) are rejected, so the recorded likelihood path is
     non-decreasing.
     """
-    x = np.asarray(lv.values, dtype=float)
+    x = np.asarray(losses, dtype=float)
     if len(x) < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit the mixture")
     if float(x.max() - x.min()) <= 1e-12:
@@ -149,10 +138,10 @@ def fit_gmm_em(lv: LossVector, tol=1e-6, max_iter=100) -> GmmParams:
         if improved < tol:
             break
 
-    order = np.argsort(means)  # smaller mean first, so clean_component == 0
+    order = np.argsort(means)  # smaller mean first: component 0 is the clean one
     return GmmParams(weights=weights[order], means=means[order],
-                     variances=variances[order], clean_component=0,
-                     collapsed=False, log_likelihoods=tuple(path), n_iter=n_iter)
+                     variances=variances[order], collapsed=False,
+                     log_likelihoods=tuple(path), n_iter=n_iter)
 
 
 def clean_posterior(params: GmmParams, losses):
@@ -166,10 +155,9 @@ def clean_posterior(params: GmmParams, losses):
     if params.collapsed:
         out = np.full(x.shape, 0.5)
     else:
-        k = params.clean_component
-        j = 1 - k
-        log_clean = np.log(params.weights[k]) + _log_normal(x, params.means[k], params.variances[k])
-        log_noisy = np.log(params.weights[j]) + _log_normal(x, params.means[j], params.variances[j])
+        w, mu, var = params.weights, params.means, params.variances
+        log_clean = np.log(w[0]) + _log_normal(x, mu[0], var[0])
+        log_noisy = np.log(w[1]) + _log_normal(x, mu[1], var[1])
         out = 1.0 / (1.0 + np.exp(np.clip(log_noisy - log_clean, -700.0, 700.0)))
     return float(out[0]) if scalar else out
 

@@ -1,10 +1,11 @@
-"""MixUp sampling over the clean/noisy split and the vicinal training loss.
+"""MixUp sampling over the clean/noisy split: epoch plans and mixed batches.
 
 An epoch plan lists which anchor/partner pairs get mixed. In longmix mode
 both the labelled and the unlabelled plans hold one instruction per
 training sample (anchors resampled with replacement), decoupling the
 number of mix operations from the size of the predicted-clean set; the
-baseline-compat mode sizes both plans to the clean set instead.
+baseline-compat mode sizes both plans to the clean set instead. The
+vicinal loss the mixed batches train on is ``nn.TotalLoss``.
 """
 
 from __future__ import annotations
@@ -14,19 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
 from .errors import ConfigError, StateError
 from .selector import SplitSets
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_u: float    # weight of the unlabelled squared-error term
-    lambda_reg: float  # weight of the uniform-prior KL penalty
-
-    def __post_init__(self):
-        if self.lambda_u < 0 or self.lambda_reg < 0:
-            raise ConfigError("loss weights must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -36,7 +26,6 @@ class EpochPlan:
     u_anchor: np.ndarray   # unlabelled-anchor sample indices
     u_partner: np.ndarray
     seed: tuple
-    fully_supervised: bool = False  # set when U was empty
 
     @property
     def x_ops(self) -> int:
@@ -51,28 +40,10 @@ class EpochPlan:
 class MixBatch:
     features: np.ndarray
     targets: np.ndarray
-    origin: str            # "labeled" | "unlabeled"
     lam: np.ndarray        # per-pair mixing coefficients
 
     def __len__(self):
         return len(self.features)
-
-
-def sample_beta(alpha, rng) -> float:
-    """One draw from the symmetric Beta(alpha, alpha)."""
-    if alpha <= 0:
-        raise ConfigError(f"beta concentration must be positive, got {alpha}")
-    return float(rng.beta(alpha, alpha))
-
-
-def mixup_pair(a, b, lam):
-    """Convex combination of two (features, soft label) pairs."""
-    xa, ya = a
-    xb, yb = b
-    xa, ya, xb, yb = (np.asarray(v, dtype=float) for v in (xa, ya, xb, yb))
-    if xa.shape != xb.shape or ya.shape != yb.shape:
-        raise ValueError("mixup operands must share shapes")
-    return lam * xa + (1.0 - lam) * xb, lam * ya + (1.0 - lam) * yb
 
 
 def build_epoch_plan(labeled_idx, unlabeled_idx, dataset_size, seed,
@@ -82,7 +53,7 @@ def build_epoch_plan(labeled_idx, unlabeled_idx, dataset_size, seed,
     Longmix mode draws ``dataset_size`` anchors from each of X and U;
     baseline-compat mode draws ``len(labeled_idx)`` from each. Partners are
     uniform with replacement over X plus U either way. With an empty U the
-    plan carries labelled instructions only and is flagged fully supervised.
+    plan carries labelled instructions only.
     """
     labeled_idx = np.asarray(labeled_idx, dtype=int)
     unlabeled_idx = np.asarray(unlabeled_idx, dtype=int)
@@ -98,7 +69,7 @@ def build_epoch_plan(labeled_idx, unlabeled_idx, dataset_size, seed,
     if len(unlabeled_idx) == 0:
         return EpochPlan(x_anchor=x_anchor, x_partner=x_partner,
                          u_anchor=np.empty(0, dtype=int), u_partner=np.empty(0, dtype=int),
-                         seed=seed_keys, fully_supervised=True)
+                         seed=seed_keys)
     u_anchor = unlabeled_idx[rng.integers(0, len(unlabeled_idx), size=target)]
     u_partner = pool[rng.integers(0, len(pool), size=target)]
     return EpochPlan(x_anchor=x_anchor, x_partner=x_partner,
@@ -121,46 +92,15 @@ def mix_plan(plan: EpochPlan, features, targets, alpha, rng):
     if alpha <= 0:
         raise ConfigError(f"beta concentration must be positive, got {alpha}")
 
-    def _mix(anchor, partner, origin):
+    def _mix(anchor, partner):
         lam = rng.beta(alpha, alpha, size=len(anchor))
         col = lam[:, None]
         return MixBatch(
             features=col * features[anchor] + (1.0 - col) * features[partner],
             targets=col * targets[anchor] + (1.0 - col) * targets[partner],
-            origin=origin, lam=lam)
+            lam=lam)
 
-    xbatch = _mix(plan.x_anchor, plan.x_partner, "labeled")
-    ubatch = _mix(plan.u_anchor, plan.u_partner, "unlabeled")
-    return xbatch, ubatch
-
-
-def evr_loss(xbatch: MixBatch, ubatch: MixBatch, net, weights: LossWeights) -> float:
-    """Mean cross-entropy over the labelled mixes plus the weighted mean
-    squared error over the unlabelled mixes."""
-    if len(xbatch) == 0:
-        raise ValueError("labelled mix batch is empty")
-    px = nn.forward(net, xbatch.features)
-    value = float(np.mean(nn.cross_entropy(px, xbatch.targets)))
-    if len(ubatch):
-        pu = nn.forward(net, ubatch.features)
-        value += weights.lambda_u * float(np.mean(nn.squared_error(pu, ubatch.targets)))
-    return value
-
-
-def kl_regularizer(predictions) -> float:
-    """KL(uniform || mean prediction); keeps the ensemble from collapsing
-    onto a few classes."""
-    predictions = np.atleast_2d(np.asarray(predictions, dtype=float))
-    if predictions.size == 0:
-        raise ValueError("need at least one prediction")
-    mean = predictions.mean(axis=0)
-    c = len(mean)
-    pi = 1.0 / c
-    return float((pi * (np.log(pi) - np.log(np.maximum(mean, nn.LOG_EPS)))).sum())
-
-
-def total_loss(evr, reg, lambda_reg) -> float:
-    return float(evr + lambda_reg * reg)
+    return _mix(plan.x_anchor, plan.x_partner), _mix(plan.u_anchor, plan.u_partner)
 
 
 def plan_digest(plan: EpochPlan) -> str:

@@ -12,7 +12,6 @@ NET_INIT = 101
 WARMUP_SHUFFLE = 102
 PLAN_DRAW = 103
 MIX_LAMBDA = 104
-TEST_SPLIT = 105
 
 
 def derive_rng(*keys: int) -> np.random.Generator:

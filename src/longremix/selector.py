@@ -31,7 +31,6 @@ class LossHistory:
             raise ValueError("window length must be >= 1")
         self.n_samples = n_samples
         self.zeta = zeta
-        self.epoch = 0
         self._buf: deque = deque(maxlen=zeta)
 
     def push(self, posteriors):
@@ -39,7 +38,6 @@ class LossHistory:
         if posteriors.shape != (self.n_samples,):
             raise ValueError("posterior vector misaligned with dataset")
         self._buf.append(posteriors)
-        self.epoch += 1
 
     def __len__(self):
         return len(self._buf)

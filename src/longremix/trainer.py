@@ -7,7 +7,10 @@ is the sequence of stages that ``MODE_STAGES`` lists for it: ``run_stage``
 runs one stage and ``run_training`` runs a mode's stages in order.
 
 Each epoch, model 1's losses produce the split that trains model 2 and
-vice versa; evaluation averages the two softmax outputs.
+vice versa; evaluation averages the two softmax outputs. After each
+training pass a net's parameters, and at the start of each co-training
+epoch its outputs, must be finite, or the run stops with a ``StateError``
+naming the stage, the epoch and the model.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .data import NoisyDataset
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 from .gmm import clean_posterior, fit_gmm_em, gmm_record, normalize_losses, per_sample_losses
 from .mixing import build_epoch_plan, mix_plan, plan_digest, target_table
 from .seeding import MIX_LAMBDA, PLAN_DRAW, WARMUP_SHUFFLE, derive_rng
@@ -82,6 +85,12 @@ class TrainConfig:
             raise ConfigError("loss weights must be non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -166,6 +175,13 @@ def _set_epoch_lr(opts, cfg: TrainConfig, epoch: int) -> float:
     return lr
 
 
+def _require_finite(net, stage_tag, phase, epoch):
+    """Stop at the pass whose update made ``net``'s parameters NaN or inf."""
+    if not all(np.isfinite(p).all() for p in (*net.weights, *net.biases)):
+        raise StateError(f"non-finite parameters in {net.tag} after {stage_tag} "
+                         f"{phase} epoch {epoch}")
+
+
 def _supervised_pass(net, opt, ds: NoisyDataset, cfg: TrainConfig, m, stage_no, pass_no):
     """Cross-entropy pass of model ``m`` over all observed labels, shuffled by
     the model's seed and the stage-wide pass number (warmup epochs first,
@@ -188,18 +204,19 @@ def warmup(net1, net2, ds: NoisyDataset, epochs, cfg: TrainConfig, stage_no,
     for e in range(1, epochs + 1):
         for m, (net, opt) in enumerate(zip((net1, net2), opts)):
             _supervised_pass(net, opt, ds, cfg, m, stage_no, e)
+            _require_finite(net, stage_tag, "warmup", e)
         if rows is not None and test is not None:
             rows.append(EpochMetrics(stage=stage_tag, epoch=e, phase="warmup",
                                      lr=cfg.lr, test_acc=evaluate(net1, net2, test)))
     return net1, net2
 
 
-def _epoch_posteriors(net, ds, cfg, epoch, probs):
-    lv = per_sample_losses(net, ds, epoch=epoch, probs=probs)
+def _epoch_posteriors(net, ds, cfg, probs):
+    losses = per_sample_losses(net, ds, probs=probs)
     if cfg.normalize_losses:
-        lv = normalize_losses(lv)
-    params = fit_gmm_em(lv)
-    return clean_posterior(params, lv.values), params
+        losses = normalize_losses(losses)
+    params = fit_gmm_em(losses)
+    return clean_posterior(params, losses), params
 
 
 def _train_on_split(net, opt, split, ds, cfg, stage_no, epoch, model_no, longmix_plans):
@@ -231,10 +248,14 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
     lr = _set_epoch_lr(opts, cfg, epoch)
 
     probs = [nn.forward(net, ds.features) for net in nets]
+    for net, p in zip(nets, probs):
+        if not np.isfinite(p).all():  # finite but huge parameters overflow
+            raise StateError(f"non-finite outputs of {net.tag} at the start of {stage_tag} "
+                             f"train epoch {epoch}")
     guessed = (probs[0] + probs[1]) / 2.0
     splits, stats = [], []
     for m, net in enumerate(nets):
-        posteriors, params = _epoch_posteriors(net, ds, cfg, epoch, probs[m])
+        posteriors, params = _epoch_posteriors(net, ds, cfg, probs[m])
         gmm_rows.append(gmm_record(params, epoch, net.tag))
         if split_mode == "hct":
             histories[m].push(posteriors)
@@ -263,6 +284,7 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
             fallback = False
             plan_rows.append({"stage": stage_tag, "epoch": epoch,
                               "model": net.tag, "digest": digest})
+        _require_finite(net, stage_tag, "train", epoch)
         stats.append(ModelEpochStats(
             split_kind=splits[m].kind, x_size=splits[m].x_size, u_size=splits[m].u_size,
             precision=metrics.precision, recall=metrics.recall,
@@ -295,6 +317,10 @@ def _start_stage(cfg: TrainConfig, ds: NoisyDataset, test, stage_no, stage_tag):
     return nets, opts, rows
 
 
+# Overflow in a stage ends in NaN or inf parameters or outputs, which the
+# finiteness checks report as one StateError; numpy's warnings would only
+# print ahead of it.
+@np.errstate(over="ignore", invalid="ignore")
 def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, stage_tag,
               split_mode, longmix_plans, core=None) -> StageOutcome:
     """Warmup, then ``cfg.epochs`` co-training epochs on ``split_mode`` splits.
@@ -324,12 +350,14 @@ def run_stage1_hct(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset) -> St
     return run_stage(cfg, ds, test, 1, *STAGE1_HCT)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_ce(cfg: TrainConfig, ds, test) -> StageOutcome:
     nets, opts, rows = _start_stage(cfg, ds, test, 1, "ce")
     for epoch in range(1, cfg.epochs + 1):
         lr = _set_epoch_lr(opts, cfg, epoch)
         for m, (net, opt) in enumerate(zip(nets, opts)):
             _supervised_pass(net, opt, ds, cfg, m, 1, cfg.warmup_epochs + epoch)
+            _require_finite(net, "ce", "train", epoch)
         rows.append(EpochMetrics(stage="ce", epoch=epoch, phase="train", lr=lr,
                                  test_acc=evaluate(*nets, test)))
     return StageOutcome(record=_finalize_record("ce", rows), nets=nets)

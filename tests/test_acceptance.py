@@ -92,7 +92,7 @@ def test_criterion_3_gmm_recovery():
     for seed in range(20):
         rng = np.random.default_rng(3000 + seed)
         vals = np.concatenate([rng.normal(0.1, 0.01, 500), rng.normal(0.9, 0.01, 500)])
-        params = gmm.fit_gmm_em(gmm.LossVector(vals))
+        params = gmm.fit_gmm_em(vals)
         mean_ok &= bool(np.all(np.abs(params.means - [0.1, 0.9]) <= 0.01))
         weight_ok &= bool(np.all(np.abs(params.weights - 0.5) <= 0.05))
         path = np.array(params.log_likelihoods)

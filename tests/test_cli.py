@@ -293,6 +293,17 @@ class TestNoiseCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--mapping" in err and "'a'" in err
 
+    @pytest.mark.parametrize("eta", ["0.2", "0"])
+    def test_single_class_csv_exit_2(self, tmp_path, capsys, eta):
+        csv, out = tmp_path / "one.csv", tmp_path / "out"
+        _write_csv(csv, [(float(i), "cat") for i in range(5)])
+        args = ["noise", "--csv", str(csv), "--out", str(out), "--kind"]
+        assert cli.main(args + ["symmetric", "--eta", eta]) == 2
+        assert capsys.readouterr().err == (f"config error: {csv}: every label is 'cat'; "
+                                           "symmetric noise needs at least 2 classes\n")
+        assert not out.exists()
+        assert cli.main(args + ["none"]) == 0
+
 
 class TestReportCommand:
     def test_reemission_reproduces_csv(self, tmp_path):
@@ -393,6 +404,39 @@ def test_csv_contract(tmp_path, capsys, monkeypatch, case, train_rows, test_rows
     assert cli.main(["train", "--config", str(conf)]) == 0
     want = json.loads((tmp_path / "out" / "metrics.json").read_text())["summary"]["best_acc"]
     assert got == want == 1.0
+
+
+# (mode, config line, exit code, stderr after its prefix): a config error
+# before training, or a run stopped where a parameter or an output became NaN or inf
+VALUE_CASES = [
+    ("baseline", "train.alpha = nan", 2, "train.alpha: expected a finite number, got 'nan'"),
+    ("baseline", "train.lambda_u = nan", 2, "train.lambda_u: expected a finite number, got 'nan'"),
+    ("baseline", "train.lr = nan", 2, "train.lr: expected a finite number, got 'nan'"),
+    ("baseline", "train.lr = inf", 2, "train.lr: expected a finite number, got 'inf'"),
+    ("baseline", "dataset.spread = nan", 2, "dataset.spread: expected a finite number, got 'nan'"),
+    ("baseline", "report.tau_grid = 0.5,nan", 2, "report.tau_grid: expected a finite number, got 'nan'"),
+    ("baseline", "train.hidden = -1", 2, "hidden layer widths must be >= 1, got (-1,)"),
+    ("baseline", "train.hidden = 64,0", 2, "hidden layer widths must be >= 1, got (64, 0)"),
+    ("baseline", "train.lr = 0", 2, "lr must be positive, got 0.0"),
+    ("baseline", "train.weight_decay = -0.1", 2, "weight_decay must be non-negative, got -0.1"),
+    ("baseline", "train.lr = 1e3", 3, "non-finite parameters in model1 after baseline warmup epoch 2"),
+    ("baseline", "train.lr = 30", 3, "non-finite parameters in model2 after baseline train epoch 6"),
+    ("longmix", "train.lr = 20", 3,
+     "non-finite outputs of model2 at the start of longmix train epoch 2"),
+    ("full-longremix", "train.lr = 10", 3,
+     "non-finite parameters in model1 after stage2-guided train epoch 1"),
+]
+
+
+@pytest.mark.parametrize("mode,line,code,message", VALUE_CASES,
+                         ids=[f"{mode}: {line}" for mode, line, _, _ in VALUE_CASES])
+def test_value_contract(tmp_path, capsys, mode, line, code, message):
+    path, out = write_conf(tmp_path, mode=mode)
+    kept = [ln for ln in path.read_text().splitlines() if not ln.startswith(line.split("=")[0])]
+    path.write_text("\n".join(kept + [line]) + "\n")
+    assert cli.main(["train", "--config", str(path)]) == code
+    assert capsys.readouterr().err == {2: "config error: ", 3: "error: "}[code] + message + "\n"
+    assert not Path(out, "metrics.json").exists()
 
 
 def test_readme_config_example_builds():

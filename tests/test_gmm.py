@@ -10,55 +10,54 @@ from longremix.data import make_synthetic_dataset
 def two_cluster_losses(rng, n_each=500, mu=(0.1, 0.9), sigma=0.01):
     vals = np.concatenate([rng.normal(mu[0], sigma, n_each),
                            rng.normal(mu[1], sigma, n_each)])
-    return gmm.LossVector(vals)
+    return vals
 
 
 class TestPerSampleLosses:
     def test_uniform_net_gives_log_c(self):
         ds = make_synthetic_dataset("blobs", n=40, classes=4, spread=0.2, seed=0)
         net = nn.Network([np.zeros((2, 4))], [np.zeros(4)])
-        lv = gmm.per_sample_losses(net, ds)
-        np.testing.assert_allclose(lv.values, math.log(4), atol=1e-12)
+        losses = gmm.per_sample_losses(net, ds)
+        np.testing.assert_allclose(losses, math.log(4), atol=1e-12)
 
     def test_matches_independent_recomputation(self):
         ds = make_synthetic_dataset("blobs", n=25, classes=3, spread=0.3, seed=1)
         net = nn.init_network([2, 8, 3], seed=4)
-        lv = gmm.per_sample_losses(net, ds, epoch=7)
-        assert lv.epoch == 7
+        losses = gmm.per_sample_losses(net, ds)
         for i in [0, 7, 24]:
             p = nn.forward(net, ds.features[i])
             y = np.zeros(3)
             y[ds.labels[i]] = 1.0
-            assert lv.values[i] == pytest.approx(nn.cross_entropy(p, y), abs=1e-12)
+            assert losses[i] == pytest.approx(nn.cross_entropy(p, y), abs=1e-12)
 
     def test_given_probs_match_own_forward(self):
         ds = make_synthetic_dataset("blobs", n=300, classes=5, spread=0.3, seed=3)
         net = nn.init_network([2, 16, 5], seed=6)
         given = gmm.per_sample_losses(net, ds, probs=nn.forward(net, ds.features))
-        assert given.values.tobytes() == gmm.per_sample_losses(net, ds).values.tobytes()
+        assert given.tobytes() == gmm.per_sample_losses(net, ds).tobytes()
 
     def test_perfect_net_zero_loss(self):
         ds = make_synthetic_dataset("blobs", n=20, classes=2, spread=0.05, seed=2)
         # logits strongly aligned with the true blob side (centers at +-2 on x)
         net = nn.Network([np.array([[50.0, -50.0], [0.0, 0.0]])], [np.zeros(2)])
-        lv = gmm.per_sample_losses(net, ds)
-        np.testing.assert_allclose(lv.values, 0.0, atol=1e-6)
+        losses = gmm.per_sample_losses(net, ds)
+        np.testing.assert_allclose(losses, 0.0, atol=1e-6)
 
 
 class TestNormalize:
     def test_simple_rescale(self):
-        lv = gmm.normalize_losses(gmm.LossVector(np.array([0.0, 5.0, 10.0])))
-        np.testing.assert_allclose(lv.values, [0.0, 0.5, 1.0])
+        got = gmm.normalize_losses(np.array([0.0, 5.0, 10.0]))
+        np.testing.assert_allclose(got, [0.0, 0.5, 1.0])
 
     def test_constant_maps_to_half(self):
-        lv = gmm.normalize_losses(gmm.LossVector(np.full(6, 3.3)))
-        np.testing.assert_allclose(lv.values, 0.5)
+        got = gmm.normalize_losses(np.full(6, 3.3))
+        np.testing.assert_allclose(got, 0.5)
 
     def test_range_is_unit(self):
         rng = np.random.default_rng(0)
-        lv = gmm.normalize_losses(gmm.LossVector(rng.random(50) * 7 + 2))
-        assert lv.values.min() == 0.0
-        assert lv.values.max() == 1.0
+        got = gmm.normalize_losses(rng.random(50) * 7 + 2)
+        assert got.min() == 0.0
+        assert got.max() == 1.0
 
 
 class TestEmFit:
@@ -67,7 +66,6 @@ class TestEmFit:
         params = gmm.fit_gmm_em(two_cluster_losses(rng))
         np.testing.assert_allclose(params.means, [0.1, 0.9], atol=0.01)
         np.testing.assert_allclose(params.weights, [0.5, 0.5], atol=0.05)
-        assert params.clean_component == 0
 
     def test_recovery_across_twenty_seeds(self):
         for seed in range(20):
@@ -79,33 +77,33 @@ class TestEmFit:
     def test_log_likelihood_monotone(self):
         rng = np.random.default_rng(3)
         vals = np.concatenate([rng.normal(0.2, 0.1, 300), rng.normal(0.7, 0.15, 300)])
-        params = gmm.fit_gmm_em(gmm.LossVector(np.clip(vals, 0, 1)))
+        params = gmm.fit_gmm_em(np.clip(vals, 0, 1))
         path = np.array(params.log_likelihoods)
         assert len(path) >= 2
         assert (np.diff(path) >= 0).all()
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
-        lv = two_cluster_losses(rng)
-        a = gmm.fit_gmm_em(lv)
-        b = gmm.fit_gmm_em(lv)
+        vals = two_cluster_losses(rng)
+        a = gmm.fit_gmm_em(vals)
+        b = gmm.fit_gmm_em(vals)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.variances, b.variances)
 
     def test_constant_input_collapses(self):
-        params = gmm.fit_gmm_em(gmm.LossVector(np.full(10, 0.4)))
+        params = gmm.fit_gmm_em(np.full(10, 0.4))
         assert params.collapsed
         assert gmm.clean_posterior(params, 0.4) == 0.5
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="4 samples"):
-            gmm.fit_gmm_em(gmm.LossVector(np.array([0.1, 0.9, 0.5])))
+            gmm.fit_gmm_em(np.array([0.1, 0.9, 0.5]))
 
     def test_variance_floor_applied(self):
         # near-duplicate low cluster drives its variance to the floor, not below
         vals = np.concatenate([np.full(50, 0.1) + np.linspace(0, 1e-9, 50), np.linspace(0.8, 1.0, 50)])
-        params = gmm.fit_gmm_em(gmm.LossVector(vals))
+        params = gmm.fit_gmm_em(vals)
         if not params.collapsed:
             assert (params.variances >= gmm.VAR_FLOOR * (1 - 1e-12)).all()
 
@@ -183,14 +181,14 @@ def reference_vectors():
         else:
             clean = rng.exponential(0.05, n)
             noisy = rng.normal(2.5, 0.6, n)
-            x = gmm.normalize_losses(gmm.LossVector(
-                np.where(rng.random(n) < rng.uniform(0.2, 0.8), noisy, clean))).values
+            x = gmm.normalize_losses(
+                np.where(rng.random(n) < rng.uniform(0.2, 0.8), noisy, clean))
         yield x
 
 
 def assert_matches_reference(x):
     want = reference_fit(np.asarray(x, dtype=float))
-    got = gmm.fit_gmm_em(gmm.LossVector(x))
+    got = gmm.fit_gmm_em(x)
     assert got.weights.tobytes() == want[0].tobytes()
     assert got.means.tobytes() == want[1].tobytes()
     assert got.variances.tobytes() == want[2].tobytes()
@@ -226,7 +224,7 @@ class TestEmMatchesReference:
 class TestCleanPosterior:
     def _sym_params(self, var=0.04):
         return gmm.GmmParams(weights=np.array([0.5, 0.5]), means=np.array([0.1, 0.9]),
-                             variances=np.array([var, var]), clean_component=0)
+                             variances=np.array([var, var]))
 
     def test_midpoint_is_half(self):
         assert gmm.clean_posterior(self._sym_params(), 0.5) == pytest.approx(0.5, abs=1e-12)
@@ -252,17 +250,16 @@ class TestCleanPosterior:
         params = gmm.fit_gmm_em(two_cluster_losses(rng, sigma=0.1))
         xs = rng.random(20)
         got = gmm.clean_posterior(params, xs)
-        k = params.clean_component
         dens = np.stack([
             params.weights[c] / np.sqrt(2 * np.pi * params.variances[c])
             * np.exp(-(xs - params.means[c]) ** 2 / (2 * params.variances[c]))
             for c in range(2)
         ])
-        want = dens[k] / dens.sum(axis=0)
+        want = dens[0] / dens.sum(axis=0)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_collapsed_returns_half_scalar_and_array(self):
-        params = gmm.fit_gmm_em(gmm.LossVector(np.full(8, 1.0)))
+        params = gmm.fit_gmm_em(np.full(8, 1.0))
         assert gmm.clean_posterior(params, 0.3) == 0.5
         np.testing.assert_array_equal(gmm.clean_posterior(params, np.array([0.1, 0.9])), [0.5, 0.5])
 

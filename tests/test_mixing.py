@@ -1,13 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from longremix import mixing, nn
+from longremix import nn
 from longremix.errors import ConfigError, StateError
-from longremix.mixing import (LossWeights, build_epoch_plan, evr_loss,
-                              kl_regularizer, mix_plan, mixup_pair, plan_digest,
-                              sample_beta, target_table, total_loss)
+from longremix.mixing import build_epoch_plan, mix_plan, plan_digest, target_table
 from longremix.selector import SplitSets
 
 
@@ -20,57 +19,70 @@ def split_of(labeled, unlabeled, labels, guessed):
                      guessed=np.asarray(guessed, dtype=float), kind="baseline")
 
 
+def mixed_lambdas(alpha, per_plan, seed):
+    """The Beta(alpha, alpha) draws of mix_plan over a plan of ``per_plan``
+    labelled and as many unlabelled instructions."""
+    plan = build_epoch_plan([0, 1], [2, 3], per_plan, seed=0)
+    xb, ub = mix_plan(plan, np.zeros((4, 1)), np.zeros((4, 2)), alpha, np.random.default_rng(seed))
+    return np.concatenate([xb.lam, ub.lam])
+
+
+def mixed_at(lam):
+    """Plan, features, targets and labelled mix batch, every Beta draw ``lam``."""
+    feats, targets = np.random.default_rng(4).normal(size=(6, 2)), np.eye(2)[[0, 1, 0, 1, 1, 0]]
+    plan = build_epoch_plan(np.arange(3), np.arange(3, 6), 6, seed=1)
+    fixed = SimpleNamespace(beta=lambda a, b, size: np.full(size, lam))
+    return plan, feats, targets, mix_plan(plan, feats, targets, 1.0, fixed)[0]
+
+
+def assert_literal_mixes(plan, feats, targets, batch):
+    """Each labelled mix row is lam*a + (1-lam)*b of its anchor a and partner b."""
+    for row, (a, b, lam) in enumerate(zip(plan.x_anchor, plan.x_partner, batch.lam)):
+        assert (batch.features[row] == lam * feats[a] + (1 - lam) * feats[b]).all()
+        assert (batch.targets[row] == lam * targets[a] + (1 - lam) * targets[b]).all()
+
+
 class TestSampleBeta:
     def test_uniform_mean(self):
-        rng = np.random.default_rng(0)
-        draws = rng.beta(1.0, 1.0, size=1_000_000)
+        draws = mixed_lambdas(1.0, 500_000, seed=0)
         se = math.sqrt(1.0 / 12.0 / len(draws))
         assert abs(draws.mean() - 0.5) < 4 * se
-        assert sample_beta(1.0, np.random.default_rng(1)) <= 1.0
 
     def test_alpha_four_variance(self):
         # Var Beta(4,4) = 16 / (64 * 9) = 1/36
-        rng = np.random.default_rng(2)
-        draws = np.array([sample_beta(4.0, rng) for _ in range(200_000)])
+        draws = mixed_lambdas(4.0, 100_000, seed=2)
         assert abs(draws.var() - 1.0 / 36.0) < 0.05 / 36.0
 
     def test_support(self):
-        rng = np.random.default_rng(3)
-        draws = np.array([sample_beta(0.5, rng) for _ in range(1000)])
+        draws = mixed_lambdas(0.5, 500, seed=3)
         assert ((draws >= 0) & (draws <= 1)).all()
 
     def test_alpha_validation(self):
         with pytest.raises(ConfigError, match="positive"):
-            sample_beta(0.0, np.random.default_rng(0))
+            mixed_lambdas(0.0, 10, seed=0)
 
 
 class TestMixupPair:
     def test_lambda_one_identity(self):
-        a = (np.array([1.0, 2.0]), np.array([1.0, 0.0]))
-        b = (np.array([5.0, 5.0]), np.array([0.0, 1.0]))
-        x, y = mixup_pair(a, b, 1.0)
-        np.testing.assert_array_equal(x, a[0])
-        np.testing.assert_array_equal(y, a[1])
+        plan, feats, targets, xb = mixed_at(1.0)
+        np.testing.assert_array_equal(xb.features, feats[plan.x_anchor])
+        np.testing.assert_array_equal(xb.targets, targets[plan.x_anchor])
 
     def test_lambda_zero_partner(self):
-        a = (np.array([1.0]), np.array([1.0, 0.0]))
-        b = (np.array([5.0]), np.array([0.0, 1.0]))
-        x, y = mixup_pair(a, b, 0.0)
-        np.testing.assert_array_equal(x, b[0])
-        np.testing.assert_array_equal(y, b[1])
+        plan, feats, targets, xb = mixed_at(0.0)
+        np.testing.assert_array_equal(xb.features, feats[plan.x_partner])
+        np.testing.assert_array_equal(xb.targets, targets[plan.x_partner])
 
     def test_midpoint_label(self):
-        _, y = mixup_pair((np.zeros(2), np.array([1.0, 0.0])),
-                          (np.ones(2), np.array([0.0, 1.0])), 0.5)
-        np.testing.assert_allclose(y, [0.5, 0.5])
+        plan, _, targets, xb = mixed_at(0.5)
+        np.testing.assert_allclose(
+            xb.targets, 0.5 * targets[plan.x_anchor] + 0.5 * targets[plan.x_partner])
 
     def test_convexity_exact(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            xa, xb = rng.normal(size=2), rng.normal(size=2)
-            lam = rng.random()
-            x, _ = mixup_pair((xa, np.array([1.0, 0.0])), (xb, np.array([0.0, 1.0])), lam)
-            assert np.linalg.norm(x - (lam * xa + (1 - lam) * xb)) == 0.0
+        feats, targets = rng.normal(size=(50, 2)), np.eye(2)[np.arange(50) % 2]
+        plan = build_epoch_plan(np.arange(20), np.arange(20, 50), 50, seed=4)
+        assert_literal_mixes(plan, feats, targets, mix_plan(plan, feats, targets, 1.0, rng)[0])
 
 
 class TestEpochPlan:
@@ -96,9 +108,8 @@ class TestEpochPlan:
         c = build_epoch_plan(np.arange(5), np.arange(5, 20), 100, seed=10)
         assert plan_digest(a) != plan_digest(c)
 
-    def test_empty_u_flags_fully_supervised(self):
+    def test_empty_u_gives_labelled_only_plan(self):
         plan = build_epoch_plan(np.arange(8), np.empty(0, dtype=int), 100, seed=1)
-        assert plan.fully_supervised
         assert plan.u_ops == 0
         assert plan.x_ops == 100
 
@@ -147,86 +158,69 @@ class TestMixPlan:
         targets[:, 0] += 1 - targets.sum(axis=1)
         plan = build_epoch_plan(np.arange(4), np.arange(4, 10), 6, seed=7)
         xb, _ = mix_plan(plan, feats, targets, alpha=2.0, rng=np.random.default_rng(8))
-        for row in range(6):
-            a = (feats[plan.x_anchor[row]], targets[plan.x_anchor[row]])
-            b = (feats[plan.x_partner[row]], targets[plan.x_partner[row]])
-            x, y = mixup_pair(a, b, xb.lam[row])
-            np.testing.assert_allclose(xb.features[row], x, atol=1e-12)
-            np.testing.assert_allclose(xb.targets[row], y, atol=1e-12)
+        assert_literal_mixes(plan, feats, targets, xb)
+
+
+def total_loss(net, batch, lambda_u, lambda_reg):
+    return nn.batch_loss(net, batch, nn.TotalLoss(lambda_u, lambda_reg))
+
+
+def kl_term(net, batch):
+    """The uniform-prior KL term: the loss at lambda_reg = 1 minus at 0."""
+    return total_loss(net, batch, 1.0, 1.0) - total_loss(net, batch, 1.0, 0.0)
+
+
+# ((labelled features, one-hot targets), (unlabelled features, soft targets))
+LOSS_BATCH = ((np.array([[2.0, 0.0], [-2.0, 0.0]]), np.eye(2)),
+              (np.array([[1.0, 1.0], [0.0, -1.0]]), np.array([[0.6, 0.4], [0.3, 0.7]])))
 
 
 class TestLosses:
-    def _batches(self):
-        xb = mixing.MixBatch(features=np.array([[2.0, 0.0], [-2.0, 0.0]]),
-                             targets=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                             origin="labeled", lam=np.ones(2))
-        ub = mixing.MixBatch(features=np.array([[1.0, 1.0], [0.0, -1.0]]),
-                             targets=np.array([[0.6, 0.4], [0.3, 0.7]]),
-                             origin="unlabeled", lam=np.ones(2))
-        return xb, ub
-
     def test_perfect_predictions_zero(self):
         # huge margins on the true side drive CE to ~0; targets equal outputs drive SE to 0
         net = nn.Network([np.array([[80.0, -80.0], [0.0, 0.0]])], [np.zeros(2)])
-        xb = mixing.MixBatch(features=np.array([[2.0, 0.0], [-2.0, 0.0]]),
-                             targets=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                             origin="labeled", lam=np.ones(2))
-        ub = mixing.MixBatch(features=np.array([[3.0, 0.0]]),
-                             targets=nn.forward(net, np.array([[3.0, 0.0]])),
-                             origin="unlabeled", lam=np.ones(1))
-        assert evr_loss(xb, ub, net, LossWeights(25.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        u_feats = np.array([[3.0, 0.0]])
+        batch = (LOSS_BATCH[0], (u_feats, nn.forward(net, u_feats)))
+        assert total_loss(net, batch, 25.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_lambda_u_zero_drops_term(self):
         net = nn.init_network([2, 6, 2], seed=3)
-        xb, ub = self._batches()
-        got = evr_loss(xb, ub, net, LossWeights(0.0, 0.0))
-        want = float(np.mean(nn.cross_entropy(nn.forward(net, xb.features), xb.targets)))
-        assert got == pytest.approx(want, abs=1e-12)
+        (xf, xt), _ = LOSS_BATCH
+        want = float(np.mean(nn.cross_entropy(nn.forward(net, xf), xt)))
+        assert total_loss(net, LOSS_BATCH, 0.0, 0.0) == pytest.approx(want, abs=1e-12)
 
     def test_hand_recomputation(self):
         net = nn.init_network([2, 5, 2], seed=4)
-        xb, ub = self._batches()
-        got = evr_loss(xb, ub, net, LossWeights(3.0, 0.0))
+        (xf, xt), (uf, ut) = LOSS_BATCH
         ce = sum(-math.log(max(nn.forward(net, f)[int(t.argmax())], 1e-12))
                  * t[int(t.argmax())]  # one-hot rows
-                 for f, t in zip(xb.features, xb.targets)) / 2
-        se = sum(((nn.forward(net, f) - t) ** 2).sum() for f, t in zip(ub.features, ub.targets)) / 2
-        assert got == pytest.approx(ce + 3.0 * se, abs=1e-12)
+                 for f, t in zip(xf, xt)) / 2
+        se = sum(((nn.forward(net, f) - t) ** 2).sum() for f, t in zip(uf, ut)) / 2
+        assert total_loss(net, LOSS_BATCH, 3.0, 0.0) == pytest.approx(ce + 3.0 * se, abs=1e-12)
 
     def test_kl_uniform_is_zero(self):
-        preds = np.full((5, 4), 0.25)
-        assert kl_regularizer(preds) == pytest.approx(0.0, abs=1e-12)
+        net = nn.Network([np.zeros((2, 2))], [np.zeros(2)])
+        assert kl_term(net, LOSS_BATCH) == 0.0
 
     def test_kl_hand_value(self):
+        # every output is softmax([ln 3, 0]) = [0.75, 0.25]:
         # 0.5*ln(0.5/0.75) + 0.5*ln(0.5/0.25) = 0.14384103622589045
-        assert kl_regularizer(np.array([[0.75, 0.25]])) == pytest.approx(0.143841, abs=1e-6)
+        net = nn.Network([np.zeros((2, 2))], [np.array([math.log(3.0), 0.0])])
+        assert kl_term(net, LOSS_BATCH) == pytest.approx(0.143841, abs=1e-6)
 
     def test_kl_non_negative(self):
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            preds = rng.random((6, 5))
-            preds /= preds.sum(axis=1, keepdims=True)
-            assert kl_regularizer(preds) >= -1e-15
+        for seed in range(100):
+            net = nn.init_network([2, 6, 5], seed=seed)
+            soft = rng.random((3, 5))
+            batch = ((rng.normal(size=(3, 2)), np.eye(5)[rng.integers(0, 5, 3)]),
+                     (rng.normal(size=(3, 2)), soft / soft.sum(axis=1, keepdims=True)))
+            assert kl_term(net, batch) >= 0.0
 
     def test_total_loss_weighting(self):
-        assert total_loss(0.5, 0.1, 0.0) == 0.5
-        assert total_loss(0.5, 0.1, 1.0) == pytest.approx(0.6)
-        assert total_loss(0.5, 0.1, 2.0) == pytest.approx(0.7)
-
-    def test_matches_nn_composite(self):
-        # the trainer's gradient path and the module-level ops agree
-        rng = np.random.default_rng(8)
-        net = nn.init_network([2, 6, 3], seed=5)
-        xb = mixing.MixBatch(features=rng.normal(size=(4, 2)),
-                             targets=np.eye(3)[rng.integers(0, 3, 4)],
-                             origin="labeled", lam=np.ones(4))
-        ub = mixing.MixBatch(features=rng.normal(size=(4, 2)),
-                             targets=np.full((4, 3), 1 / 3),
-                             origin="unlabeled", lam=np.ones(4))
-        weights = LossWeights(25.0, 1.0)
-        preds = np.vstack([nn.forward(net, xb.features), nn.forward(net, ub.features)])
-        via_ops = total_loss(evr_loss(xb, ub, net, weights), kl_regularizer(preds),
-                             weights.lambda_reg)
-        via_nn = nn.batch_loss(net, ((xb.features, xb.targets), (ub.features, ub.targets)),
-                               nn.TotalLoss(weights.lambda_u, weights.lambda_reg))
-        assert via_ops == pytest.approx(via_nn, abs=1e-12)
+        # lambda_reg scales the KL term and nothing else
+        net = nn.init_network([2, 5, 2], seed=6)
+        kl, evr = kl_term(net, LOSS_BATCH), total_loss(net, LOSS_BATCH, 3.0, 0.0)
+        assert kl > 0.0
+        assert total_loss(net, LOSS_BATCH, 3.0, 1.0) == pytest.approx(evr + kl, abs=1e-12)
+        assert total_loss(net, LOSS_BATCH, 3.0, 2.0) == pytest.approx(evr + 2.0 * kl, abs=1e-12)
