@@ -53,6 +53,9 @@ class ReportSpec:
         for f in self.formats:
             if f not in ("json", "csv"):
                 raise ConfigError(f"unknown report format: {f!r}")
+        for tau in self.tau_grid:
+            if not 0.0 <= tau <= 1.0:
+                raise ConfigError(f"tau_grid values must be in [0, 1], got {tau}")
 
 
 @dataclass

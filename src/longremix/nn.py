@@ -4,6 +4,11 @@ ReLU hidden layers, softmax output, momentum SGD. No autodiff: every
 gradient is an explicit expression, validated against central finite
 differences in the test suite. Two instances of :class:`Network` (tagged
 ``model1`` / ``model2``) form the co-trained pair used by the trainer.
+
+Each net's parameters are one contiguous float64 vector ``params``
+(``w0, b0, w1, b1, ...``); ``weights[k]`` and ``biases[k]`` are views into
+it. Gradients and the momentum buffer share that layout, so an SGD step
+and a finiteness check are whole-vector operations.
 """
 
 from __future__ import annotations
@@ -21,26 +26,40 @@ CHECKPOINT_MAGIC = "longremix-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+def _layer_views(flat, layer_sizes):
+    """Per-layer ``(fan_in, fan_out)`` weight and ``(fan_out,)`` bias views
+    into ``flat``, in the order ``w0, b0, w1, b1, ...``."""
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(flat[pos:pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
+
 class Network:
-    """Dense layers; ``weights[k]`` has shape (fan_in, fan_out)."""
+    """Dense layers over one parameter vector; ``weights[k]`` has shape
+    (fan_in, fan_out). Building from per-layer arrays copies them in."""
 
-    weights: list
-    biases: list
-    tag: str = "model1"
-
-    def __post_init__(self):
-        if not self.weights:
+    def __init__(self, weights, biases, tag="model1"):
+        if not weights:
             raise ValueError("network needs at least one layer")
-        for k in range(len(self.weights) - 1):
-            if self.weights[k].shape[1] != self.weights[k + 1].shape[0]:
+        for k in range(len(weights) - 1):
+            if weights[k].shape[1] != weights[k + 1].shape[0]:
                 raise ValueError(
-                    f"layer {k} output width {self.weights[k].shape[1]} does not "
-                    f"match layer {k + 1} input width {self.weights[k + 1].shape[0]}"
+                    f"layer {k} output width {weights[k].shape[1]} does not "
+                    f"match layer {k + 1} input width {weights[k + 1].shape[0]}"
                 )
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for k, (w, b) in enumerate(zip(weights, biases)):
             if b.shape != (w.shape[1],):
                 raise ValueError(f"bias {k} shape {b.shape} != ({w.shape[1]},)")
+        self.layer_sizes = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
+        self.params = np.concatenate(
+            [np.ravel(a) for pair in zip(weights, biases) for a in pair]).astype(float, copy=False)
+        self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
+        self.tag = tag
 
     @property
     def input_dim(self) -> int:
@@ -50,19 +69,17 @@ class Network:
     def output_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    @property
-    def layer_sizes(self) -> tuple:
-        return (self.input_dim,) + tuple(w.shape[1] for w in self.weights)
-
     def copy(self) -> "Network":
-        return Network([w.copy() for w in self.weights],
-                       [b.copy() for b in self.biases], self.tag)
+        return Network(self.weights, self.biases, self.tag)
 
 
-@dataclass
 class Gradients:
-    d_weights: list
-    d_biases: list
+    """Zeroed gradients of ``net``'s parameters: ``flat`` is laid out like
+    ``net.params``, ``d_weights[k]``/``d_biases[k]`` are views into it."""
+
+    def __init__(self, net: Network):
+        self.flat = np.zeros_like(net.params)
+        self.d_weights, self.d_biases = _layer_views(self.flat, net.layer_sizes)
 
 
 @dataclass(frozen=True)
@@ -77,8 +94,7 @@ class TotalLoss:
 
 @dataclass
 class OptimizerState:
-    velocity_w: list
-    velocity_b: list
+    velocity: np.ndarray  # laid out like Network.params
     lr: float
     momentum: float
     weight_decay: float
@@ -101,23 +117,22 @@ def _as_keys(seed):
     return (seed,)
 
 
-def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _forward_cached(net: Network, x):
+    """Every layer's activation, input first and class probabilities last;
+    bias, ReLU and softmax run in place on each layer's matmul output."""
     acts = [x]
-    pres = []
-    a = x
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        pres.append(z)
-        a = _softmax(z) if k == last else np.maximum(z, 0.0)
-        acts.append(a)
-    return acts, pres, acts[-1]
+        z = acts[k] @ w
+        z += b
+        if k == last:
+            z -= z.max(axis=1, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(axis=1, keepdims=True)
+        else:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return acts
 
 
 def forward(net: Network, x):
@@ -127,7 +142,7 @@ def forward(net: Network, x):
     batch = x[None, :] if single else x
     if batch.ndim != 2 or batch.shape[1] != net.input_dim:
         raise ValueError(f"input width {batch.shape[-1]} != network width {net.input_dim}")
-    _, _, probs = _forward_cached(net, batch)
+    probs = _forward_cached(net, batch)[-1]
     return probs[0] if single else probs
 
 
@@ -190,17 +205,16 @@ def _softmax_vjp(p, g):
     return p * (g - (g * p).sum(axis=1, keepdims=True))
 
 
-def _backprop(net: Network, acts, pres, dz) -> Gradients:
-    n_layers = len(net.weights)
-    d_w = [None] * n_layers
-    d_b = [None] * n_layers
+def _backprop(net: Network, acts, dz) -> Gradients:
+    grads = Gradients(net)
     g = dz
-    for k in reversed(range(n_layers)):
-        d_w[k] = acts[k].T @ g
-        d_b[k] = g.sum(axis=0)
+    for k in reversed(range(len(net.weights))):
+        np.matmul(acts[k].T, g, out=grads.d_weights[k])
+        g.sum(axis=0, out=grads.d_biases[k])
         if k > 0:
-            g = (g @ net.weights[k].T) * (pres[k - 1] > 0)
-    return Gradients(d_w, d_b)
+            g = g @ net.weights[k].T
+            g *= acts[k] > 0  # a ReLU output is positive exactly where its input is
+    return grads
 
 
 def backward(net: Network, batch, loss) -> Gradients:
@@ -211,7 +225,8 @@ def backward(net: Network, batch, loss) -> Gradients:
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     n = feats.shape[0]
-    acts, pres, p = _forward_cached(net, feats)
+    acts = _forward_cached(net, feats)
+    p = acts[-1]
     if loss == "cross_entropy":
         ysum = targets.sum(axis=1, keepdims=True)
         dz = (p * ysum - targets) / n
@@ -219,7 +234,7 @@ def backward(net: Network, batch, loss) -> Gradients:
         dz = _softmax_vjp(p, 2.0 * (p - targets) / n)
     else:
         raise ValueError(f"unknown loss spec: {loss!r}")
-    return _backprop(net, acts, pres, dz)
+    return _backprop(net, acts, dz)
 
 
 def _backward_total(net: Network, batch, loss: TotalLoss) -> Gradients:
@@ -236,7 +251,8 @@ def _backward_total(net: Network, batch, loss: TotalLoss) -> Gradients:
         feats = np.vstack([xf, uf])
     else:
         feats = xf
-    acts, pres, p = _forward_cached(net, feats)
+    acts = _forward_cached(net, feats)
+    p = acts[-1]
     px, pu = p[:n_x], p[n_x:]
 
     # labelled: mean cross-entropy, direct output-layer form
@@ -259,26 +275,20 @@ def _backward_total(net: Network, batch, loss: TotalLoss) -> Gradients:
         g += g_reg
 
     dz += _softmax_vjp(p, g)
-    return _backprop(net, acts, pres, dz)
+    return _backprop(net, acts, dz)
 
 
 def init_optimizer(net: Network, lr, momentum=0.8, weight_decay=0.0) -> OptimizerState:
-    return OptimizerState(
-        velocity_w=[np.zeros_like(w) for w in net.weights],
-        velocity_b=[np.zeros_like(b) for b in net.biases],
-        lr=lr, momentum=momentum, weight_decay=weight_decay,
-    )
+    return OptimizerState(velocity=np.zeros_like(net.params),
+                          lr=lr, momentum=momentum, weight_decay=weight_decay)
 
 
 def sgd_step(net: Network, grads: Gradients, state: OptimizerState) -> Network:
     """Momentum SGD with decoupled-from-schedule lr; updates ``net`` in place."""
-    for k in range(len(net.weights)):
-        gw = grads.d_weights[k] + state.weight_decay * net.weights[k]
-        gb = grads.d_biases[k] + state.weight_decay * net.biases[k]
-        state.velocity_w[k] = state.momentum * state.velocity_w[k] + gw
-        state.velocity_b[k] = state.momentum * state.velocity_b[k] + gb
-        net.weights[k] -= state.lr * state.velocity_w[k]
-        net.biases[k] -= state.lr * state.velocity_b[k]
+    g = grads.flat + state.weight_decay * net.params
+    state.velocity *= state.momentum
+    state.velocity += g
+    net.params -= state.lr * state.velocity
     return net
 
 

@@ -8,9 +8,10 @@ runs one stage and ``run_training`` runs a mode's stages in order.
 
 Each epoch, model 1's losses produce the split that trains model 2 and
 vice versa; evaluation averages the two softmax outputs. After each
-training pass a net's parameters, and at the start of each co-training
-epoch its outputs, must be finite, or the run stops with a ``StateError``
-naming the stage, the epoch and the model.
+training pass a net's parameters, at the start of each co-training epoch
+its outputs, and at each evaluation its test-set outputs must be finite,
+or the run stops with a ``StateError`` naming the model (and, for the
+first two, the stage and the epoch).
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not self.weight_decay >= 0:
             raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0.0 < self.lr_drop <= 1.0:
+            raise ConfigError(f"lr_drop must be in (0, 1], got {self.lr_drop}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 @dataclass(frozen=True)
@@ -163,9 +168,17 @@ def one_hot(labels, num_classes) -> np.ndarray:
 
 def evaluate(net1: nn.Network, net2: nn.Network, test: NoisyDataset) -> float:
     """Ensemble accuracy: argmax of the mean softmax (argmax takes the lowest
-    class index on ties)."""
-    probs = (nn.forward(net1, test.features) + nn.forward(net2, test.features)) / 2.0
-    return float((probs.argmax(axis=1) == test.true_labels).mean())
+    class index on ties). Finite but huge parameters overflow the softmax,
+    and NaN rows would argmax to class 0: non-finite test outputs of either
+    net raise a ``StateError`` instead."""
+    probs = []
+    for net in (net1, net2):
+        p = nn.forward(net, test.features)
+        if not np.isfinite(p).all():
+            raise StateError(f"non-finite test outputs of {net.tag}")
+        probs.append(p)
+    mean = (probs[0] + probs[1]) / 2.0
+    return float((mean.argmax(axis=1) == test.true_labels).mean())
 
 
 def _set_epoch_lr(opts, cfg: TrainConfig, epoch: int) -> float:
@@ -177,7 +190,7 @@ def _set_epoch_lr(opts, cfg: TrainConfig, epoch: int) -> float:
 
 def _require_finite(net, stage_tag, phase, epoch):
     """Stop at the pass whose update made ``net``'s parameters NaN or inf."""
-    if not all(np.isfinite(p).all() for p in (*net.weights, *net.biases)):
+    if not np.isfinite(net.params).all():
         raise StateError(f"non-finite parameters in {net.tag} after {stage_tag} "
                          f"{phase} epoch {epoch}")
 
@@ -237,21 +250,28 @@ def _train_on_split(net, opt, split, ds, cfg, stage_no, epoch, model_no, longmix
     return plan.x_ops, plan.u_ops, plan_digest(plan)
 
 
+def _train_outputs(nets, ds: NoisyDataset, stage_tag, epoch):
+    """Both nets' class probabilities on the training set at the start of
+    ``epoch``, which finite but huge parameters overflow."""
+    probs = [nn.forward(net, ds.features) for net in nets]
+    for net, p in zip(nets, probs):
+        if not np.isfinite(p).all():
+            raise StateError(f"non-finite outputs of {net.tag} at the start of {stage_tag} "
+                             f"train epoch {epoch}")
+    return probs
+
+
 def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
                   cfg: TrainConfig, stage_no, stage_tag, epoch, split_mode,
-                  histories, core, longmix_plans, gmm_rows, plan_rows, snapshots):
-    """One co-training epoch; model m's losses produce the split that trains
-    the other model. Appends the epoch's GMM rows, plan digests and windowed
-    splits to ``gmm_rows``, ``plan_rows`` and ``snapshots``; returns the
-    epoch metrics row and the guessed-label table."""
+                  histories, core, longmix_plans, gmm_rows, plan_rows, snapshots, probs):
+    """One co-training epoch from the nets' training-set outputs ``probs``;
+    model m's losses produce the split that trains the other model. Appends
+    the epoch's GMM rows, plan digests and windowed splits to ``gmm_rows``,
+    ``plan_rows`` and ``snapshots``; returns the epoch metrics row, the
+    guessed-label table and the next epoch's outputs (None after the last)."""
     nets = (net1, net2)
     lr = _set_epoch_lr(opts, cfg, epoch)
 
-    probs = [nn.forward(net, ds.features) for net in nets]
-    for net, p in zip(nets, probs):
-        if not np.isfinite(p).all():  # finite but huge parameters overflow
-            raise StateError(f"non-finite outputs of {net.tag} at the start of {stage_tag} "
-                             f"train epoch {epoch}")
     guessed = (probs[0] + probs[1]) / 2.0
     splits, stats = [], []
     for m, net in enumerate(nets):
@@ -290,9 +310,12 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
             precision=metrics.precision, recall=metrics.recall,
             x_ops=x_ops, u_ops=u_ops, fallback=fallback))
 
+    # the training-set check runs before the test set is scored, so an
+    # overflow is reported by the epoch it breaks
+    next_probs = _train_outputs(nets, ds, stage_tag, epoch + 1) if epoch < cfg.epochs else None
     return EpochMetrics(stage=stage_tag, epoch=epoch, phase="train", lr=lr,
                         test_acc=evaluate(net1, net2, test),
-                        model1=stats[0], model2=stats[1]), guessed
+                        model1=stats[0], model2=stats[1]), guessed, next_probs
 
 
 def _finalize_record(stage_tag, rows) -> RunRecord:
@@ -333,11 +356,11 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
     histories = (LossHistory(ds.n, cfg.zeta), LossHistory(ds.n, cfg.zeta)) \
         if split_mode == "hct" else None
     snapshots, gmm_rows, plan_rows = [], [], []
-    guessed = None
+    probs = _train_outputs(nets, ds, stage_tag, 1)
     for epoch in range(1, cfg.epochs + 1):
-        row, guessed = cotrain_epoch(
+        row, guessed, probs = cotrain_epoch(
             *nets, opts, ds, test, cfg, stage_no, stage_tag, epoch, split_mode,
-            histories, core, longmix_plans, gmm_rows, plan_rows, snapshots)
+            histories, core, longmix_plans, gmm_rows, plan_rows, snapshots, probs)
         rows.append(row)
     captured = select_core_set(snapshots, cfg.epochs) if split_mode == "hct" else None
     return StageOutcome(record=_finalize_record(stage_tag, rows), nets=nets,

@@ -12,22 +12,17 @@ from longremix import nn  # noqa: E402
 
 
 def flatten_params(net):
-    return np.concatenate([a.ravel() for pair in zip(net.weights, net.biases) for a in pair])
+    return net.params.copy()
 
 
 def set_params(net, theta):
-    pos = 0
-    for k in range(len(net.weights)):
-        w, b = net.weights[k], net.biases[k]
-        net.weights[k] = theta[pos:pos + w.size].reshape(w.shape)
-        pos += w.size
-        net.biases[k] = theta[pos:pos + b.size].reshape(b.shape)
-        pos += b.size
+    # write through the buffer: rebinding net.weights[k] would detach the views
+    net.params[:] = theta
     return net
 
 
 def flatten_grads(grads):
-    return np.concatenate([a.ravel() for pair in zip(grads.d_weights, grads.d_biases) for a in pair])
+    return grads.flat.copy()
 
 
 def fd_gradient(net, batch, loss, h=1e-5):
@@ -62,8 +57,8 @@ def random_net(rng, n_in=None, n_out=None, max_hidden=2):
     sizes = [n_in] + [int(rng.integers(3, 8)) for _ in range(int(rng.integers(1, max_hidden + 1)))] + [n_out]
     net = nn.init_network(sizes, seed=int(rng.integers(0, 2**31)))
     # non-zero biases so bias gradients are exercised away from the origin
-    for k in range(len(net.biases)):
-        net.biases[k] = rng.normal(scale=0.3, size=net.biases[k].shape)
+    for b in net.biases:
+        b[:] = rng.normal(scale=0.3, size=b.shape)
     return net
 
 

@@ -419,6 +419,13 @@ VALUE_CASES = [
     ("baseline", "train.hidden = 64,0", 2, "hidden layer widths must be >= 1, got (64, 0)"),
     ("baseline", "train.lr = 0", 2, "lr must be positive, got 0.0"),
     ("baseline", "train.weight_decay = -0.1", 2, "weight_decay must be non-negative, got -0.1"),
+    ("baseline", "train.lr_drop = -1", 2, "lr_drop must be in (0, 1], got -1.0"),
+    ("baseline", "train.lr_drop = 0", 2, "lr_drop must be in (0, 1], got 0.0"),
+    ("baseline", "train.lr_drop = 1.5", 2, "lr_drop must be in (0, 1], got 1.5"),
+    ("baseline", "train.momentum = -5", 2, "momentum must be in [0, 1), got -5.0"),
+    ("baseline", "train.momentum = 1", 2, "momentum must be in [0, 1), got 1.0"),
+    ("baseline", "report.tau_grid = 0.5,1.5", 2, "tau_grid values must be in [0, 1], got 1.5"),
+    ("baseline", "report.tau_grid = -0.1,0.5", 2, "tau_grid values must be in [0, 1], got -0.1"),
     ("baseline", "train.lr = 1e3", 3, "non-finite parameters in model1 after baseline warmup epoch 2"),
     ("baseline", "train.lr = 30", 3, "non-finite parameters in model2 after baseline train epoch 6"),
     ("longmix", "train.lr = 20", 3,

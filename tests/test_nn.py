@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from longremix import nn
+from longremix import nn, trainer
+from longremix.errors import StateError
 from conftest import fd_gradient, flatten_grads, max_rel_err, random_net, random_soft_labels
 
 
@@ -148,42 +149,43 @@ class TestSgdStep:
     def _scalar_net(self, w0):
         return nn.Network([np.array([[w0]])], [np.zeros(1)])
 
-    def _grad(self, g):
-        return nn.Gradients([np.array([[g]])], [np.zeros(1)])
+    def _grad(self, net, g):
+        grads = nn.Gradients(net)
+        grads.d_weights[0][0, 0] = g
+        return grads
 
     def test_zero_gradient_no_change(self):
         net = self._scalar_net(1.5)
         state = nn.init_optimizer(net, lr=0.1, momentum=0.9, weight_decay=0.0)
-        nn.sgd_step(net, self._grad(0.0), state)
+        nn.sgd_step(net, self._grad(net, 0.0), state)
         assert net.weights[0][0, 0] == 1.5
 
     def test_plain_step(self):
         net = self._scalar_net(1.0)
         state = nn.init_optimizer(net, lr=0.1, momentum=0.0, weight_decay=0.0)
-        nn.sgd_step(net, self._grad(1.0), state)
+        nn.sgd_step(net, self._grad(net, 1.0), state)
         assert net.weights[0][0, 0] == pytest.approx(0.9)
 
     def test_two_momentum_steps(self):
         # buffers: 1 then 1.8; steps: -0.1 then -0.18 -> w2 = -0.28
         net = self._scalar_net(0.0)
         state = nn.init_optimizer(net, lr=0.1, momentum=0.8, weight_decay=0.0)
-        nn.sgd_step(net, self._grad(1.0), state)
-        nn.sgd_step(net, self._grad(1.0), state)
+        nn.sgd_step(net, self._grad(net, 1.0), state)
+        nn.sgd_step(net, self._grad(net, 1.0), state)
         assert net.weights[0][0, 0] == pytest.approx(-0.28)
 
     def test_weight_decay_pulls_to_zero(self):
         net = self._scalar_net(1.0)
         state = nn.init_optimizer(net, lr=0.1, momentum=0.0, weight_decay=0.5)
-        nn.sgd_step(net, self._grad(0.0), state)
+        nn.sgd_step(net, self._grad(net, 0.0), state)
         assert net.weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
 
     def test_momentum_buffer_shapes(self):
         net = nn.init_network([3, 5, 2], seed=1)
         state = nn.init_optimizer(net, lr=0.1)
-        for v, w in zip(state.velocity_w, net.weights):
-            assert v.shape == w.shape
-        for v, b in zip(state.velocity_b, net.biases):
-            assert v.shape == b.shape
+        assert state.velocity.shape == net.params.shape == (3 * 5 + 5 + 5 * 2 + 2,)
+        assert not state.velocity.any()
+        assert not np.shares_memory(state.velocity, net.params)
 
 
 class TestCheckpoint:
@@ -220,3 +222,160 @@ def test_seeded_init_is_reproducible():
         np.testing.assert_array_equal(wa, wb)
     c = nn.init_network([4, 8, 3], seed=43)
     assert any((wa != wc).any() for wa, wc in zip(a.weights, c.weights))
+
+
+class TestParameterBuffer:
+    def test_params_writes_show_through_views(self):
+        net = nn.init_network([3, 5, 2], seed=1)
+        net.params[:] = np.arange(net.params.size, dtype=float)
+        np.testing.assert_array_equal(net.weights[0], np.arange(15.0).reshape(3, 5))
+        np.testing.assert_array_equal(net.biases[0], np.arange(15.0, 20.0))
+        np.testing.assert_array_equal(net.weights[1], np.arange(20.0, 30.0).reshape(5, 2))
+        np.testing.assert_array_equal(net.biases[1], np.arange(30.0, 32.0))
+        net.biases[1][0] = -1.0
+        assert net.params[30] == -1.0
+
+    def test_construction_copies_layers_in(self):
+        w, b = np.ones((2, 3)), np.zeros(3)
+        net = nn.Network([w], [b])
+        assert not np.shares_memory(net.params, w)
+        assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+
+    def test_copy_shares_no_memory(self, rng):
+        net = random_net(rng, max_hidden=3)
+        twin = net.copy()
+        assert twin.params.tobytes() == net.params.tobytes()
+        assert not np.shares_memory(twin.params, net.params)
+        twin.params[:] = 0.0
+        assert all(np.shares_memory(w, twin.params) for w in twin.weights + twin.biases)
+        assert net.params.any()
+
+    def test_checkpoint_restores_params(self, tmp_path, rng):
+        net = random_net(rng, max_hidden=3)
+        nn.save_checkpoint(net, tmp_path / "net.ckpt")
+        assert nn.load_checkpoint(tmp_path / "net.ckpt").params.tobytes() == net.params.tobytes()
+
+    def test_nan_in_last_bias_is_caught(self):
+        net = nn.init_network([3, 5, 2], seed=1)
+        trainer._require_finite(net, "baseline", "train", 1)
+        net.biases[-1][-1] = np.nan
+        assert np.isnan(net.params[-1])
+        with pytest.raises(StateError, match="non-finite parameters in model1"):
+            trainer._require_finite(net, "baseline", "train", 1)
+
+
+def reference_step(weights, biases, velocity, batch, loss, lr, momentum, weight_decay):
+    """One backward + momentum SGD step on per-layer arrays: the forward,
+    gradient and update expressions of ``nn``, layer by layer with fresh
+    arrays. Updates the lists in place; returns the per-layer gradients."""
+    def forward(x):
+        acts, pres, a = [x], [], x
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            z = a @ w + b
+            pres.append(z)
+            if k == len(weights) - 1:
+                z = z - z.max(axis=1, keepdims=True)
+                e = np.exp(z)
+                a = e / e.sum(axis=1, keepdims=True)
+            else:
+                a = np.maximum(z, 0.0)
+            acts.append(a)
+        return acts, pres, acts[-1]
+
+    def softmax_vjp(p, g):
+        return p * (g - (g * p).sum(axis=1, keepdims=True))
+
+    if isinstance(loss, nn.TotalLoss):
+        (xf, xt), (uf, ut) = batch
+        n_x, n_u = len(xf), len(uf)
+        acts, pres, p = forward(np.vstack([xf, uf]) if n_u else xf)
+        px, pu = p[:n_x], p[n_x:]
+        dz = np.empty_like(p)
+        dz[:n_x] = (px * xt.sum(axis=1, keepdims=True) - xt) / n_x
+        g = np.zeros_like(p)
+        if n_u:
+            g[n_x:] = (2.0 * loss.lambda_u / n_u) * (pu - ut)
+            dz[n_x:] = 0.0
+        if loss.lambda_reg != 0.0:
+            m = p.mean(axis=0)
+            g += np.where(m > nn.LOG_EPS, -loss.lambda_reg / (
+                p.shape[1] * p.shape[0] * np.maximum(m, nn.LOG_EPS)), 0.0)
+        dz += softmax_vjp(p, g)
+    else:
+        x, y = batch
+        acts, pres, p = forward(x)
+        if loss == "cross_entropy":
+            dz = (p * y.sum(axis=1, keepdims=True) - y) / len(x)
+        else:
+            dz = softmax_vjp(p, 2.0 * (p - y) / len(x))
+
+    d_w, d_b = [None] * len(weights), [None] * len(weights)
+    g = dz
+    for k in reversed(range(len(weights))):
+        d_w[k] = acts[k].T @ g
+        d_b[k] = g.sum(axis=0)
+        if k > 0:
+            g = (g @ weights[k].T) * (pres[k - 1] > 0)
+
+    for k in range(len(weights)):
+        gw = d_w[k] + weight_decay * weights[k]
+        gb = d_b[k] + weight_decay * biases[k]
+        velocity[2 * k] = momentum * velocity[2 * k] + gw
+        velocity[2 * k + 1] = momentum * velocity[2 * k + 1] + gb
+        weights[k] -= lr * velocity[2 * k]
+        biases[k] -= lr * velocity[2 * k + 1]
+    return [a for pair in zip(d_w, d_b) for a in pair]
+
+
+def flat_bytes(arrays):
+    return np.concatenate([a.ravel() for a in arrays]).tobytes()
+
+
+LOSS_CASES = {
+    "cross_entropy": "cross_entropy",
+    "squared_error": "squared_error",
+    "total_no_reg": nn.TotalLoss(lambda_u=25.0, lambda_reg=0.0),
+    "total_reg": nn.TotalLoss(lambda_u=10.0, lambda_reg=1.0),
+    "total_empty_u": nn.TotalLoss(lambda_u=10.0, lambda_reg=1.0),
+}
+
+
+class TestTrainingStepMatchesReference:
+    """50 consecutive backward + sgd_step calls on the parameter buffer must
+    reproduce the per-layer reference bit for bit: parameters, gradients and
+    momentum buffer."""
+
+    @pytest.mark.parametrize("case", list(LOSS_CASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fifty_steps(self, case, seed):
+        loss = LOSS_CASES[case]
+        rng = np.random.default_rng([seed, len(case)])
+        n_hidden = seed + 1
+        sizes = ([int(rng.integers(2, 6))] + [int(rng.integers(3, 65)) for _ in range(n_hidden)]
+                 + [int(rng.integers(2, 17))])
+        net = nn.init_network(sizes, seed=seed)
+        for b in net.biases:
+            b[:] = rng.normal(scale=0.3, size=b.shape)
+        ref_w = [w.copy() for w in net.weights]
+        ref_b = [b.copy() for b in net.biases]
+        ref_v = [np.zeros_like(a) for pair in zip(ref_w, ref_b) for a in pair]
+        lr, momentum, wd = float(rng.uniform(0.01, 0.1)), 0.8, 5e-4
+        state = nn.init_optimizer(net, lr, momentum, wd)
+        c = sizes[-1]
+        for _ in range(50):
+            n = int(rng.integers(1, 129))
+            x = rng.normal(size=(n, sizes[0]))
+            y = random_soft_labels(rng, n, c)
+            if isinstance(loss, nn.TotalLoss):
+                n_u = 0 if case == "total_empty_u" else int(rng.integers(1, 129))
+                batch = ((x, y), (rng.normal(size=(n_u, sizes[0])),
+                                  random_soft_labels(rng, n_u, c)))
+            else:
+                batch = (x, y)
+            want = reference_step(ref_w, ref_b, ref_v, batch, loss, lr, momentum, wd)
+            grads = nn.backward(net, batch, loss)
+            nn.sgd_step(net, grads, state)
+            assert grads.flat.tobytes() == flat_bytes(want)
+            assert state.velocity.tobytes() == flat_bytes(ref_v)
+            assert net.params.tobytes() == flat_bytes(
+                [a for pair in zip(ref_w, ref_b) for a in pair])

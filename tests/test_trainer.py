@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from longremix import data, nn, trainer
-from longremix.errors import ConfigError
+from longremix.errors import ConfigError, StateError
 from longremix.trainer import TrainConfig, evaluate, run_training, warmup
 
 
@@ -88,6 +88,20 @@ class TestEvaluate:
         want = float((mean.argmax(axis=1) == test.true_labels).mean())
         assert got == want
         assert 0.0 <= got <= 1.0
+
+    @pytest.mark.parametrize("huge", ["model1", "model2"])
+    def test_non_finite_test_outputs_rejected(self, huge):
+        # finite weights near 1e200 overflow the logits to inf; the softmax
+        # then yields NaN rows, which argmax would count as class 0
+        _, test = blob_pair(n=40, classes=3)
+        nets = {tag: nn.init_network((2, 6, 3), seed=(1, 1), tag=tag)
+                for tag in ("model1", "model2")}
+        nets[huge].params *= 1e200
+        assert np.isfinite(nets[huge].params).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(nn.forward(nets[huge], test.features)).all()
+            with pytest.raises(StateError, match=f"^non-finite test outputs of {huge}$"):
+                evaluate(nets["model1"], nets["model2"], test)
 
 
 class TestCotrainPlumbing:
