@@ -19,8 +19,8 @@ import os
 import sys
 
 from . import __version__, data, lemma, report
-from .config import (OUTDIR_ENV, _to_mapping, apply_seed_override, build_experiment,
-                     parse_flat_config)
+from .config import (OUTDIR_ENV, _to_int, _to_mapping, _to_tuple, apply_seed_override,
+                     build_experiment, parse_flat_config)
 from .errors import ConfigError, LongRemixError, ParseError
 from .gmm import MIN_FIT_SAMPLES
 from .trainer import run_stage1_hct, run_training
@@ -81,8 +81,7 @@ def cmd_train(args) -> int:
     curve = None
     if exp.report.prcurve and result.stages[0].histories is not None:
         stage1 = result.stages[0]
-        curve = report.pr_curve(stage1.histories[0], ds.mask, exp.report.tau_grid,
-                                stage1.guessed, ds.labels)
+        curve = report.pr_curve(stage1.histories[0], ds.mask, exp.report.tau_grid, ds.labels)
     bundle = report.emit_report(result, exp, data.noise_sidecar(exp.noise, ds.mask.sum()),
                                 _dataset_info(exp, ds, test), prcurve_rows=curve)
     print(f"mode={exp.train.mode} best_acc={result.best_acc:.6g} "
@@ -95,8 +94,7 @@ def cmd_prcurve(args) -> int:
     ds, test = _build_datasets(exp)
     _require_mixture_rows(exp, ds)
     stage1 = run_stage1_hct(exp.train, ds, test)
-    curve = report.pr_curve(stage1.histories[0], ds.mask, exp.report.tau_grid,
-                            stage1.guessed, ds.labels)
+    curve = report.pr_curve(stage1.histories[0], ds.mask, exp.report.tau_grid, ds.labels)
     os.makedirs(exp.outdir, exist_ok=True)
     path = os.path.join(exp.outdir, "prcurve.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -106,8 +104,10 @@ def cmd_prcurve(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    zetas = ([int(z) for z in args.zetas.split(",")] if args.zetas
-             else list(range(1, args.zeta_max + 1)))
+    zetas = (_to_tuple(_to_int)("--zetas", args.zetas) if args.zetas
+             else range(1, args.zeta_max + 1))
+    if args.trials < 0:
+        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     rows = lemma.sweep_zeta(args.pcc, args.pnn, args.pc, zetas,
                             mc_trials=args.trials, seed=args.seed)
     outdir = args.out or os.environ.get(OUTDIR_ENV) or "."
@@ -157,8 +157,9 @@ def cmd_report(args) -> int:
     outdir = args.out or os.environ.get(OUTDIR_ENV) or os.path.dirname(args.metrics) or "."
     try:
         bundle = report.reemit_from_metrics(doc, outdir)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"metrics file is missing required fields: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"metrics file {args.metrics} has a missing or non-numeric field: "
+                          f"{exc}") from exc
     print(f"re-emitted {len(bundle.files)} files into {outdir}")
     return 0
 

@@ -85,8 +85,8 @@ def make_synthetic_dataset(kind, n, classes, spread, seed) -> NoisyDataset:
         raise ConfigError("need at least 2 classes")
     if n < classes:
         raise ConfigError(f"n={n} smaller than class count {classes}")
-    if spread <= 0:
-        raise ConfigError("spread must be positive")
+    if not (np.isfinite(spread) and spread > 0):
+        raise ConfigError(f"spread must be finite and positive, got {spread}")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % classes
     if kind == "blobs":

@@ -76,14 +76,13 @@ def build_epoch_plan(labeled_idx, unlabeled_idx, dataset_size, seed,
                      u_anchor=u_anchor, u_partner=u_partner, seed=seed_keys)
 
 
-def target_table(split: SplitSets, num_classes) -> np.ndarray:
+def target_table(split: SplitSets, guessed, num_classes) -> np.ndarray:
     """Per-sample training targets: one-hot labels for X members (core-set
-    overrides included), guessed soft labels for U members."""
-    n = split.x_size + split.u_size
-    table = np.zeros((n, num_classes))
+    overrides included), the epoch's guessed soft labels (an (n, C) table
+    over all samples) for U members."""
+    table = np.zeros((split.x_size + split.u_size, num_classes))
     table[split.labeled_idx, split.labeled_labels] = 1.0
-    if split.u_size:
-        table[split.unlabeled_idx] = split.guessed
+    table[split.unlabeled_idx] = guessed[split.unlabeled_idx]
     return table
 
 

@@ -87,13 +87,13 @@ def _stage_dict(outcome):
     }
 
 
-def pr_curve(history, mask, taus, guessed, labels):
+def pr_curve(history, mask, taus, labels):
     """Precision/recall of the single-epoch and windowed splits at each
     threshold, from the final recorded posterior window."""
     rows = []
     for tau in taus:
-        base = baseline_split(history.current(), tau, guessed, labels)
-        windowed = hct_split(history, tau, guessed, labels)
+        base = baseline_split(history.current(), tau, labels)
+        windowed = hct_split(history, tau, labels)
         mb = clean_set_metrics(base, mask)
         mh = clean_set_metrics(windowed, mask)
         rows.append({

@@ -10,6 +10,10 @@ unlabelled set U, all driven by the per-sample clean posterior:
   the second half of a training stage.
 * ``guided_split``      - baseline thresholding with the core set pinned
   into X at weight 1 and its captured labels.
+
+A split is the index partition plus the weights and labels of X; the soft
+targets of U belong to the training epoch and ``mixing.target_table``
+looks them up by index.
 """
 
 from __future__ import annotations
@@ -64,12 +68,12 @@ class LossHistory:
 
 @dataclass
 class SplitSets:
+    """Partition of the training indices into X and U."""
+
     labeled_idx: np.ndarray      # sample indices in X
     labeled_w: np.ndarray        # per-member weight
     labeled_labels: np.ndarray   # class index each X member trains with
     unlabeled_idx: np.ndarray    # sample indices in U
-    unlabeled_w: np.ndarray
-    guessed: np.ndarray          # (|U|, C) soft labels for U members
     kind: str                    # baseline | hct | guided
 
     @property
@@ -113,35 +117,25 @@ class CleanSetMetrics:
     recall_defaulted: bool = False
 
 
-def _assemble(in_x, posteriors, guessed, labels, kind,
-              override_idx=None, override_labels=None) -> SplitSets:
-    n = len(posteriors)
-    idx = np.arange(n)
-    x_idx = idx[in_x]
-    u_idx = idx[~in_x]
-    x_w = posteriors[in_x].astype(float).copy()
-    x_labels = np.asarray(labels, dtype=int)[in_x].copy()
-    if override_idx is not None and len(override_idx):
-        pos = np.searchsorted(x_idx, override_idx)
-        x_w[pos] = 1.0
-        x_labels[pos] = override_labels
-    return SplitSets(labeled_idx=x_idx, labeled_w=x_w, labeled_labels=x_labels,
-                     unlabeled_idx=u_idx, unlabeled_w=posteriors[~in_x].astype(float).copy(),
-                     guessed=np.asarray(guessed, dtype=float)[~in_x].copy(), kind=kind)
+def _assemble(in_x, weights, labels, kind) -> SplitSets:
+    x_idx = np.flatnonzero(in_x)
+    return SplitSets(labeled_idx=x_idx, labeled_w=weights[x_idx],
+                     labeled_labels=np.asarray(labels, dtype=int)[x_idx],
+                     unlabeled_idx=np.flatnonzero(~in_x), kind=kind)
 
 
-def baseline_split(posteriors, tau, guessed, labels) -> SplitSets:
+def baseline_split(posteriors, tau, labels) -> SplitSets:
     """Single-epoch split: X gets every sample with posterior >= tau."""
     posteriors = np.asarray(posteriors, dtype=float)
-    return _assemble(posteriors >= tau, posteriors, guessed, labels, "baseline")
+    return _assemble(posteriors >= tau, posteriors, labels, "baseline")
 
 
-def hct_split(history: LossHistory, tau, guessed, labels, zeta=None) -> SplitSets:
+def hct_split(history: LossHistory, tau, labels, zeta=None) -> SplitSets:
     """Windowed split: X keeps only samples classified clean at every epoch
     of the confidence window. Weights carry the current-epoch posterior."""
     verdicts = history.verdicts(tau, zeta)
     current = history.current()
-    return _assemble(verdicts.all(axis=0), current, guessed, labels, "hct")
+    return _assemble(verdicts.all(axis=0), current, labels, "hct")
 
 
 def select_core_set(stage1_records, total_epochs) -> CoreSet:
@@ -162,19 +156,16 @@ def select_core_set(stage1_records, total_epochs) -> CoreSet:
                    epoch=best_epoch)
 
 
-def guided_split(posteriors, tau, guessed, core: CoreSet, labels) -> SplitSets:
+def guided_split(posteriors, tau, core: CoreSet, labels) -> SplitSets:
     """Baseline thresholding with every core-set member pinned into X at
     weight 1, carrying its captured label; core members never enter U."""
-    posteriors = np.asarray(posteriors, dtype=float)
-    in_x = posteriors >= tau
-    if core.size:
-        in_x = in_x.copy()
-        in_x[core.indices] = True
-        order = np.argsort(core.indices)
-        return _assemble(in_x, posteriors, guessed, labels, "guided",
-                         override_idx=core.indices[order],
-                         override_labels=core.labels[order])
-    return _assemble(in_x, posteriors, guessed, labels, "guided")
+    weights = np.array(posteriors, dtype=float)
+    labels = np.array(labels, dtype=int)
+    in_x = weights >= tau
+    in_x[core.indices] = True
+    weights[core.indices] = 1.0
+    labels[core.indices] = core.labels
+    return _assemble(in_x, weights, labels, "guided")
 
 
 def clean_set_metrics(split: SplitSets, mask) -> CleanSetMetrics:

@@ -135,7 +135,6 @@ class StageOutcome:
     record: RunRecord
     nets: tuple
     histories: tuple | None = None   # per-model LossHistory (windowed stages)
-    guessed: np.ndarray | None = None  # final-epoch guessed-label table
     core_set: CoreSet | None = None
     gmm_rows: list = field(default_factory=list)
     plan_rows: list = field(default_factory=list)
@@ -232,12 +231,13 @@ def _epoch_posteriors(net, ds, cfg, probs):
     return clean_posterior(params, losses), params
 
 
-def _train_on_split(net, opt, split, ds, cfg, stage_no, epoch, model_no, longmix_plans):
-    """One full pass over the epoch plan built from ``split``."""
+def _train_on_split(net, opt, split, guessed, ds, cfg, stage_no, epoch, model_no, longmix_plans):
+    """One full pass over the epoch plan built from ``split``, U trained
+    towards the epoch's ``guessed`` labels."""
     plan = build_epoch_plan(split.labeled_idx, split.unlabeled_idx, ds.n,
                             seed=(cfg.plan_seed, PLAN_DRAW, stage_no, epoch, model_no),
                             longmix=longmix_plans)
-    targets = target_table(split, ds.num_classes)
+    targets = target_table(split, guessed, ds.num_classes)
     lam_rng = derive_rng(cfg.plan_seed, MIX_LAMBDA, stage_no, epoch, model_no)
     xb, ub = mix_plan(plan, ds.features, targets, cfg.alpha, lam_rng)
     spec = nn.TotalLoss(lambda_u=cfg.lambda_u, lambda_reg=cfg.lambda_reg)
@@ -267,8 +267,9 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
     """One co-training epoch from the nets' training-set outputs ``probs``;
     model m's losses produce the split that trains the other model. Appends
     the epoch's GMM rows, plan digests and windowed splits to ``gmm_rows``,
-    ``plan_rows`` and ``snapshots``; returns the epoch metrics row, the
-    guessed-label table and the next epoch's outputs (None after the last)."""
+    ``plan_rows`` and ``snapshots``; returns the epoch metrics row and the
+    next epoch's outputs (None after the last). The labels guessed for U,
+    the pair's mean output, live for this epoch only."""
     nets = (net1, net2)
     lr = _set_epoch_lr(opts, cfg, epoch)
 
@@ -280,13 +281,13 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
         if split_mode == "hct":
             histories[m].push(posteriors)
             if histories[m].full:
-                split = hct_split(histories[m], cfg.tau, guessed, ds.labels)
+                split = hct_split(histories[m], cfg.tau, ds.labels)
             else:
-                split = baseline_split(posteriors, cfg.tau, guessed, ds.labels)
+                split = baseline_split(posteriors, cfg.tau, ds.labels)
         elif split_mode == "guided":
-            split = guided_split(posteriors, cfg.tau, guessed, core, ds.labels)
+            split = guided_split(posteriors, cfg.tau, core, ds.labels)
         else:
-            split = baseline_split(posteriors, cfg.tau, guessed, ds.labels)
+            split = baseline_split(posteriors, cfg.tau, ds.labels)
         splits.append(split)
         if split.kind == "hct":
             snapshots.append((epoch, split))
@@ -299,8 +300,8 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
             _supervised_pass(net, opt, ds, cfg, m, stage_no, cfg.warmup_epochs + epoch)
             x_ops, u_ops, fallback = ds.n, 0, True
         else:
-            x_ops, u_ops, digest = _train_on_split(net, opt, split, ds, cfg, stage_no,
-                                                   epoch, m, longmix_plans)
+            x_ops, u_ops, digest = _train_on_split(net, opt, split, guessed, ds, cfg,
+                                                   stage_no, epoch, m, longmix_plans)
             fallback = False
             plan_rows.append({"stage": stage_tag, "epoch": epoch,
                               "model": net.tag, "digest": digest})
@@ -315,7 +316,7 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
     next_probs = _train_outputs(nets, ds, stage_tag, epoch + 1) if epoch < cfg.epochs else None
     return EpochMetrics(stage=stage_tag, epoch=epoch, phase="train", lr=lr,
                         test_acc=evaluate(net1, net2, test),
-                        model1=stats[0], model2=stats[1]), guessed, next_probs
+                        model1=stats[0], model2=stats[1]), next_probs
 
 
 def _finalize_record(stage_tag, rows) -> RunRecord:
@@ -358,13 +359,13 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
     snapshots, gmm_rows, plan_rows = [], [], []
     probs = _train_outputs(nets, ds, stage_tag, 1)
     for epoch in range(1, cfg.epochs + 1):
-        row, guessed, probs = cotrain_epoch(
+        row, probs = cotrain_epoch(
             *nets, opts, ds, test, cfg, stage_no, stage_tag, epoch, split_mode,
             histories, core, longmix_plans, gmm_rows, plan_rows, snapshots, probs)
         rows.append(row)
     captured = select_core_set(snapshots, cfg.epochs) if split_mode == "hct" else None
     return StageOutcome(record=_finalize_record(stage_tag, rows), nets=nets,
-                        histories=histories, guessed=guessed, core_set=captured,
+                        histories=histories, core_set=captured,
                         gmm_rows=gmm_rows, plan_rows=plan_rows)
 
 

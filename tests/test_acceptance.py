@@ -116,14 +116,15 @@ def test_criterion_4_selector_properties():
         depth = zeta + int(rng.integers(0, 3))
         tau = float(rng.uniform(0.05, 0.95))
         labels = rng.integers(0, 5, n)
+        # no split reads these soft labels; drawing them keeps the histories the same
         guessed = rng.random((n, 5))
         guessed /= guessed.sum(axis=1, keepdims=True)
         history = LossHistory(n, zeta)
         for row in rng.random((depth, n)):
             history.push(row)
 
-        base = baseline_split(history.current(), tau, guessed, labels)
-        windowed = hct_split(history, tau, guessed, labels)
+        base = baseline_split(history.current(), tau, labels)
+        windowed = hct_split(history, tau, labels)
 
         # partition: X and U cover all indices exactly once
         for split in (base, windowed):
@@ -135,11 +136,11 @@ def test_criterion_4_selector_properties():
 
         # zeta monotonicity
         if zeta >= 2:
-            narrower = hct_split(history, tau, guessed, labels, zeta=zeta - 1)
+            narrower = hct_split(history, tau, labels, zeta=zeta - 1)
             assert set(windowed.labeled_idx) <= set(narrower.labeled_idx)
 
         # guided with an empty core set reduces to the baseline split
-        empty = guided_split(history.current(), tau, guessed, CoreSet.empty(), labels)
+        empty = guided_split(history.current(), tau, CoreSet.empty(), labels)
         assert np.array_equal(empty.labeled_idx, base.labeled_idx)
         assert np.allclose(empty.labeled_w, base.labeled_w)
 
@@ -147,7 +148,7 @@ def test_criterion_4_selector_properties():
         k = int(rng.integers(1, n + 1))
         members = rng.choice(n, size=k, replace=False)
         core = CoreSet(indices=members, labels=rng.integers(0, 5, k), epoch=1)
-        guided = guided_split(history.current(), tau, guessed, core, labels)
+        guided = guided_split(history.current(), tau, core, labels)
         member_mask = np.isin(guided.labeled_idx, members)
         assert member_mask.sum() == k
         assert (guided.labeled_w[member_mask] == 1.0).all()
@@ -254,8 +255,7 @@ def test_criterion_7_asymmetric_pr_tradeoff():
             data_seed=seed, model1_seed=seed + 11, model2_seed=seed + 22,
             plan_seed=seed + 33)
         stage1 = trainer.run_stage1_hct(cfg, noisy, test)
-        rows = report.pr_curve(stage1.histories[0], noisy.mask, [0.5],
-                               stage1.guessed, noisy.labels)
+        rows = report.pr_curve(stage1.histories[0], noisy.mask, [0.5], noisy.labels)
         row = rows[0]
         precision_wins += row["hct_precision"] >= row["baseline_precision"]
         recall_wins += row["hct_recall"] <= row["baseline_recall"]

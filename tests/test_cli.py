@@ -446,6 +446,46 @@ def test_value_contract(tmp_path, capsys, mode, line, code, message):
     assert not Path(out, "metrics.json").exists()
 
 
+def _metrics_doc(lr):
+    return {"stages": [{"stage": "baseline", "epochs": [
+        {"epoch": 1, "phase": "train", "lr": lr, "test_acc": 0.5, "model1": None, "model2": None}]}]}
+
+
+# Malformed metrics documents, each written into the test's directory.
+BAD_METRICS = {"text-lr.json": _metrics_doc("x"), "list-lr.json": _metrics_doc([0.02]),
+               "no-stages.json": {}}
+LEMMA = ["lemma", "--pcc", "0.8", "--pnn", "0.7", "--pc", "0.5"]
+
+# (case, arguments, start of the stderr line after "config error: ") for the
+# commands other than train; {tmp} is the test's directory
+COMMAND_CASES = [
+    ("lemma-zetas-not-int", LEMMA + ["--zetas", "1,a"], "--zetas: expected an integer, got 'a'"),
+    ("lemma-negative-trials", LEMMA + ["--trials", "-1"], "--trials must be >= 0, got -1"),
+    ("noise-spread-nan", ["noise", "--kind", "none", "--spread", "nan"],
+     "spread must be finite and positive, got nan"),
+    ("noise-spread-inf", ["noise", "--kind", "none", "--spread", "inf"],
+     "spread must be finite and positive, got inf"),
+    ("report-text-cell", ["report", "--metrics", "{tmp}/text-lr.json"],
+     "metrics file {tmp}/text-lr.json has a missing or non-numeric field: "
+     "could not convert string to float: 'x'"),
+    ("report-list-cell", ["report", "--metrics", "{tmp}/list-lr.json"],
+     "metrics file {tmp}/list-lr.json has a missing or non-numeric field: float() argument"),
+    ("report-missing-field", ["report", "--metrics", "{tmp}/no-stages.json"],
+     "metrics file {tmp}/no-stages.json has a missing or non-numeric field: 'stages'"),
+]
+
+
+@pytest.mark.parametrize("case,args,message", COMMAND_CASES, ids=[c[0] for c in COMMAND_CASES])
+def test_command_contract(tmp_path, capsys, case, args, message):
+    for name, doc in BAD_METRICS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    args = [a.format(tmp=tmp_path) for a in args]
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message.format(tmp=tmp_path))
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_readme_config_example_builds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)

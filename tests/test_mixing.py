@@ -7,16 +7,14 @@ import pytest
 from longremix import nn
 from longremix.errors import ConfigError, StateError
 from longremix.mixing import build_epoch_plan, mix_plan, plan_digest, target_table
-from longremix.selector import SplitSets
+from longremix.selector import CoreSet, SplitSets, baseline_split, guided_split
 
 
-def split_of(labeled, unlabeled, labels, guessed):
+def split_of(labeled, unlabeled, labels):
     labeled = np.asarray(labeled, dtype=int)
-    unlabeled = np.asarray(unlabeled, dtype=int)
     return SplitSets(labeled_idx=labeled, labeled_w=np.ones(len(labeled)),
                      labeled_labels=np.asarray(labels, dtype=int),
-                     unlabeled_idx=unlabeled, unlabeled_w=np.zeros(len(unlabeled)),
-                     guessed=np.asarray(guessed, dtype=float), kind="baseline")
+                     unlabeled_idx=np.asarray(unlabeled, dtype=int), kind="baseline")
 
 
 def mixed_lambdas(alpha, per_plan, seed):
@@ -129,13 +127,30 @@ class TestEpochPlan:
 
 class TestTargetTable:
     def test_one_hot_for_x_guessed_for_u(self):
-        guessed = np.array([[0.2, 0.8], [0.6, 0.4]])
-        split = split_of([0, 2], [1, 3], [1, 0], guessed)
-        table = target_table(split, 2)
-        np.testing.assert_allclose(table[0], [0.0, 1.0])
-        np.testing.assert_allclose(table[2], [1.0, 0.0])
-        np.testing.assert_allclose(table[1], guessed[0])
-        np.testing.assert_allclose(table[3], guessed[1])
+        guessed = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1], [0.6, 0.4]])
+        split = split_of([0, 2], [1, 3], [1, 0])
+        table = target_table(split, guessed, 2)
+        assert table[[0, 2]].tobytes() == np.array([[0.0, 1.0], [1.0, 0.0]]).tobytes()
+        assert table[[1, 3]].tobytes() == guessed[[1, 3]].tobytes()
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_u_rows_are_guessed_rows_by_bytes(self, tau):
+        rng = np.random.default_rng(12)
+        n, c = 50, 4
+        guessed = rng.random((n, c))
+        guessed /= guessed.sum(axis=1, keepdims=True)
+        labels = rng.integers(0, c, n)
+        core = CoreSet(indices=rng.choice(n, size=10, replace=False),
+                       labels=rng.integers(0, c, 10), epoch=1)
+        post = rng.random(n)
+        for split in (baseline_split(post, tau, labels), guided_split(post, tau, core, labels)):
+            table = target_table(split, guessed, c)
+            assert table.shape == (n, c) and table.dtype == np.float64
+            u = split.unlabeled_idx
+            assert table[u].tobytes() == guessed[u].tobytes()
+            x_rows = np.zeros((split.x_size, c))
+            x_rows[np.arange(split.x_size), split.labeled_labels] = 1.0
+            assert table[split.labeled_idx].tobytes() == x_rows.tobytes()
 
 
 class TestMixPlan:

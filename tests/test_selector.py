@@ -7,10 +7,6 @@ from longremix.selector import (CleanSetMetrics, CoreSet, LossHistory, baseline_
                                 clean_set_metrics, guided_split, hct_split, select_core_set)
 
 
-def uniform_guessed(n, c=3):
-    return np.full((n, c), 1.0 / c)
-
-
 def make_history(posterior_rows, zeta):
     h = LossHistory(n_samples=len(posterior_rows[0]), zeta=zeta)
     for row in posterior_rows:
@@ -22,68 +18,60 @@ def same_membership(a, b):
     return (np.array_equal(a.labeled_idx, b.labeled_idx)
             and np.array_equal(a.unlabeled_idx, b.unlabeled_idx)
             and np.allclose(a.labeled_w, b.labeled_w)
-            and np.array_equal(a.labeled_labels, b.labeled_labels)
-            and np.allclose(a.guessed, b.guessed))
+            and np.array_equal(a.labeled_labels, b.labeled_labels))
 
 
 class TestBaselineSplit:
     def test_thresholding(self):
-        s = baseline_split(np.array([0.9, 0.4, 0.6]), 0.5, uniform_guessed(3), np.array([0, 1, 2]))
+        s = baseline_split(np.array([0.9, 0.4, 0.6]), 0.5, np.array([0, 1, 2]))
         np.testing.assert_array_equal(s.labeled_idx, [0, 2])
         np.testing.assert_array_equal(s.unlabeled_idx, [1])
         np.testing.assert_allclose(s.labeled_w, [0.9, 0.6])
         np.testing.assert_array_equal(s.labeled_labels, [0, 2])
 
     def test_tau_zero_takes_everything(self):
-        s = baseline_split(np.array([0.0, 0.3]), 0.0, uniform_guessed(2), np.array([1, 0]))
+        s = baseline_split(np.array([0.0, 0.3]), 0.0, np.array([1, 0]))
         assert s.x_size == 2
         assert s.u_size == 0
 
     def test_boundary_posterior_goes_to_x(self):
-        s = baseline_split(np.array([0.5]), 0.5, uniform_guessed(1), np.array([0]))
+        s = baseline_split(np.array([0.5]), 0.5, np.array([0]))
         assert s.x_size == 1
-
-    def test_guessed_labels_attached_to_u(self):
-        guessed = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
-        s = baseline_split(np.array([0.9, 0.1, 0.2]), 0.5, guessed, np.array([0, 1, 0]))
-        np.testing.assert_allclose(s.guessed, guessed[[1, 2]])
 
 
 class TestHctSplit:
     def test_clean_all_window_epochs(self):
         rows = [[0.9, 0.9], [0.8, 0.9], [0.9, 0.9], [0.7, 0.9], [0.6, 0.9]]
         h = make_history(rows, zeta=5)
-        s = hct_split(h, 0.5, uniform_guessed(2), np.array([0, 1]))
+        s = hct_split(h, 0.5, np.array([0, 1]))
         np.testing.assert_array_equal(s.labeled_idx, [0, 1])
 
     def test_one_bad_epoch_excludes(self):
         rows = [[0.9], [0.9], [0.4], [0.9], [0.9]]
         h = make_history(rows, zeta=5)
-        s = hct_split(h, 0.5, uniform_guessed(1), np.array([0]))
+        s = hct_split(h, 0.5, np.array([0]))
         assert s.x_size == 0
         assert s.u_size == 1
 
     def test_weights_are_current_posterior(self):
         rows = [[0.9, 0.2], [0.55, 0.8]]
         h = make_history(rows, zeta=2)
-        s = hct_split(h, 0.5, uniform_guessed(2), np.array([0, 1]))
+        s = hct_split(h, 0.5, np.array([0, 1]))
         np.testing.assert_allclose(s.labeled_w, [0.55])
-        np.testing.assert_allclose(s.unlabeled_w, [0.8])
+        np.testing.assert_array_equal(s.unlabeled_idx, [1])
 
     def test_zeta_one_equals_baseline(self):
         rng = np.random.default_rng(1)
         post = rng.random(30)
         labels = rng.integers(0, 3, 30)
-        guessed = uniform_guessed(30)
         h = LossHistory(30, zeta=1)
         h.push(post)
-        assert same_membership(hct_split(h, 0.5, guessed, labels),
-                               baseline_split(post, 0.5, guessed, labels))
+        assert same_membership(hct_split(h, 0.5, labels), baseline_split(post, 0.5, labels))
 
     def test_underfilled_window_is_state_error(self):
         h = make_history([[0.9], [0.9]], zeta=5)
         with pytest.raises(StateError, match="window"):
-            hct_split(h, 0.5, uniform_guessed(1), np.array([0]))
+            hct_split(h, 0.5, np.array([0]))
 
     def test_ring_buffer_depth(self):
         h = make_history([[float(i) / 10] for i in range(9)], zeta=3)
@@ -96,9 +84,7 @@ class TestCoreSet:
         idx = np.arange(size)
         return selector.SplitSets(labeled_idx=idx, labeled_w=np.ones(size),
                                   labeled_labels=np.zeros(size, dtype=int),
-                                  unlabeled_idx=np.arange(size, n),
-                                  unlabeled_w=np.zeros(n - size),
-                                  guessed=uniform_guessed(n - size), kind="hct")
+                                  unlabeled_idx=np.arange(size, n), kind="hct")
 
     def test_argmax_with_latest_tie(self):
         sizes = {5: 100, 6: 150, 7: 140, 8: 150, 9: 130, 10: 120}
@@ -136,8 +122,7 @@ class TestCoreSet:
 class TestGuidedSplit:
     def test_core_overrides_low_posterior(self):
         core = CoreSet(indices=np.array([1]), labels=np.array([2]), epoch=9)
-        s = guided_split(np.array([0.9, 0.1, 0.2]), 0.5, uniform_guessed(3),
-                         core, np.array([0, 1, 0]))
+        s = guided_split(np.array([0.9, 0.1, 0.2]), 0.5, core, np.array([0, 1, 0]))
         assert 1 in s.labeled_idx
         pos = list(s.labeled_idx).index(1)
         assert s.labeled_w[pos] == 1.0
@@ -146,7 +131,7 @@ class TestGuidedSplit:
 
     def test_non_member_threshold_branch(self):
         core = CoreSet.empty()
-        s = guided_split(np.array([0.7, 0.3]), 0.5, uniform_guessed(2), core, np.array([0, 1]))
+        s = guided_split(np.array([0.7, 0.3]), 0.5, core, np.array([0, 1]))
         np.testing.assert_array_equal(s.labeled_idx, [0])
         np.testing.assert_allclose(s.labeled_w, [0.7])
 
@@ -154,9 +139,69 @@ class TestGuidedSplit:
         rng = np.random.default_rng(2)
         post = rng.random(40)
         labels = rng.integers(0, 4, 40)
-        guessed = uniform_guessed(40, 4)
-        assert same_membership(guided_split(post, 0.5, guessed, CoreSet.empty(), labels),
-                               baseline_split(post, 0.5, guessed, labels))
+        assert same_membership(guided_split(post, 0.5, CoreSet.empty(), labels),
+                               baseline_split(post, 0.5, labels))
+
+
+def override_reference(posteriors, tau, core, labels):
+    """Threshold split with the core set pinned in afterwards: a boolean
+    gather per field, then weight 1 and the captured label written at each
+    member's position in X, found by ``searchsorted`` over the sorted core."""
+    posteriors = np.asarray(posteriors, dtype=float)
+    in_x = posteriors >= tau
+    if core.size:
+        in_x = in_x.copy()
+        in_x[core.indices] = True
+    idx = np.arange(len(posteriors))
+    x_idx = idx[in_x]
+    x_w = posteriors[in_x].astype(float).copy()
+    x_labels = np.asarray(labels, dtype=int)[in_x].copy()
+    if core.size:
+        order = np.argsort(core.indices)
+        pos = np.searchsorted(x_idx, core.indices[order])
+        x_w[pos] = 1.0
+        x_labels[pos] = core.labels[order]
+    return x_idx, x_w, x_labels, idx[~in_x]
+
+
+class TestGuidedSplitMatchesReference:
+    """``guided_split`` pins the core set on full-length copies before one
+    gather; every field must equal the override path's by dtype and bytes."""
+
+    DRAWS = 1200
+
+    @staticmethod
+    def _fields(split):
+        return (split.labeled_idx, split.labeled_w, split.labeled_labels, split.unlabeled_idx)
+
+    def _assert_same(self, split, want):
+        for got, ref in zip(self._fields(split), want):
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+    def test_bit_identical_over_random_cores(self):
+        rng = np.random.default_rng(81)
+        for draw in range(self.DRAWS):
+            n = int(rng.integers(1, 60))
+            # every other draw puts posteriors on the thresholds' grid, ties included
+            post = rng.random(n) if draw % 2 else rng.integers(0, 5, n) / 4.0
+            tau = float(rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform(0.05, 0.95)]))
+            labels = rng.integers(0, 5, n)
+            # empty, partial and full cores in turn
+            k = (0, int(rng.integers(1, n + 1)), n)[draw % 3]
+            core = (CoreSet.empty() if k == 0 else
+                    CoreSet(indices=rng.choice(n, size=k, replace=False),
+                            labels=rng.integers(0, 5, k), epoch=1))
+            self._assert_same(guided_split(post, tau, core, labels),
+                              override_reference(post, tau, core, labels))
+            self._assert_same(baseline_split(post, tau, labels),
+                              override_reference(post, tau, CoreSet.empty(), labels))
+
+    def test_inputs_left_unchanged(self):
+        post, labels = np.array([0.9, 0.1, 0.2]), np.array([0, 1, 0])
+        guided_split(post, 0.5, CoreSet(np.array([1]), np.array([2]), epoch=3), labels)
+        np.testing.assert_array_equal(post, [0.9, 0.1, 0.2])
+        np.testing.assert_array_equal(labels, [0, 1, 0])
 
 
 class TestCleanSetMetrics:
@@ -165,8 +210,7 @@ class TestCleanSetMetrics:
         u_idx = np.asarray(u_idx, dtype=int)
         return selector.SplitSets(labeled_idx=x_idx, labeled_w=np.ones(len(x_idx)),
                                   labeled_labels=np.zeros(len(x_idx), dtype=int),
-                                  unlabeled_idx=u_idx, unlabeled_w=np.zeros(len(u_idx)),
-                                  guessed=uniform_guessed(len(u_idx)), kind="baseline")
+                                  unlabeled_idx=u_idx, kind="baseline")
 
     def test_perfect_split(self):
         mask = np.array([False, False, True, True])
@@ -201,48 +245,48 @@ class TestRandomizedProperties:
         rows = rng.random((depth, n))
         tau = float(rng.uniform(0.05, 0.95))
         labels = rng.integers(0, 4, n)
+        # no split reads these soft labels; drawing them keeps the histories the same
         guessed = rng.random((n, 4))
         guessed /= guessed.sum(axis=1, keepdims=True)
         h = LossHistory(n, zeta)
         for row in rows:
             h.push(row)
-        return h, tau, guessed, labels, n
+        return h, tau, labels, n
 
     def test_partition_property(self):
         rng = np.random.default_rng(77)
         for _ in range(self.N_DRAWS):
-            h, tau, guessed, labels, n = self._draw(rng)
-            for s in (baseline_split(h.current(), tau, guessed, labels),
-                      hct_split(h, tau, guessed, labels)):
+            h, tau, labels, n = self._draw(rng)
+            for s in (baseline_split(h.current(), tau, labels), hct_split(h, tau, labels)):
                 joined = np.concatenate([s.labeled_idx, s.unlabeled_idx])
                 np.testing.assert_array_equal(np.sort(joined), np.arange(n))
 
     def test_window_subset_property(self):
         rng = np.random.default_rng(78)
         for _ in range(self.N_DRAWS):
-            h, tau, guessed, labels, _ = self._draw(rng)
-            hct = hct_split(h, tau, guessed, labels)
-            base = baseline_split(h.current(), tau, guessed, labels)
+            h, tau, labels, _ = self._draw(rng)
+            hct = hct_split(h, tau, labels)
+            base = baseline_split(h.current(), tau, labels)
             assert set(hct.labeled_idx) <= set(base.labeled_idx)
 
     def test_zeta_monotonicity(self):
         rng = np.random.default_rng(79)
         for _ in range(self.N_DRAWS):
-            h, tau, guessed, labels, _ = self._draw(rng)
+            h, tau, labels, _ = self._draw(rng)
             if h.zeta < 2 or len(h) < h.zeta:
                 continue
-            wide = hct_split(h, tau, guessed, labels, zeta=h.zeta)
-            narrow = hct_split(h, tau, guessed, labels, zeta=h.zeta - 1)
+            wide = hct_split(h, tau, labels, zeta=h.zeta)
+            narrow = hct_split(h, tau, labels, zeta=h.zeta - 1)
             assert set(wide.labeled_idx) <= set(narrow.labeled_idx)
 
     def test_core_override_property(self):
         rng = np.random.default_rng(80)
         for _ in range(self.N_DRAWS):
-            h, tau, guessed, labels, n = self._draw(rng)
+            h, tau, labels, n = self._draw(rng)
             k = int(rng.integers(1, n + 1))
             members = rng.choice(n, size=k, replace=False)
             core = CoreSet(indices=members, labels=rng.integers(0, 4, k), epoch=1)
-            s = guided_split(h.current(), tau, guessed, core, labels)
+            s = guided_split(h.current(), tau, core, labels)
             member_set = set(members.tolist())
             assert member_set <= set(s.labeled_idx.tolist())
             assert not member_set & set(s.unlabeled_idx.tolist())

@@ -203,9 +203,9 @@ class TestStages:
                               data_seed=seed, model1_seed=seed + 11,
                               model2_seed=seed + 22, plan_seed=seed + 33)
             stage1 = trainer.run_stage1_hct(cfg, noisy, test)
-            hist, guessed = stage1.histories[0], stage1.guessed
-            windowed = selector.hct_split(hist, cfg.tau, guessed, noisy.labels)
-            base = selector.baseline_split(hist.current(), cfg.tau, guessed, noisy.labels)
+            hist = stage1.histories[0]
+            windowed = selector.hct_split(hist, cfg.tau, noisy.labels)
+            base = selector.baseline_split(hist.current(), cfg.tau, noisy.labels)
             assert set(windowed.labeled_idx) <= set(base.labeled_idx)
             mw = selector.clean_set_metrics(windowed, noisy.mask)
             mb = selector.clean_set_metrics(base, noisy.mask)
