@@ -26,6 +26,12 @@ from .gmm import MIN_FIT_SAMPLES
 from .trainer import run_stage1_hct, run_training
 
 
+def _non_negative(flag, value):
+    if value < 0:
+        raise ConfigError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _load_config(path, seed=None, outdir=None):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -33,7 +39,7 @@ def _load_config(path, seed=None, outdir=None):
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if seed is not None:
-        mapping = apply_seed_override(mapping, seed)
+        mapping = apply_seed_override(mapping, _non_negative("--seed", seed))
     return build_experiment(mapping, outdir_override=outdir)
 
 
@@ -95,10 +101,7 @@ def cmd_prcurve(args) -> int:
     _require_mixture_rows(exp, ds)
     stage1 = run_stage1_hct(exp.train, ds, test)
     curve = report.pr_curve(stage1.histories[0], ds.mask, exp.report.tau_grid, ds.labels)
-    os.makedirs(exp.outdir, exist_ok=True)
-    path = os.path.join(exp.outdir, "prcurve.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.prcurve_csv_text(curve))
+    path, = report.write_files(exp.outdir, {"prcurve.csv": report.prcurve_csv_text(curve)})
     print(f"wrote {path} ({len(curve)} thresholds)")
     return 0
 
@@ -106,15 +109,11 @@ def cmd_prcurve(args) -> int:
 def cmd_lemma(args) -> int:
     zetas = (_to_tuple(_to_int)("--zetas", args.zetas) if args.zetas
              else range(1, args.zeta_max + 1))
-    if args.trials < 0:
-        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     rows = lemma.sweep_zeta(args.pcc, args.pnn, args.pc, zetas,
-                            mc_trials=args.trials, seed=args.seed)
+                            mc_trials=_non_negative("--trials", args.trials),
+                            seed=_non_negative("--seed", args.seed))
     outdir = args.out or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "lemma.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.lemma_csv_text(rows))
+    path, = report.write_files(outdir, {"lemma.csv": report.lemma_csv_text(rows)})
     for row in rows:
         mc = "" if "precision_mc" not in row else (
             f" mc=({row['precision_mc']:.4f}, {row['recall_mc']:.4f})")
@@ -128,20 +127,19 @@ def cmd_noise(args) -> int:
     if args.csv:
         ds = data.load_csv_dataset(args.csv)
     else:
-        ds = data.make_synthetic_dataset(args.dataset, args.n, args.classes,
-                                         args.spread, seed=args.data_seed)
+        ds = data.make_synthetic_dataset(args.dataset, args.n, args.classes, args.spread,
+                                         seed=_non_negative("--data-seed", args.data_seed))
     spec = data.NoiseSpec(kind=args.kind, eta=args.eta,
-                          mapping=_to_mapping("--mapping", args.mapping), seed=args.seed)
+                          mapping=_to_mapping("--mapping", args.mapping),
+                          seed=_non_negative("--seed", args.seed))
     if spec.kind != "none" and ds.num_classes < 2:
         raise ConfigError(f"{args.csv}: every label is {ds.class_names[0]!r}; "
                           f"{spec.kind} noise needs at least 2 classes")
     noisy = data.apply_noise(ds, spec)
     outdir = args.out or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(outdir, exist_ok=True)
-    csv_path = os.path.join(outdir, "dataset.csv")
-    data.save_csv_dataset(noisy, csv_path)
-    sidecar_path = os.path.join(outdir, "dataset.noise.json")
-    report.write_json(data.noise_sidecar(spec, noisy.mask.sum()), sidecar_path)
+    csv_path, sidecar_path = report.write_files(outdir, {
+        "dataset.csv": data.dataset_csv_text(noisy),
+        "dataset.noise.json": report.json_text(data.noise_sidecar(spec, noisy.mask.sum()))})
     print(f"wrote {csv_path} and {sidecar_path} (flipped {int(noisy.mask.sum())} of {noisy.n})")
     return 0
 

@@ -121,7 +121,10 @@ def _to_mapping(key, value):
         src, sep, dst = part.partition(":")
         if not sep:
             raise ConfigError(f"{key}: expected 'src:dst' pairs, got {part!r}")
-        mapping[_to_int(key, src.strip())] = _to_int(key, dst.strip())
+        src = _to_int(key, src.strip())
+        if src in mapping:
+            raise ConfigError(f"{key}: class {src} is mapped twice")
+        mapping[src] = _to_int(key, dst.strip())
     return mapping
 
 

@@ -9,6 +9,7 @@ and never mutate their input.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,6 +58,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric", "none"):
             raise ConfigError(f"unknown noise kind: {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"noise.seed must be >= 0, got {self.seed}")
+        if self.mapping is not None and self.kind != "asymmetric":
+            raise ConfigError(f"a class mapping needs asymmetric noise, got kind {self.kind!r}")
         if self.kind == "symmetric" and not 0.0 <= self.eta < 1.0:
             raise ConfigError(f"symmetric noise rate must be in [0, 1), got {self.eta}")
         if self.kind == "asymmetric":
@@ -158,14 +163,15 @@ def load_csv_dataset(path, class_names=None) -> NoisyDataset:
     return _clean(np.array(feats), labels, len(token_index), class_names=list(token_index))
 
 
-def save_csv_dataset(ds: NoisyDataset, path):
-    """Inverse of :func:`load_csv_dataset`; writes observed labels only."""
+def dataset_csv_text(ds: NoisyDataset) -> str:
+    """Inverse of :func:`load_csv_dataset`; observed labels only."""
     names = ds.class_names or [str(c) for c in range(ds.num_classes)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(ds.dim)] + ["label"])
-        for x, y in zip(ds.features, ds.labels):
-            writer.writerow([format(v, ".17g") for v in x] + [names[y]])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([f"x{j}" for j in range(ds.dim)] + ["label"])
+    for x, y in zip(ds.features, ds.labels):
+        writer.writerow([format(v, ".17g") for v in x] + [names[y]])
+    return buf.getvalue()
 
 
 def _forbid_reinjection(ds: NoisyDataset):

@@ -292,7 +292,7 @@ def sgd_step(net: Network, grads: Gradients, state: OptimizerState) -> Network:
     return net
 
 
-def save_checkpoint(net: Network, path):
+def checkpoint_text(net: Network) -> str:
     """Textual parameter file: versioned header, layer shapes, row-major values."""
     lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
              f"tag {net.tag}",
@@ -302,8 +302,7 @@ def save_checkpoint(net: Network, path):
         for row in w:
             lines.append(" ".join(format(v, ".17g") for v in row))
         lines.append(" ".join(format(v, ".17g") for v in b))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def load_checkpoint(path) -> Network:

@@ -47,17 +47,13 @@ def fmt_sig(value) -> str:
     return format(float(value), ".6g")
 
 
-def _check_finite(value, context):
-    if isinstance(value, float) and not math.isfinite(value):
-        raise StateError(f"non-finite value in report field {context}")
-
-
 def _model_stats_dict(stats):
     if stats is None:
         return None
     row = {f: getattr(stats, f) for f in EPOCH_FIELDS}
     for k, v in row.items():
-        _check_finite(v, k)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise StateError(f"non-finite value in report field {k}")
     return row
 
 
@@ -132,11 +128,16 @@ def metrics_document(result: ExperimentResult, exp: ExperimentConfig,
     }
 
 
+def _csv_text(cols, rows) -> str:
+    """A header line, then one line of comma-joined cells per row."""
+    return "".join(",".join(cells) + "\n" for cells in [cols, *rows])
+
+
 def epochs_csv_text(stages) -> str:
     cols = ["stage", "epoch", "phase", "lr", "test_acc"]
     for m in ("m1", "m2"):
         cols += [f"{m}_{f}" for f in EPOCH_FIELDS]
-    lines = [",".join(cols)]
+    rows = []
     for stage in stages:
         for row in stage["epochs"]:
             cells = [stage["stage"], str(row["epoch"]), row["phase"],
@@ -148,88 +149,74 @@ def epochs_csv_text(stages) -> str:
                 else:
                     cells += [stats["split_kind"] if f == "split_kind" else fmt_sig(stats[f])
                               for f in EPOCH_FIELDS]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            rows.append(cells)
+    return _csv_text(cols, rows)
 
 
 def prcurve_csv_text(rows) -> str:
     cols = ["tau", "baseline_precision", "baseline_recall", "baseline_x_size",
             "hct_precision", "hct_recall", "hct_x_size"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(fmt_sig(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+    return _csv_text(cols, ([fmt_sig(row[c]) for c in cols] for row in rows))
 
 
 def lemma_csv_text(rows) -> str:
     cols = ["zeta", "precision_cf", "recall_cf", "precision_mc", "recall_mc", "se_p", "se_r"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(fmt_sig(row.get(c)) for c in cols))
-    return "\n".join(lines) + "\n"
+    return _csv_text(cols, ([fmt_sig(row.get(c)) for c in cols] for row in rows))
 
 
-def write_json(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_bundle(outdir, doc, formats, written=None) -> ReportBundle:
-    """Write ``metrics.json`` and the plot CSVs that ``formats`` ask for, then
-    the manifest over them plus the ``written`` files already in ``outdir``;
-    every listed file must exist and be non-empty."""
-    files = dict(written or {})
+def write_files(outdir, texts) -> list:
+    """Create ``outdir`` and write each ``relative path -> text`` into it, line
+    terminators as rendered; the package's only file writer."""
+    os.makedirs(outdir, exist_ok=True)
+    paths = [os.path.join(outdir, rel) for rel in texts]
+    for path, text in zip(paths, texts.values()):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return paths
+
+
+def _write_bundle(outdir, doc, formats, files) -> ReportBundle:
+    """Add ``metrics.json`` and the CSVs that ``formats`` ask for to ``files``
+    (name -> (relative path, text)), render the manifest over them all, then
+    write them; an empty file stops the bundle before its first byte."""
     if "json" in formats:
-        write_json(doc, os.path.join(outdir, "metrics.json"))
-        files["metrics"] = "metrics.json"
+        files["metrics"] = ("metrics.json", json_text(doc))
     if "csv" in formats:
-        with open(os.path.join(outdir, "epochs.csv"), "w", encoding="utf-8") as fh:
-            fh.write(epochs_csv_text(doc["stages"]))
-        files["epochs"] = "epochs.csv"
+        files["epochs"] = ("epochs.csv", epochs_csv_text(doc["stages"]))
         if doc.get("prcurve"):
-            with open(os.path.join(outdir, "prcurve.csv"), "w", encoding="utf-8") as fh:
-                fh.write(prcurve_csv_text(doc["prcurve"]))
-            files["prcurve"] = "prcurve.csv"
-    manifest = {"files": files, "schema_version": doc.get("schema_version", SCHEMA_VERSION)}
-    manifest_path = os.path.join(outdir, "bundle.json")
-    write_json(manifest, manifest_path)
-    for name, rel in files.items():
-        path = os.path.join(outdir, rel)
-        if not os.path.exists(path) or os.path.getsize(path) == 0:
-            raise StateError(f"bundle file {name} ({rel}) missing or empty")
-    return ReportBundle(outdir=outdir, files=files, manifest_path=manifest_path)
+            files["prcurve"] = ("prcurve.csv", prcurve_csv_text(doc["prcurve"]))
+    for name, (rel, text) in files.items():
+        if not text:
+            raise StateError(f"bundle file {name} ({rel}) is empty")
+    listing = {name: rel for name, (rel, _) in files.items()}
+    manifest = {"files": listing, "schema_version": doc.get("schema_version", SCHEMA_VERSION)}
+    texts = {**dict(files.values()), "bundle.json": json_text(manifest)}
+    return ReportBundle(outdir=outdir, files=listing,
+                        manifest_path=write_files(outdir, texts)[-1])
 
 
 def emit_report(result: ExperimentResult, exp: ExperimentConfig, noise_info,
                 dataset_info, prcurve_rows=None) -> ReportBundle:
-    """Write the configured bundle and its manifest; every declared file must
-    exist and be non-empty."""
-    os.makedirs(exp.outdir, exist_ok=True)
+    """Render the configured bundle in full, then write it and its manifest."""
     doc = metrics_document(result, exp, noise_info, dataset_info, prcurve_rows)
     files = {}
     if exp.report.gmm_dump:
-        with open(os.path.join(exp.outdir, "gmm.jsonl"), "w", encoding="utf-8") as fh:
-            for stage in result.stages:
-                for row in stage.gmm_rows:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
-        files["gmm"] = "gmm.jsonl"
+        rows = (row for stage in result.stages for row in stage.gmm_rows)
+        files["gmm"] = ("gmm.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
     if exp.report.plan_digests:
-        with open(os.path.join(exp.outdir, "plans.csv"), "w", encoding="utf-8") as fh:
-            fh.write("stage,epoch,model,digest\n")
-            for stage in result.stages:
-                for row in stage.plan_rows:
-                    fh.write(f"{row['stage']},{row['epoch']},{row['model']},{row['digest']}\n")
-        files["plans"] = "plans.csv"
+        files["plans"] = ("plans.csv", "stage,epoch,model,digest\n" + "".join(
+            f"{row['stage']},{row['epoch']},{row['model']},{row['digest']}\n"
+            for stage in result.stages for row in stage.plan_rows))
     if exp.report.checkpoints:
         for net in result.final.nets:
-            name = f"{net.tag}.ckpt"
-            nn.save_checkpoint(net, os.path.join(exp.outdir, name))
-            files[net.tag] = name
+            files[net.tag] = (f"{net.tag}.ckpt", nn.checkpoint_text(net))
     return _write_bundle(exp.outdir, doc, exp.report.formats, files)
 
 
 def reemit_from_metrics(doc, outdir) -> ReportBundle:
     """Regenerate the CSV side of a bundle from an existing metrics document."""
-    os.makedirs(outdir, exist_ok=True)
-    return _write_bundle(outdir, doc, ("json", "csv"))
+    return _write_bundle(outdir, doc, ("json", "csv"), {})

@@ -96,6 +96,9 @@ class TrainConfig:
             raise ConfigError(f"lr_drop must be in (0, 1], got {self.lr_drop}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        for name in ("data_seed", "model1_seed", "model2_seed", "plan_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

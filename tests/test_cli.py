@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longremix import cli, config, report
+from longremix import cli, config, data, report
 from longremix.errors import ConfigError
 
 BASE_CONF = """
@@ -283,6 +283,15 @@ class TestNoiseCommand:
         lines = (tmp_path / "dataset.csv").read_text().strip().splitlines()
         assert len(lines) == 101
 
+    def test_dataset_csv_bytes_are_the_rendered_text(self, tmp_path):
+        assert cli.main(["noise", "--kind", "symmetric", "--eta", "0.3", "--n", "40",
+                         "--classes", "4", "--out", str(tmp_path)]) == 0
+        ds = data.make_synthetic_dataset("blobs", 40, 4, 0.15, seed=1)
+        noisy = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.3, seed=0))
+        written = (tmp_path / "dataset.csv").read_bytes()
+        assert written == data.dataset_csv_text(noisy).encode("utf-8")
+        assert written.count(b"\r\n") == 41
+
     def test_asymmetric_limit_exit_2(self, tmp_path):
         assert cli.main(["noise", "--kind", "asymmetric", "--eta", "0.6",
                          "--mapping", "0:1", "--out", str(tmp_path)]) == 2
@@ -432,6 +441,10 @@ VALUE_CASES = [
      "non-finite outputs of model2 at the start of longmix train epoch 2"),
     ("full-longremix", "train.lr = 10", 3,
      "non-finite parameters in model1 after stage2-guided train epoch 1"),
+    ("baseline", "train.data_seed = -4", 2, "data_seed must be >= 0, got -4"),
+    ("baseline", "noise.seed = -1", 2, "noise.seed must be >= 0, got -1"),
+    ("baseline", "noise.mapping = 0:1", 2,
+     "a class mapping needs asymmetric noise, got kind 'symmetric'"),
 ]
 
 
@@ -456,8 +469,9 @@ BAD_METRICS = {"text-lr.json": _metrics_doc("x"), "list-lr.json": _metrics_doc([
                "no-stages.json": {}}
 LEMMA = ["lemma", "--pcc", "0.8", "--pnn", "0.7", "--pc", "0.5"]
 
-# (case, arguments, start of the stderr line after "config error: ") for the
-# commands other than train; {tmp} is the test's directory
+# (case, arguments, start of the stderr line after "config error: ") for bad
+# flags and inputs other than config values; {tmp} is the test's directory,
+# which holds the BAD_METRICS files and an empty config
 COMMAND_CASES = [
     ("lemma-zetas-not-int", LEMMA + ["--zetas", "1,a"], "--zetas: expected an integer, got 'a'"),
     ("lemma-negative-trials", LEMMA + ["--trials", "-1"], "--trials must be >= 0, got -1"),
@@ -472,6 +486,16 @@ COMMAND_CASES = [
      "metrics file {tmp}/list-lr.json has a missing or non-numeric field: float() argument"),
     ("report-missing-field", ["report", "--metrics", "{tmp}/no-stages.json"],
      "metrics file {tmp}/no-stages.json has a missing or non-numeric field: 'stages'"),
+    ("lemma-negative-seed", LEMMA + ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("noise-negative-seed", ["noise", "--kind", "symmetric", "--eta", "0.2", "--seed", "-3"],
+     "--seed must be >= 0, got -3"),
+    ("noise-negative-data-seed", ["noise", "--kind", "none", "--data-seed", "-3"],
+     "--data-seed must be >= 0, got -3"),
+    ("train-negative-seed", ["train", "--config", "{tmp}/empty.conf", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    ("noise-mapping-repeats-class",
+     ["noise", "--kind", "asymmetric", "--eta", "0.2", "--mapping", "0:1,0:2"],
+     "--mapping: class 0 is mapped twice"),
 ]
 
 
@@ -479,11 +503,13 @@ COMMAND_CASES = [
 def test_command_contract(tmp_path, capsys, case, args, message):
     for name, doc in BAD_METRICS.items():
         (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "empty.conf").write_text("")
     args = [a.format(tmp=tmp_path) for a in args]
     assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: " + message.format(tmp=tmp_path))
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_config_example_builds():

@@ -98,7 +98,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         ds = data.make_synthetic_dataset("blobs", n=30, classes=3, spread=0.2, seed=1)
         p = tmp_path / "out.csv"
-        data.save_csv_dataset(ds, p)
+        p.write_text(data.dataset_csv_text(ds), newline="")
         back = data.load_csv_dataset(p)
         np.testing.assert_allclose(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)

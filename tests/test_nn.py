@@ -193,7 +193,7 @@ class TestCheckpoint:
         net = random_net(rng)
         net.tag = "model2"
         path = tmp_path / "net.ckpt"
-        nn.save_checkpoint(net, path)
+        path.write_text(nn.checkpoint_text(net))
         back = nn.load_checkpoint(path)
         assert back.tag == "model2"
         assert back.layer_sizes == net.layer_sizes
@@ -252,7 +252,7 @@ class TestParameterBuffer:
 
     def test_checkpoint_restores_params(self, tmp_path, rng):
         net = random_net(rng, max_hidden=3)
-        nn.save_checkpoint(net, tmp_path / "net.ckpt")
+        (tmp_path / "net.ckpt").write_text(nn.checkpoint_text(net))
         assert nn.load_checkpoint(tmp_path / "net.ckpt").params.tobytes() == net.params.tobytes()
 
     def test_nan_in_last_bias_is_caught(self):
