@@ -119,7 +119,11 @@ def load_csv_dataset(path, class_names=None) -> NoisyDataset:
     in which case an unknown token is a parse error. Parse failures name the
     file and the offending 1-based file row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -7,8 +7,11 @@ differences in the test suite. Two instances of :class:`Network` (tagged
 
 Each net's parameters are one contiguous float64 vector ``params``
 (``w0, b0, w1, b1, ...``); ``weights[k]`` and ``biases[k]`` are views into
-it. Gradients and the momentum buffer share that layout, so an SGD step
-and a finiteness check are whole-vector operations.
+it. Each net also owns its gradient buffer ``grads``, with views
+``d_weights[k]`` and ``d_biases[k]``: :func:`backward` overwrites and
+returns it, so its gradients are valid until the next ``backward`` on that
+net. Gradients and the momentum buffer share the parameter layout, so an
+SGD step and a finiteness check are whole-vector operations.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ class Network:
         self.params = np.concatenate(
             [np.ravel(a) for pair in zip(weights, biases) for a in pair]).astype(float, copy=False)
         self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
+        self.grads = np.zeros_like(self.params)
+        self.d_weights, self.d_biases = _layer_views(self.grads, self.layer_sizes)
         self.tag = tag
 
     @property
@@ -71,15 +76,6 @@ class Network:
 
     def copy(self) -> "Network":
         return Network(self.weights, self.biases, self.tag)
-
-
-class Gradients:
-    """Zeroed gradients of ``net``'s parameters: ``flat`` is laid out like
-    ``net.params``, ``d_weights[k]``/``d_biases[k]`` are views into it."""
-
-    def __init__(self, net: Network):
-        self.flat = np.zeros_like(net.params)
-        self.d_weights, self.d_biases = _layer_views(self.flat, net.layer_sizes)
 
 
 @dataclass(frozen=True)
@@ -95,6 +91,7 @@ class TotalLoss:
 @dataclass
 class OptimizerState:
     velocity: np.ndarray  # laid out like Network.params
+    work: np.ndarray      # sgd_step's work vector, same layout
     lr: float
     momentum: float
     weight_decay: float
@@ -201,94 +198,88 @@ def batch_loss(net: Network, batch, loss) -> float:
 
 
 def _softmax_vjp(p, g):
-    # d(loss)/dz given d(loss)/dp, for z the softmax input
-    return p * (g - (g * p).sum(axis=1, keepdims=True))
+    # d(loss)/dz given d(loss)/dp, for z the softmax input; overwrites g
+    g -= (g * p).sum(axis=1, keepdims=True)
+    g *= p
+    return g
 
 
-def _backprop(net: Network, acts, dz) -> Gradients:
-    grads = Gradients(net)
-    g = dz
+def _backprop(net: Network, acts, dz) -> np.ndarray:
+    g = dz  # every gradient element is written below
     for k in reversed(range(len(net.weights))):
-        np.matmul(acts[k].T, g, out=grads.d_weights[k])
-        g.sum(axis=0, out=grads.d_biases[k])
+        np.matmul(acts[k].T, g, out=net.d_weights[k])
+        g.sum(axis=0, out=net.d_biases[k])
         if k > 0:
             g = g @ net.weights[k].T
             g *= acts[k] > 0  # a ReLU output is positive exactly where its input is
-    return grads
+    return net.grads
 
 
-def backward(net: Network, batch, loss) -> Gradients:
-    """Gradients of the mean batch loss for every parameter."""
+def backward(net: Network, batch, loss) -> np.ndarray:
+    """Gradients of the mean batch loss for every parameter from 2-D float
+    features and targets, in ``net.grads``: the net's own buffer, returned
+    and valid until the next ``backward`` on that net."""
     if isinstance(loss, TotalLoss):
         return _backward_total(net, batch, loss)
     feats, targets = batch
-    feats = np.atleast_2d(np.asarray(feats, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    n = feats.shape[0]
     acts = _forward_cached(net, feats)
     p = acts[-1]
     if loss == "cross_entropy":
-        ysum = targets.sum(axis=1, keepdims=True)
-        dz = (p * ysum - targets) / n
+        dz = p  # in place: _backprop reads no class probabilities
+        dz *= targets.sum(axis=1, keepdims=True)
+        dz -= targets
+        dz /= len(feats)
     elif loss == "squared_error":
-        dz = _softmax_vjp(p, 2.0 * (p - targets) / n)
+        dz = _softmax_vjp(p, 2.0 * (p - targets) / len(feats))
     else:
         raise ValueError(f"unknown loss spec: {loss!r}")
     return _backprop(net, acts, dz)
 
 
-def _backward_total(net: Network, batch, loss: TotalLoss) -> Gradients:
+def _backward_total(net: Network, batch, loss: TotalLoss) -> np.ndarray:
     (xf, xt), (uf, ut) = batch
-    xf = np.atleast_2d(np.asarray(xf, dtype=float))
-    xt = np.atleast_2d(np.asarray(xt, dtype=float))
-    n_x = xf.shape[0]
-    n_u = len(uf)
+    n_x, n_u = len(xf), len(uf)
     if n_x == 0:
         raise ValueError("composite loss needs a non-empty labelled batch")
-    if n_u:
-        uf = np.atleast_2d(np.asarray(uf, dtype=float))
-        ut = np.atleast_2d(np.asarray(ut, dtype=float))
-        feats = np.vstack([xf, uf])
-    else:
-        feats = xf
-    acts = _forward_cached(net, feats)
+    acts = _forward_cached(net, np.vstack([xf, uf]) if n_u else xf)
     p = acts[-1]
-    px, pu = p[:n_x], p[n_x:]
 
-    # labelled: mean cross-entropy, direct output-layer form
-    ysum = xt.sum(axis=1, keepdims=True)
-    dz = np.empty_like(p)
-    dz[:n_x] = (px * ysum - xt) / n_x
-
-    # unlabelled: weighted mean squared error through the softmax jacobian
+    # dL/dp: weighted mean squared error on the unlabelled rows ...
     g = np.zeros_like(p)
     if n_u:
-        g[n_x:] = (2.0 * loss.lambda_u / n_u) * (pu - ut)
-        dz[n_x:] = 0.0
+        gu = np.subtract(p[n_x:], ut, out=g[n_x:])
+        gu *= 2.0 * loss.lambda_u / n_u
 
-    # KL(uniform || mean prediction): same dL/dp row for every sample
+    # ... plus KL(uniform || mean prediction), the same row for every sample
     if loss.lambda_reg != 0.0:
-        n_tot = p.shape[0]
-        c = p.shape[1]
         m = p.mean(axis=0)
-        g_reg = np.where(m > LOG_EPS, -loss.lambda_reg / (c * n_tot * np.maximum(m, LOG_EPS)), 0.0)
-        g += g_reg
+        g += np.where(m > LOG_EPS, -loss.lambda_reg / (
+            p.shape[1] * p.shape[0] * np.maximum(m, LOG_EPS)), 0.0)
+    g = _softmax_vjp(p, g)
 
-    dz += _softmax_vjp(p, g)
+    # dz, in place: mean cross-entropy in direct output-layer form on the
+    # labelled rows, zero on the unlabelled ones, plus the softmax term
+    dz, dz_x = p, p[:n_x]
+    dz_x *= xt.sum(axis=1, keepdims=True)
+    dz_x -= xt
+    dz_x /= n_x
+    dz[n_x:] = 0.0
+    dz += g
     return _backprop(net, acts, dz)
 
 
 def init_optimizer(net: Network, lr, momentum=0.8, weight_decay=0.0) -> OptimizerState:
-    return OptimizerState(velocity=np.zeros_like(net.params),
+    return OptimizerState(velocity=np.zeros_like(net.params), work=np.empty_like(net.params),
                           lr=lr, momentum=momentum, weight_decay=weight_decay)
 
 
-def sgd_step(net: Network, grads: Gradients, state: OptimizerState) -> Network:
+def sgd_step(net: Network, grads: np.ndarray, state: OptimizerState) -> Network:
     """Momentum SGD with decoupled-from-schedule lr; updates ``net`` in place."""
-    g = grads.flat + state.weight_decay * net.params
+    step = np.multiply(net.params, state.weight_decay, out=state.work)
+    step += grads  # grads + weight_decay * params
     state.velocity *= state.momentum
-    state.velocity += g
-    net.params -= state.lr * state.velocity
+    state.velocity += step
+    net.params -= np.multiply(state.velocity, state.lr, out=step)
     return net
 
 

@@ -200,14 +200,13 @@ def _require_finite(net, stage_tag, phase, epoch):
 def _supervised_pass(net, opt, ds: NoisyDataset, cfg: TrainConfig, m, stage_no, pass_no):
     """Cross-entropy pass of model ``m`` over all observed labels, shuffled by
     the model's seed and the stage-wide pass number (warmup epochs first,
-    then selection epochs)."""
-    targets = one_hot(ds.labels, ds.num_classes)
+    then selection epochs); each batch is a row slice of one gather per pass."""
     rng = derive_rng((cfg.model1_seed, cfg.model2_seed)[m], WARMUP_SHUFFLE, stage_no, pass_no)
     order = rng.permutation(ds.n)
+    feats, targets = ds.features[order], one_hot(ds.labels[order], ds.num_classes)
     for start in range(0, ds.n, cfg.batch_size):
-        sel = order[start:start + cfg.batch_size]
-        grads = nn.backward(net, (ds.features[sel], targets[sel]), "cross_entropy")
-        nn.sgd_step(net, grads, opt)
+        batch = (feats[start:start + cfg.batch_size], targets[start:start + cfg.batch_size])
+        nn.sgd_step(net, nn.backward(net, batch, "cross_entropy"), opt)
 
 
 def warmup(net1, net2, ds: NoisyDataset, epochs, cfg: TrainConfig, stage_no,
@@ -248,8 +247,7 @@ def _train_on_split(net, opt, split, guessed, ds, cfg, stage_no, epoch, model_no
         stop = start + cfg.batch_size
         batch = ((xb.features[start:stop], xb.targets[start:stop]),
                  (ub.features[start:stop], ub.targets[start:stop]))
-        grads = nn.backward(net, batch, spec)
-        nn.sgd_step(net, grads, opt)
+        nn.sgd_step(net, nn.backward(net, batch, spec), opt)
     return plan.x_ops, plan.u_ops, plan_digest(plan)
 
 

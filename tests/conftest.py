@@ -22,7 +22,7 @@ def set_params(net, theta):
 
 
 def flatten_grads(grads):
-    return grads.flat.copy()
+    return grads.copy()
 
 
 def fd_gradient(net, batch, loss, h=1e-5):

@@ -372,7 +372,8 @@ def _write_csv(path, rows, width=1):
         ",".join(["" if x is None else repr(x)] * width) + f",{label}\n" for x, label in rows))
 
 
-# (case, training rows, test rows, test width, mode, exit code, stderr substring)
+# (case, training rows, test rows, test width, mode, exit code, stderr substring);
+# rows of None leave that file unwritten
 ROWS = _separable_rows()
 CSV_CASES = [
     ("dog-first-test-file", ROWS, sorted(ROWS, key=lambda r: r[1] != "dog"), 1,
@@ -386,6 +387,10 @@ CSV_CASES = [
     ("single-class-test-file", ROWS, [r for r in ROWS if r[1] == "dog"], 1, "baseline", 0, None),
     ("test-width-differs", ROWS, ROWS, 2, "baseline", 2, "test.csv has 2 feature columns"),
     ("three-training-rows", ROWS[:3], ROWS, 1, "baseline", 2, "train.csv: 3 training rows"),
+    ("training-file-missing", None, ROWS, 1, "baseline", 2,
+     "cannot read dataset train.csv: [Errno 2] No such file or directory: 'train.csv'"),
+    ("test-file-missing", ROWS, None, 1, "baseline", 2,
+     "cannot read dataset test.csv: [Errno 2] No such file or directory: 'test.csv'"),
 ]
 
 
@@ -394,8 +399,10 @@ CSV_CASES = [
 def test_csv_contract(tmp_path, capsys, monkeypatch, case, train_rows, test_rows, width,
                       mode, code, message):
     monkeypatch.chdir(tmp_path)
-    _write_csv(tmp_path / "train.csv", train_rows)
-    _write_csv(tmp_path / "test.csv", test_rows, width)
+    if train_rows is not None:
+        _write_csv(tmp_path / "train.csv", train_rows)
+    if test_rows is not None:
+        _write_csv(tmp_path / "test.csv", test_rows, width)
     conf = tmp_path / "exp.conf"
     conf.write_text("dataset.kind = csv\ndataset.path = train.csv\ndataset.test_path = test.csv\n"
                     f"train.mode = {mode}\ntrain.epochs = 4\ntrain.warmup = 2\n"
@@ -496,6 +503,8 @@ COMMAND_CASES = [
     ("noise-mapping-repeats-class",
      ["noise", "--kind", "asymmetric", "--eta", "0.2", "--mapping", "0:1,0:2"],
      "--mapping: class 0 is mapped twice"),
+    ("noise-csv-missing", ["noise", "--kind", "none", "--csv", "{tmp}/missing.csv"],
+     "cannot read dataset {tmp}/missing.csv: [Errno 2] No such file or directory"),
 ]
 
 

@@ -94,8 +94,7 @@ class TestBackward:
         x = np.array([[0.5, -0.5], [1.0, 2.0]])
         y = np.full((2, 3), 1.0 / 3.0)
         grads = nn.backward(net, (x, y), "squared_error")
-        for g in grads.d_weights + grads.d_biases:
-            np.testing.assert_allclose(g, 0.0, atol=1e-15)
+        np.testing.assert_allclose(grads, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("loss", ["cross_entropy", "squared_error"])
     def test_matches_finite_differences(self, loss, rng):
@@ -150,8 +149,8 @@ class TestSgdStep:
         return nn.Network([np.array([[w0]])], [np.zeros(1)])
 
     def _grad(self, net, g):
-        grads = nn.Gradients(net)
-        grads.d_weights[0][0, 0] = g
+        grads = np.zeros_like(net.params)
+        grads[0] = g  # weights[0][0, 0]
         return grads
 
     def test_zero_gradient_no_change(self):
@@ -255,6 +254,36 @@ class TestParameterBuffer:
         (tmp_path / "net.ckpt").write_text(nn.checkpoint_text(net))
         assert nn.load_checkpoint(tmp_path / "net.ckpt").params.tobytes() == net.params.tobytes()
 
+    def test_backward_writes_the_nets_own_buffer(self, rng):
+        net = random_net(rng)
+        twin = net.copy()
+        other = random_net(rng, n_in=net.input_dim, n_out=net.output_dim)
+        x = rng.normal(size=(6, net.input_dim))
+        y = random_soft_labels(rng, 6, net.output_dim)
+        spec = nn.TotalLoss(lambda_u=10.0, lambda_reg=1.0)
+        assert nn.backward(net, ((x, y), (x[:2], y[:2])), spec) is net.grads
+        grads = nn.backward(net, (x, y), "cross_entropy")
+        assert grads is net.grads
+        assert all(np.shares_memory(g, grads) for g in net.d_weights + net.d_biases)
+        assert not np.shares_memory(grads, net.params)
+        kept = grads.tobytes()
+        nn.sgd_step(net, grads, nn.init_optimizer(net, lr=0.1, momentum=0.8, weight_decay=5e-4))
+        assert grads.tobytes() == kept
+        for peer in (twin, other):
+            peer_grads = nn.backward(peer, (x[1:], y[1:]), "cross_entropy")
+            assert peer_grads is peer.grads and peer_grads.tobytes() != kept
+            assert not np.shares_memory(peer_grads, grads)
+        assert grads.tobytes() == kept
+
+    def test_backward_overwrites_every_gradient(self, rng):
+        net = random_net(rng)
+        twin = net.copy()
+        x = rng.normal(size=(5, net.input_dim))
+        y = random_soft_labels(rng, 5, net.output_dim)
+        net.grads[:] = np.nan
+        got = nn.backward(net, (x, y), "cross_entropy")
+        assert got.tobytes() == nn.backward(twin, (x, y), "cross_entropy").tobytes()
+
     def test_nan_in_last_bias_is_caught(self):
         net = nn.init_network([3, 5, 2], seed=1)
         trainer._require_finite(net, "baseline", "train", 1)
@@ -327,6 +356,15 @@ def reference_step(weights, biases, velocity, batch, loss, lr, momentum, weight_
     return [a for pair in zip(d_w, d_b) for a in pair]
 
 
+def row_slice(rng, a):
+    """``a`` copied into the middle of a larger C-contiguous array and
+    returned as a row slice of it, the layout of the trainer's batches."""
+    before, after = int(rng.integers(0, 65)), int(rng.integers(0, 65))
+    big = rng.normal(size=(before + len(a) + after, a.shape[1]))
+    big[before:before + len(a)] = a
+    return big[before:before + len(a)]
+
+
 def flat_bytes(arrays):
     return np.concatenate([a.ravel() for a in arrays]).tobytes()
 
@@ -343,11 +381,21 @@ LOSS_CASES = {
 class TestTrainingStepMatchesReference:
     """50 consecutive backward + sgd_step calls on the parameter buffer must
     reproduce the per-layer reference bit for bit: parameters, gradients and
-    momentum buffer."""
+    momentum buffer. The trainer hands ``backward`` row slices of larger
+    arrays, so every case also runs on such slices, the reference on fresh
+    arrays."""
 
     @pytest.mark.parametrize("case", list(LOSS_CASES))
     @pytest.mark.parametrize("seed", range(3))
     def test_fifty_steps(self, case, seed):
+        self._fifty_steps(case, seed, sliced=False)
+
+    @pytest.mark.parametrize("case", list(LOSS_CASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fifty_steps_on_row_slices(self, case, seed):
+        self._fifty_steps(case, seed, sliced=True)
+
+    def _fifty_steps(self, case, seed, sliced):
         loss = LOSS_CASES[case]
         rng = np.random.default_rng([seed, len(case)])
         n_hidden = seed + 1
@@ -373,9 +421,13 @@ class TestTrainingStepMatchesReference:
             else:
                 batch = (x, y)
             want = reference_step(ref_w, ref_b, ref_v, batch, loss, lr, momentum, wd)
+            if sliced:
+                batch = (tuple(tuple(row_slice(rng, a) for a in pair) for pair in batch)
+                         if isinstance(loss, nn.TotalLoss)
+                         else tuple(row_slice(rng, a) for a in batch))
             grads = nn.backward(net, batch, loss)
             nn.sgd_step(net, grads, state)
-            assert grads.flat.tobytes() == flat_bytes(want)
+            assert grads.tobytes() == flat_bytes(want)
             assert state.velocity.tobytes() == flat_bytes(ref_v)
             assert net.params.tobytes() == flat_bytes(
                 [a for pair in zip(ref_w, ref_b) for a in pair])

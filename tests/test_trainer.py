@@ -3,6 +3,7 @@ import pytest
 
 from longremix import data, nn, trainer
 from longremix.errors import ConfigError, StateError
+from longremix.seeding import WARMUP_SHUFFLE, derive_rng
 from longremix.trainer import TrainConfig, evaluate, run_training, warmup
 
 
@@ -102,6 +103,40 @@ class TestEvaluate:
             assert not np.isfinite(nn.forward(nets[huge], test.features)).all()
             with pytest.raises(StateError, match=f"^non-finite test outputs of {huge}$"):
                 evaluate(nets["model1"], nets["model2"], test)
+
+
+def reference_supervised_pass(net, opt, ds, cfg, m, stage_no, pass_no):
+    """The supervised pass with a fancy-index gather of each batch's
+    features and targets."""
+    targets = trainer.one_hot(ds.labels, ds.num_classes)
+    rng = derive_rng((cfg.model1_seed, cfg.model2_seed)[m], WARMUP_SHUFFLE, stage_no, pass_no)
+    order = rng.permutation(ds.n)
+    for start in range(0, ds.n, cfg.batch_size):
+        sel = order[start:start + cfg.batch_size]
+        grads = nn.backward(net, (ds.features[sel], targets[sel]), "cross_entropy")
+        nn.sgd_step(net, grads, opt)
+
+
+class TestSupervisedPassMatchesReference:
+    """Batches sliced from one shuffled gather per pass must train both nets
+    to the same bytes as batches gathered one at a time."""
+
+    @pytest.mark.parametrize("n,batch_size", [(150, 64), (150, 1), (130, 7), (128, 64)])
+    def test_passes_byte_identical(self, n, batch_size):
+        ds, _ = blob_pair(n=n, classes=3, noise=0.3)
+        cfg = small_cfg(batch_size=batch_size)
+        sizes = (ds.dim, *cfg.hidden, ds.num_classes)
+        for m, seed in enumerate((cfg.model1_seed, cfg.model2_seed)):
+            net = nn.init_network(sizes, seed=(seed, 1))
+            ref = net.copy()
+            opt, ref_opt = (nn.init_optimizer(x, cfg.lr, cfg.momentum, cfg.weight_decay)
+                            for x in (net, ref))
+            for pass_no in range(1, 4):
+                trainer._supervised_pass(net, opt, ds, cfg, m, 1, pass_no)
+                reference_supervised_pass(ref, ref_opt, ds, cfg, m, 1, pass_no)
+                assert net.params.tobytes() == ref.params.tobytes()
+                assert opt.velocity.tobytes() == ref_opt.velocity.tobytes()
+            assert net.params.tobytes() != nn.init_network(sizes, seed=(seed, 1)).params.tobytes()
 
 
 class TestCotrainPlumbing:
