@@ -193,6 +193,8 @@ def build_experiment(mapping, outdir_override=None) -> ExperimentConfig:
         given[section][name] = parse(key, raw)
     configured_outdir = given.pop("outdir").get(None, DEFAULT_OUTDIR)
     parts = {"outdir": outdir_override or os.environ.get(OUTDIR_ENV) or configured_outdir}
+    if not parts["outdir"]:
+        raise ConfigError("output.dir must not be empty")
     for section in given:
         if section == "train" and parts["noise"].kind == "asymmetric":
             given[section] = {"lambda_u": 0.0, "lambda_reg": 0.0, **given[section]}

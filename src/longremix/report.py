@@ -8,9 +8,9 @@ so a rerun of the same config produces byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -18,12 +18,14 @@ from . import nn
 from .config import ExperimentConfig, effective_config
 from .errors import StateError
 from .selector import baseline_split, clean_set_metrics, hct_split
-from .trainer import ExperimentResult
+from .trainer import ExperimentResult, ModelEpochStats
 
 SCHEMA_VERSION = 1
 
-EPOCH_FIELDS = ("split_kind", "x_size", "u_size", "precision", "recall",
-                "x_ops", "u_ops", "fallback")
+# the per-model columns of epochs.csv, in ModelEpochStats's field order; the
+# str-typed ones are written as they are, the others through fmt_sig
+EPOCH_FIELDS = tuple(f.name for f in fields(ModelEpochStats))
+_TEXT_FIELDS = {name for name, kind in get_type_hints(ModelEpochStats).items() if kind is str}
 
 
 @dataclass
@@ -47,40 +49,18 @@ def fmt_sig(value) -> str:
     return format(float(value), ".6g")
 
 
-def _model_stats_dict(stats):
-    if stats is None:
-        return None
-    row = {f: getattr(stats, f) for f in EPOCH_FIELDS}
-    for k, v in row.items():
-        if isinstance(v, float) and not math.isfinite(v):
-            raise StateError(f"non-finite value in report field {k}")
-    return row
-
-
 def _epoch_dict(row):
-    return {
-        "epoch": row.epoch,
-        "phase": row.phase,
-        "lr": row.lr,
-        "test_acc": row.test_acc,
-        "model1": _model_stats_dict(row.model1),
-        "model2": _model_stats_dict(row.model2),
-    }
+    return {**vars(row),
+            "model1": None if row.model1 is None else dict(vars(row.model1)),
+            "model2": None if row.model2 is None else dict(vars(row.model2))}
 
 
 def _stage_dict(outcome):
-    rec = outcome.record
     core = None
     if outcome.core_set is not None:
         core = {"size": outcome.core_set.size, "epoch": outcome.core_set.epoch}
-    return {
-        "stage": rec.stage,
-        "best_acc": rec.best_acc,
-        "best_epoch": rec.best_epoch,
-        "last10_acc": rec.last10_acc,
-        "core_set": core,
-        "epochs": [_epoch_dict(r) for r in rec.epochs],
-    }
+    return {**vars(outcome.record), "core_set": core,
+            "epochs": [_epoch_dict(r) for r in outcome.record.epochs]}
 
 
 def pr_curve(history, mask, taus, labels):
@@ -147,7 +127,7 @@ def epochs_csv_text(stages) -> str:
                 if stats is None:
                     cells += [""] * len(EPOCH_FIELDS)
                 else:
-                    cells += [stats["split_kind"] if f == "split_kind" else fmt_sig(stats[f])
+                    cells += [stats[f] if f in _TEXT_FIELDS else fmt_sig(stats[f])
                               for f in EPOCH_FIELDS]
             rows.append(cells)
     return _csv_text(cols, rows)

@@ -115,7 +115,6 @@ class ModelEpochStats:
 
 @dataclass(frozen=True)
 class EpochMetrics:
-    stage: str
     epoch: int
     phase: str          # "warmup" | "train"
     lr: float
@@ -148,10 +147,6 @@ class ExperimentResult:
     config: TrainConfig
     stages: list              # StageOutcome per stage, in run order
     core_set: CoreSet | None
-
-    @property
-    def records(self):
-        return [s.record for s in self.stages]
 
     @property
     def final(self) -> StageOutcome:
@@ -209,20 +204,19 @@ def _supervised_pass(net, opt, ds: NoisyDataset, cfg: TrainConfig, m, stage_no, 
         nn.sgd_step(net, nn.backward(net, batch, "cross_entropy"), opt)
 
 
-def warmup(net1, net2, ds: NoisyDataset, epochs, cfg: TrainConfig, stage_no,
-           test=None, stage_tag="warmup", rows=None):
-    """Independent cross-entropy training of both nets on all observed labels."""
-    if epochs < 1:
-        raise ConfigError("warmup needs at least one epoch")
+def warmup(net1, net2, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig, stage_no,
+           stage_tag) -> list:
+    """``cfg.warmup_epochs`` epochs of independent cross-entropy training of
+    both nets on all observed labels; returns one metrics row per epoch."""
     opts = [nn.init_optimizer(n, cfg.lr, cfg.momentum, cfg.weight_decay) for n in (net1, net2)]
-    for e in range(1, epochs + 1):
+    rows = []
+    for e in range(1, cfg.warmup_epochs + 1):
         for m, (net, opt) in enumerate(zip((net1, net2), opts)):
             _supervised_pass(net, opt, ds, cfg, m, stage_no, e)
             _require_finite(net, stage_tag, "warmup", e)
-        if rows is not None and test is not None:
-            rows.append(EpochMetrics(stage=stage_tag, epoch=e, phase="warmup",
-                                     lr=cfg.lr, test_acc=evaluate(net1, net2, test)))
-    return net1, net2
+        rows.append(EpochMetrics(epoch=e, phase="warmup", lr=cfg.lr,
+                                 test_acc=evaluate(net1, net2, test)))
+    return rows
 
 
 def _epoch_posteriors(net, ds, cfg, probs):
@@ -315,7 +309,7 @@ def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
     # the training-set check runs before the test set is scored, so an
     # overflow is reported by the epoch it breaks
     next_probs = _train_outputs(nets, ds, stage_tag, epoch + 1) if epoch < cfg.epochs else None
-    return EpochMetrics(stage=stage_tag, epoch=epoch, phase="train", lr=lr,
+    return EpochMetrics(epoch=epoch, phase="train", lr=lr,
                         test_acc=evaluate(net1, net2, test),
                         model1=stats[0], model2=stats[1]), next_probs
 
@@ -336,8 +330,7 @@ def _start_stage(cfg: TrainConfig, ds: NoisyDataset, test, stage_no, stage_tag):
     sizes = (ds.dim, *cfg.hidden, ds.num_classes)
     nets = (nn.init_network(sizes, seed=(cfg.model1_seed, stage_no), tag="model1"),
             nn.init_network(sizes, seed=(cfg.model2_seed, stage_no), tag="model2"))
-    rows: list = []
-    warmup(*nets, ds, cfg.warmup_epochs, cfg, stage_no, test, stage_tag, rows)
+    rows = warmup(*nets, ds, test, cfg, stage_no, stage_tag)
     opts = [nn.init_optimizer(n, cfg.lr, cfg.momentum, cfg.weight_decay) for n in nets]
     return nets, opts, rows
 
@@ -383,7 +376,7 @@ def _run_ce(cfg: TrainConfig, ds, test) -> StageOutcome:
         for m, (net, opt) in enumerate(zip(nets, opts)):
             _supervised_pass(net, opt, ds, cfg, m, 1, cfg.warmup_epochs + epoch)
             _require_finite(net, "ce", "train", epoch)
-        rows.append(EpochMetrics(stage="ce", epoch=epoch, phase="train", lr=lr,
+        rows.append(EpochMetrics(epoch=epoch, phase="train", lr=lr,
                                  test_acc=evaluate(*nets, test)))
     return StageOutcome(record=_finalize_record("ce", rows), nets=nets)
 

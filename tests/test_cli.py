@@ -149,6 +149,30 @@ class TestTrainCommand:
             f = tmp_path / "out" / rel
             assert f.exists() and f.stat().st_size > 0
 
+    def test_golden_bundle_layout(self, tmp_path):
+        path, out = write_conf(tmp_path, mode="full-longremix")
+        assert cli.main(["train", "--config", str(path)]) == 0
+        header = (tmp_path / "out" / "epochs.csv").read_text().splitlines()[0]
+        assert header == (
+            "stage,epoch,phase,lr,test_acc,"
+            "m1_split_kind,m1_x_size,m1_u_size,m1_precision,m1_recall,m1_x_ops,m1_u_ops,m1_fallback,"
+            "m2_split_kind,m2_x_size,m2_u_size,m2_precision,m2_recall,m2_x_ops,m2_u_ops,m2_fallback")
+        assert len(header.split(",")) == 21
+        doc = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert set(doc["summary"]) == {"best_acc", "best_epoch", "core_set_epoch",
+                                       "core_set_size", "final_stage", "last10_acc", "mode"}
+        for stage in doc["stages"]:
+            assert set(stage) == {"best_acc", "best_epoch", "core_set", "epochs",
+                                  "last10_acc", "stage"}
+            for row in stage["epochs"]:
+                assert set(row) == {"epoch", "lr", "model1", "model2", "phase", "test_acc"}
+                for key in ("model1", "model2"):
+                    if row["phase"] == "warmup":
+                        assert row[key] is None
+                    else:
+                        assert set(row[key]) == {"split_kind", "x_size", "u_size", "precision",
+                                                 "recall", "x_ops", "u_ops", "fallback"}
+
     def test_clean_data_reaches_sanity_floor(self, tmp_path):
         path = tmp_path / "clean.conf"
         path.write_text(
@@ -452,6 +476,7 @@ VALUE_CASES = [
     ("baseline", "noise.seed = -1", 2, "noise.seed must be >= 0, got -1"),
     ("baseline", "noise.mapping = 0:1", 2,
      "a class mapping needs asymmetric noise, got kind 'symmetric'"),
+    ("baseline", "output.dir =", 2, "output.dir must not be empty"),
 ]
 
 

@@ -40,30 +40,34 @@ class TestConfigValidation:
 class TestWarmup:
     def test_clean_blobs_reach_high_train_accuracy(self):
         ds, test = blob_pair(n=300, classes=2, spread=0.1)
-        cfg = small_cfg()
+        cfg = small_cfg(warmup_epochs=20)
         net1 = nn.init_network((2, 64, 64, 2), seed=(11, 1), tag="model1")
         net2 = nn.init_network((2, 64, 64, 2), seed=(22, 1), tag="model2")
-        warmup(net1, net2, ds, 20, cfg, stage_no=1)
+        rows = warmup(net1, net2, ds, test, cfg, 1, "warmup")
         assert evaluate(net1, net2, ds) >= 0.99
+        assert [r.epoch for r in rows] == list(range(1, 21))
+        assert all(r.phase == "warmup" and r.lr == cfg.lr and r.model1 is None for r in rows)
+        assert rows[-1].test_acc == evaluate(net1, net2, test)
 
     def test_different_seeds_different_parameters(self):
-        ds, _ = blob_pair(n=100, classes=2)
-        cfg = small_cfg()
+        ds, test = blob_pair(n=100, classes=2)
+        cfg = small_cfg(warmup_epochs=2)
         a = nn.init_network((2, 8, 2), seed=(11, 1))
         b = nn.init_network((2, 8, 2), seed=(22, 1))
-        warmup(a, b, ds, 2, cfg, stage_no=1)
+        warmup(a, b, ds, test, cfg, 1, "warmup")
         assert any((wa != wb).any() for wa, wb in zip(a.weights, b.weights))
 
     def test_deterministic(self):
-        ds, _ = blob_pair(n=100, classes=2)
+        ds, test = blob_pair(n=100, classes=2)
         cfg = small_cfg()
-        outs = []
+        outs, rows = [], []
         for _ in range(2):
             n1 = nn.init_network((2, 8, 2), seed=(11, 1))
             n2 = nn.init_network((2, 8, 2), seed=(22, 1))
-            warmup(n1, n2, ds, 3, cfg, stage_no=1)
+            rows.append(warmup(n1, n2, ds, test, cfg, 1, "warmup"))
             outs.append(n1.weights[0].copy())
         np.testing.assert_array_equal(outs[0], outs[1])
+        assert rows[0] == rows[1]
 
 
 class TestEvaluate:
@@ -290,7 +294,7 @@ class TestRunRecordInvariants:
         cfg = small_cfg(mode="full-longremix")
         a = run_training(cfg, ds, test)
         b = run_training(cfg, ds, test)
-        assert a.records == b.records
+        assert [s.record for s in a.stages] == [s.record for s in b.stages]
         assert a.core_set.epoch == b.core_set.epoch
         np.testing.assert_array_equal(a.core_set.indices, b.core_set.indices)
 
