@@ -8,7 +8,7 @@ plot CSVs from an existing metrics JSON).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure. The
 ``LONGREMIX_OUTDIR`` environment variable overrides the configured output
-directory; an explicit ``--out`` beats both.
+directory; an explicit ``--out`` beats both (``_output_dir``).
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ import os
 import sys
 
 from . import __version__, data, lemma, report
-from .config import (OUTDIR_ENV, _to_int, _to_mapping, _to_tuple, apply_seed_override,
-                     build_experiment, parse_flat_config)
+from .config import (_to_int, _to_mapping, _to_tuple, apply_seed_override, build_experiment,
+                     parse_flat_config)
 from .errors import ConfigError, LongRemixError, ParseError
 from .gmm import MIN_FIT_SAMPLES
 from .trainer import run_stage1_hct, run_training
+
+OUTDIR_ENV = "LONGREMIX_OUTDIR"
 
 
 def _non_negative(flag, value):
@@ -32,7 +34,19 @@ def _non_negative(flag, value):
     return value
 
 
-def _load_config(path, seed=None, outdir=None):
+def _output_dir(out, default) -> str:
+    """Where a command writes: ``--out``, else ``LONGREMIX_OUTDIR``, else
+    ``default`` (the configured or the command's own directory). A path that
+    names an existing non-directory is rejected before any work."""
+    outdir = out or os.environ.get(OUTDIR_ENV) or default
+    if not outdir:
+        raise ConfigError("output.dir must not be empty")
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise ConfigError(f"output path {outdir} exists and is not a directory")
+    return outdir
+
+
+def _load_config(path, seed=None, out=None):
     try:
         with open(path, encoding="utf-8") as fh:
             mapping = parse_flat_config(fh.read())
@@ -40,7 +54,9 @@ def _load_config(path, seed=None, outdir=None):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if seed is not None:
         mapping = apply_seed_override(mapping, _non_negative("--seed", seed))
-    return build_experiment(mapping, outdir_override=outdir)
+    exp = build_experiment(mapping)
+    exp.outdir = _output_dir(out, exp.outdir)
+    return exp
 
 
 def _build_datasets(exp):
@@ -107,12 +123,12 @@ def cmd_prcurve(args) -> int:
 
 
 def cmd_lemma(args) -> int:
+    outdir = _output_dir(args.out, ".")
     zetas = (_to_tuple(_to_int)("--zetas", args.zetas) if args.zetas
              else range(1, args.zeta_max + 1))
     rows = lemma.sweep_zeta(args.pcc, args.pnn, args.pc, zetas,
                             mc_trials=_non_negative("--trials", args.trials),
                             seed=_non_negative("--seed", args.seed))
-    outdir = args.out or os.environ.get(OUTDIR_ENV) or "."
     path, = report.write_files(outdir, {"lemma.csv": report.lemma_csv_text(rows)})
     for row in rows:
         mc = "" if "precision_mc" not in row else (
@@ -124,6 +140,7 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_noise(args) -> int:
+    outdir = _output_dir(args.out, ".")
     if args.csv:
         ds = data.load_csv_dataset(args.csv)
     else:
@@ -136,7 +153,6 @@ def cmd_noise(args) -> int:
         raise ConfigError(f"{args.csv}: every label is {ds.class_names[0]!r}; "
                           f"{spec.kind} noise needs at least 2 classes")
     noisy = data.apply_noise(ds, spec)
-    outdir = args.out or os.environ.get(OUTDIR_ENV) or "."
     csv_path, sidecar_path = report.write_files(outdir, {
         "dataset.csv": data.dataset_csv_text(noisy),
         "dataset.noise.json": report.json_text(data.noise_sidecar(spec, noisy.mask.sum()))})
@@ -145,6 +161,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_report(args) -> int:
+    outdir = _output_dir(args.out, os.path.dirname(args.metrics) or ".")
     try:
         with open(args.metrics, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -152,7 +169,6 @@ def cmd_report(args) -> int:
         raise ConfigError(f"cannot read metrics {args.metrics}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"metrics file is not valid JSON: {exc}") from exc
-    outdir = args.out or os.environ.get(OUTDIR_ENV) or os.path.dirname(args.metrics) or "."
     try:
         bundle = report.reemit_from_metrics(doc, outdir)
     except (KeyError, TypeError, ValueError) as exc:

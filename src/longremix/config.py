@@ -10,15 +10,12 @@ own output.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .data import NoiseSpec
 from .errors import ConfigError
 from .trainer import TrainConfig
-
-OUTDIR_ENV = "LONGREMIX_OUTDIR"
 
 DEFAULT_TAU_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 
@@ -178,7 +175,7 @@ def _config_keys() -> dict:
 _KEYS = _config_keys()
 
 
-def build_experiment(mapping, outdir_override=None) -> ExperimentConfig:
+def build_experiment(mapping) -> ExperimentConfig:
     """Typed ExperimentConfig from a flat string mapping.
 
     Unknown keys are errors. Keys the mapping leaves out take their
@@ -191,10 +188,7 @@ def build_experiment(mapping, outdir_override=None) -> ExperimentConfig:
             raise ConfigError(f"unknown config key: {key}")
         section, name, parse = _KEYS[key]
         given[section][name] = parse(key, raw)
-    configured_outdir = given.pop("outdir").get(None, DEFAULT_OUTDIR)
-    parts = {"outdir": outdir_override or os.environ.get(OUTDIR_ENV) or configured_outdir}
-    if not parts["outdir"]:
-        raise ConfigError("output.dir must not be empty")
+    parts = {"outdir": given.pop("outdir").get(None, DEFAULT_OUTDIR)}
     for section in given:
         if section == "train" and parts["noise"].kind == "asymmetric":
             given[section] = {"lambda_u": 0.0, "lambda_reg": 0.0, **given[section]}

@@ -219,22 +219,37 @@ def warmup(net1, net2, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig, s
     return rows
 
 
-def _epoch_posteriors(net, ds, cfg, probs):
+def _select_half(net, probs, ds, cfg, split_mode, history, core):
+    """Select half: ``net``'s split and loss-mixture fit from its training-set
+    outputs ``probs``. ``hct`` pushes the posteriors into ``history`` and
+    thresholds its window once full, ``guided`` pins ``core`` into X."""
     losses = per_sample_losses(net, ds, probs=probs)
     if cfg.normalize_losses:
         losses = normalize_losses(losses)
     params = fit_gmm_em(losses)
-    return clean_posterior(params, losses), params
+    posteriors = clean_posterior(params, losses)
+    if split_mode == "guided":
+        return guided_split(posteriors, cfg.tau, core, ds.labels), params
+    if split_mode == "hct":
+        history.push(posteriors)
+        if history.full:
+            return hct_split(history, cfg.tau, ds.labels), params
+    return baseline_split(posteriors, cfg.tau, ds.labels), params
 
 
-def _train_on_split(net, opt, split, guessed, ds, cfg, stage_no, epoch, model_no, longmix_plans):
-    """One full pass over the epoch plan built from ``split``, U trained
-    towards the epoch's ``guessed`` labels."""
+def _train_half(net, opt, split, guessed, ds, cfg, stage_no, epoch, m, longmix_plans):
+    """Train half: one pass of model ``m`` over the epoch plan built from the
+    other net's ``split``, U trained towards the epoch's ``guessed`` labels;
+    returns the pass's mix-op counts and plan digest. Without labelled
+    anchors to mix, the pass is supervised on all data and the digest None."""
+    if split.x_size == 0:
+        _supervised_pass(net, opt, ds, cfg, m, stage_no, cfg.warmup_epochs + epoch)
+        return ds.n, 0, None
     plan = build_epoch_plan(split.labeled_idx, split.unlabeled_idx, ds.n,
-                            seed=(cfg.plan_seed, PLAN_DRAW, stage_no, epoch, model_no),
+                            seed=(cfg.plan_seed, PLAN_DRAW, stage_no, epoch, m),
                             longmix=longmix_plans)
     targets = target_table(split, guessed, ds.num_classes)
-    lam_rng = derive_rng(cfg.plan_seed, MIX_LAMBDA, stage_no, epoch, model_no)
+    lam_rng = derive_rng(cfg.plan_seed, MIX_LAMBDA, stage_no, epoch, m)
     xb, ub = mix_plan(plan, ds.features, targets, cfg.alpha, lam_rng)
     spec = nn.TotalLoss(lambda_u=cfg.lambda_u, lambda_reg=cfg.lambda_reg)
     for start in range(0, len(xb), cfg.batch_size):
@@ -256,62 +271,37 @@ def _train_outputs(nets, ds: NoisyDataset, stage_tag, epoch):
     return probs
 
 
-def cotrain_epoch(net1, net2, opts, ds: NoisyDataset, test: NoisyDataset,
-                  cfg: TrainConfig, stage_no, stage_tag, epoch, split_mode,
-                  histories, core, longmix_plans, gmm_rows, plan_rows, snapshots, probs):
-    """One co-training epoch from the nets' training-set outputs ``probs``;
-    model m's losses produce the split that trains the other model. Appends
-    the epoch's GMM rows, plan digests and windowed splits to ``gmm_rows``,
-    ``plan_rows`` and ``snapshots``; returns the epoch metrics row and the
-    next epoch's outputs (None after the last). The labels guessed for U,
-    the pair's mean output, live for this epoch only."""
-    nets = (net1, net2)
+def cotrain_epoch(nets, opts, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig,
+                  stage_no, stage_tag, epoch, split_mode, histories, core, longmix_plans,
+                  probs):
+    """One co-training epoch from the nets' training-set outputs ``probs``:
+    each net's select half produces the split that the other net's train
+    half trains on. Returns the epoch metrics row, each net's (split,
+    mixture fit, plan digest) and the next epoch's outputs (None after the
+    last). The labels guessed for U, the pair's mean output, live for this
+    epoch only."""
     lr = _set_epoch_lr(opts, cfg, epoch)
-
     guessed = (probs[0] + probs[1]) / 2.0
-    splits, stats = [], []
-    for m, net in enumerate(nets):
-        posteriors, params = _epoch_posteriors(net, ds, cfg, probs[m])
-        gmm_rows.append(gmm_record(params, epoch, net.tag))
-        if split_mode == "hct":
-            histories[m].push(posteriors)
-            if histories[m].full:
-                split = hct_split(histories[m], cfg.tau, ds.labels)
-            else:
-                split = baseline_split(posteriors, cfg.tau, ds.labels)
-        elif split_mode == "guided":
-            split = guided_split(posteriors, cfg.tau, core, ds.labels)
-        else:
-            split = baseline_split(posteriors, cfg.tau, ds.labels)
-        splits.append(split)
-        if split.kind == "hct":
-            snapshots.append((epoch, split))
-
-    for m, (net, opt) in enumerate(zip(nets, opts)):
-        split = splits[1 - m]  # cross-model exchange
-        metrics = clean_set_metrics(splits[m], ds.mask)
-        if split.x_size == 0:
-            # cannot mix without labelled anchors: supervised pass on all data
-            _supervised_pass(net, opt, ds, cfg, m, stage_no, cfg.warmup_epochs + epoch)
-            x_ops, u_ops, fallback = ds.n, 0, True
-        else:
-            x_ops, u_ops, digest = _train_on_split(net, opt, split, guessed, ds, cfg,
-                                                   stage_no, epoch, m, longmix_plans)
-            fallback = False
-            plan_rows.append({"stage": stage_tag, "epoch": epoch,
-                              "model": net.tag, "digest": digest})
+    selected = [_select_half(net, p, ds, cfg, split_mode, history, core)
+                for net, p, history in zip(nets, probs, histories or (None, None))]
+    stats, records = [], []
+    for m, (net, opt, (split, params)) in enumerate(zip(nets, opts, selected)):
+        x_ops, u_ops, digest = _train_half(net, opt, selected[1 - m][0], guessed, ds, cfg,
+                                           stage_no, epoch, m, longmix_plans)
         _require_finite(net, stage_tag, "train", epoch)
+        metrics = clean_set_metrics(split, ds.mask)
         stats.append(ModelEpochStats(
-            split_kind=splits[m].kind, x_size=splits[m].x_size, u_size=splits[m].u_size,
+            split_kind=split.kind, x_size=split.x_size, u_size=split.u_size,
             precision=metrics.precision, recall=metrics.recall,
-            x_ops=x_ops, u_ops=u_ops, fallback=fallback))
+            x_ops=x_ops, u_ops=u_ops, fallback=digest is None))
+        records.append((split, params, digest))
 
     # the training-set check runs before the test set is scored, so an
     # overflow is reported by the epoch it breaks
     next_probs = _train_outputs(nets, ds, stage_tag, epoch + 1) if epoch < cfg.epochs else None
     return EpochMetrics(epoch=epoch, phase="train", lr=lr,
-                        test_acc=evaluate(net1, net2, test),
-                        model1=stats[0], model2=stats[1]), next_probs
+                        test_acc=evaluate(*nets, test),
+                        model1=stats[0], model2=stats[1]), records, next_probs
 
 
 def _finalize_record(stage_tag, rows) -> RunRecord:
@@ -353,10 +343,17 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
     snapshots, gmm_rows, plan_rows = [], [], []
     probs = _train_outputs(nets, ds, stage_tag, 1)
     for epoch in range(1, cfg.epochs + 1):
-        row, probs = cotrain_epoch(
-            *nets, opts, ds, test, cfg, stage_no, stage_tag, epoch, split_mode,
-            histories, core, longmix_plans, gmm_rows, plan_rows, snapshots, probs)
+        row, records, probs = cotrain_epoch(nets, opts, ds, test, cfg, stage_no, stage_tag,
+                                            epoch, split_mode, histories, core,
+                                            longmix_plans, probs)
         rows.append(row)
+        for net, (split, params, digest) in zip(nets, records):
+            gmm_rows.append(gmm_record(params, epoch, net.tag))
+            if digest is not None:
+                plan_rows.append({"stage": stage_tag, "epoch": epoch,
+                                  "model": net.tag, "digest": digest})
+            if split.kind == "hct":
+                snapshots.append((epoch, split))
     captured = select_core_set(snapshots, cfg.epochs) if split_mode == "hct" else None
     return StageOutcome(record=_finalize_record(stage_tag, rows), nets=nets,
                         histories=histories, core_set=captured,

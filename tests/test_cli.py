@@ -214,7 +214,7 @@ class TestTrainCommand:
     def test_env_var_overrides_outdir(self, tmp_path, monkeypatch):
         path, _ = write_conf(tmp_path)
         envdir = tmp_path / "from_env"
-        monkeypatch.setenv(config.OUTDIR_ENV, str(envdir))
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(envdir))
         assert cli.main(["train", "--config", str(path)]) == 0
         assert (envdir / "metrics.json").exists()
 
@@ -571,10 +571,47 @@ def test_help_documents_subcommands():
 
 def test_runtime_error_exits_3(tmp_path):
     path, out = write_conf(tmp_path)
-    # unwritable output directory surfaces as a runtime failure, not a crash
+    # an output directory that cannot be created under a file surfaces as a
+    # runtime failure, not a crash
     blocked = tmp_path / "blocked"
     blocked.write_text("a file, not a directory")
-    assert cli.main(["train", "--config", str(path), "--out", str(blocked)]) == 3
+    assert cli.main(["train", "--config", str(path), "--out", str(blocked / "sub")]) == 3
+
+
+@pytest.mark.parametrize("command", ["train", "prcurve", "lemma", "noise", "report"])
+def test_output_path_naming_a_file_rejected_before_work(tmp_path, capsys, monkeypatch, command):
+    path, _ = write_conf(tmp_path, mode="full-longremix")
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file, not a directory")
+    args = {"train": ["train", "--config", str(path)],
+            "prcurve": ["prcurve", "--config", str(path)],
+            "lemma": LEMMA,
+            "noise": ["noise", "--kind", "none", "--n", "50", "--classes", "2"],
+            "report": ["report", "--metrics", str(tmp_path / "metrics.json")]}[command]
+    # any work would fail loudly: the check comes before training or sweeping
+    monkeypatch.setattr(cli, "run_training", None)
+    monkeypatch.setattr(cli, "run_stage1_hct", None)
+    monkeypatch.setattr(cli.lemma, "sweep_zeta", None)
+    assert cli.main(args + ["--out", str(blocked)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: output path {blocked} exists and is not a directory\n"
+    assert blocked.read_text() == "a file, not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "exp.conf"]
+
+
+def test_outdir_env_names_a_file(tmp_path, capsys, monkeypatch):
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(blocked))
+    assert cli.main(LEMMA + ["--trials", "0"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert blocked.read_text() == ""
+
+
+def test_build_experiment_ignores_outdir_env(monkeypatch):
+    monkeypatch.setenv(cli.OUTDIR_ENV, "elsewhere")
+    assert config.build_experiment({}).outdir == config.DEFAULT_OUTDIR
+    assert config.build_experiment({"output.dir": "runs/x"}).outdir == "runs/x"
 
 
 def test_fmt_sig_six_significant_digits():

@@ -184,6 +184,34 @@ class TestCotrainPlumbing:
                 assert row.model1.precision == row.model2.precision
 
 
+class TestSupervisedFallback:
+    """At 90% noise and tau 1.0 the loss mixture mostly leaves X empty: the
+    other net then trains with a supervised pass, which has no plan."""
+
+    def test_fallback_records(self):
+        ds, test = blob_pair(n=120, classes=6, noise=0.9)
+        cfg = small_cfg(mode="full-longremix", tau=1.0, epochs=12, warmup_epochs=1)
+        with pytest.warns(UserWarning, match="core set is empty"):
+            res = run_training(cfg, ds, test)
+        for stage in res.stages:
+            rows = [r for r in stage.record.epochs if r.phase == "train"]
+            assert len(rows) == cfg.epochs
+            fallbacks, planned = 0, []
+            for row in rows:
+                for tag, stats in (("model1", row.model1), ("model2", row.model2)):
+                    if stats.fallback:
+                        assert (stats.x_ops, stats.u_ops) == (ds.n, 0)
+                        fallbacks += 1
+                    else:
+                        planned.append((stage.record.stage, row.epoch, tag))
+            # this setting gives both kinds of model-epoch in each stage
+            assert fallbacks > 0 and planned
+            assert [(g["epoch"], g["model"]) for g in stage.gmm_rows] == [
+                (e, tag) for e in range(1, cfg.epochs + 1) for tag in ("model1", "model2")]
+            assert len(stage.plan_rows) == 2 * cfg.epochs - fallbacks
+            assert [(p["stage"], p["epoch"], p["model"]) for p in stage.plan_rows] == planned
+
+
 class TestStages:
     def test_stage1_zeta_one_matches_baseline_sizes(self):
         ds, test = blob_pair(n=150, classes=3, noise=0.4)
