@@ -36,13 +36,19 @@ def _non_negative(flag, value):
 
 def _output_dir(out, default) -> str:
     """Where a command writes: ``--out``, else ``LONGREMIX_OUTDIR``, else
-    ``default`` (the configured or the command's own directory). A path that
-    names an existing non-directory is rejected before any work."""
+    ``default`` (the configured or the command's own directory). A path
+    whose nearest existing ancestor, the path itself included, is not a
+    directory is rejected before any work."""
     outdir = out or os.environ.get(OUTDIR_ENV) or default
     if not outdir:
         raise ConfigError("output.dir must not be empty")
-    if os.path.exists(outdir) and not os.path.isdir(outdir):
-        raise ConfigError(f"output path {outdir} exists and is not a directory")
+    nearest = outdir
+    while nearest and not os.path.lexists(nearest):
+        nearest = os.path.dirname(nearest)
+    if nearest and not os.path.isdir(nearest):
+        if nearest == outdir:
+            raise ConfigError(f"output path {outdir} exists and is not a directory")
+        raise ConfigError(f"output path {outdir} is below {nearest}, which is not a directory")
     return outdir
 
 
@@ -55,7 +61,7 @@ def _load_config(path, seed=None, out=None):
     if seed is not None:
         mapping = apply_seed_override(mapping, _non_negative("--seed", seed))
     exp = build_experiment(mapping)
-    exp.outdir = _output_dir(out, exp.outdir)
+    exp.output.dir = _output_dir(out, exp.output.dir)
     return exp
 
 
@@ -100,6 +106,10 @@ def cmd_train(args) -> int:
     if exp.train.mode != "ce":
         _require_mixture_rows(exp, ds)
     result = run_training(exp.train, ds, test)
+    for stage in result.stages:
+        if stage.core_set is not None and stage.core_set.size == 0:
+            print(f"warning: {stage.record.stage} captured an empty core set; every "
+                  "clean-set snapshot of its second half was empty", file=sys.stderr)
     curve = None
     if exp.report.prcurve and result.stages[0].histories is not None:
         stage1 = result.stages[0]
@@ -117,7 +127,7 @@ def cmd_prcurve(args) -> int:
     _require_mixture_rows(exp, ds)
     stage1 = run_stage1_hct(exp.train, ds, test)
     curve = report.pr_curve(stage1.histories[0], ds.mask, exp.report.tau_grid, ds.labels)
-    path, = report.write_files(exp.outdir, {"prcurve.csv": report.prcurve_csv_text(curve)})
+    path, = report.write_files(exp.output.dir, {"prcurve.csv": report.prcurve_csv_text(curve)})
     print(f"wrote {path} ({len(curve)} thresholds)")
     return 0
 

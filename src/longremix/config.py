@@ -37,6 +37,11 @@ class DatasetSpec:
             raise ConfigError("dataset.path is required for csv datasets")
 
 
+@dataclass
+class OutputSpec:
+    dir: str = "runs/experiment"  # --out and LONGREMIX_OUTDIR override it
+
+
 @dataclass(frozen=True)
 class ReportSpec:
     formats: tuple[str, ...] = ("json", "csv")
@@ -60,7 +65,7 @@ class ExperimentConfig:
     dataset: DatasetSpec
     noise: NoiseSpec
     train: TrainConfig
-    outdir: str
+    output: OutputSpec
     report: ReportSpec
 
 
@@ -147,24 +152,18 @@ _PARSERS = {
     tuple[str, ...]: _to_tuple(_to_str),
 }
 
-# ExperimentConfig field -> its type: a spec dataclass, or str for outdir.
+# ExperimentConfig field -> its spec dataclass.
 _SECTIONS = get_type_hints(ExperimentConfig)
 
 # The config keys that are not named ``<section>.<field>``.
-_RENAMED = {"train.warmup_epochs": "train.warmup", "outdir": "output.dir"}
-
-DEFAULT_OUTDIR = "runs/experiment"
+_RENAMED = {"train.warmup_epochs": "train.warmup"}
 
 
 def _config_keys() -> dict:
     """Config key -> (ExperimentConfig field, spec field, parser) in
-    ExperimentConfig field order, which is also the echo order. The spec
-    field is None for ``output.dir``, a field of ExperimentConfig itself."""
+    ExperimentConfig field order, which is also the echo order."""
     keys = {}
     for section, spec in _SECTIONS.items():
-        if section == "outdir":
-            keys[_RENAMED[section]] = (section, None, _PARSERS[spec])
-            continue
         hints = get_type_hints(spec)
         for f in fields(spec):
             path = f"{section}.{f.name}"
@@ -188,7 +187,7 @@ def build_experiment(mapping) -> ExperimentConfig:
             raise ConfigError(f"unknown config key: {key}")
         section, name, parse = _KEYS[key]
         given[section][name] = parse(key, raw)
-    parts = {"outdir": given.pop("outdir").get(None, DEFAULT_OUTDIR)}
+    parts = {}
     for section in given:
         if section == "train" and parts["noise"].kind == "asymmetric":
             given[section] = {"lambda_u": 0.0, "lambda_reg": 0.0, **given[section]}
@@ -226,12 +225,5 @@ def _fmt_value(v):
 
 def effective_config(exp: ExperimentConfig) -> dict:
     """Canonical flat echo of every key, defaults materialized."""
-    echo = {}
-    for key, (section, name, _) in _KEYS.items():
-        value = getattr(exp, section)
-        echo[key] = _fmt_value(value if name is None else getattr(value, name))
-    return echo
-
-
-def serialize_flat(mapping) -> str:
-    return "\n".join(f"{k} = {v}" for k, v in mapping.items()) + "\n"
+    return {key: _fmt_value(getattr(getattr(exp, section), name))
+            for key, (section, name, _) in _KEYS.items()}

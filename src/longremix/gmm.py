@@ -144,22 +144,16 @@ def fit_gmm_em(losses, tol=1e-6, max_iter=100) -> GmmParams:
                      log_likelihoods=tuple(path), n_iter=n_iter)
 
 
-def clean_posterior(params: GmmParams, losses):
-    """Posterior responsibility of the clean (smaller-mean) component.
-
-    Accepts a scalar or an array; a collapsed fit yields 0.5 everywhere.
-    """
-    arr = np.asarray(losses, dtype=float)
-    scalar = arr.ndim == 0
-    x = np.atleast_1d(arr)
+def clean_posterior(params: GmmParams, losses) -> np.ndarray:
+    """Posterior responsibility of the clean (smaller-mean) component for
+    each loss in the array ``losses``; a collapsed fit yields 0.5 everywhere."""
+    x = np.asarray(losses, dtype=float)
     if params.collapsed:
-        out = np.full(x.shape, 0.5)
-    else:
-        w, mu, var = params.weights, params.means, params.variances
-        log_clean = np.log(w[0]) + _log_normal(x, mu[0], var[0])
-        log_noisy = np.log(w[1]) + _log_normal(x, mu[1], var[1])
-        out = 1.0 / (1.0 + np.exp(np.clip(log_noisy - log_clean, -700.0, 700.0)))
-    return float(out[0]) if scalar else out
+        return np.full(x.shape, 0.5)
+    w, mu, var = params.weights, params.means, params.variances
+    log_clean = np.log(w[0]) + _log_normal(x, mu[0], var[0])
+    log_noisy = np.log(w[1]) + _log_normal(x, mu[1], var[1])
+    return 1.0 / (1.0 + np.exp(np.clip(log_noisy - log_clean, -700.0, 700.0)))
 
 
 def gmm_record(params: GmmParams, epoch, model_tag) -> dict:

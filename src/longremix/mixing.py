@@ -40,7 +40,6 @@ class EpochPlan:
 class MixBatch:
     features: np.ndarray
     targets: np.ndarray
-    lam: np.ndarray        # per-pair mixing coefficients
 
     def __len__(self):
         return len(self.features)
@@ -92,12 +91,10 @@ def mix_plan(plan: EpochPlan, features, targets, alpha, rng):
         raise ConfigError(f"beta concentration must be positive, got {alpha}")
 
     def _mix(anchor, partner):
-        lam = rng.beta(alpha, alpha, size=len(anchor))
-        col = lam[:, None]
+        col = rng.beta(alpha, alpha, size=len(anchor))[:, None]
         return MixBatch(
             features=col * features[anchor] + (1.0 - col) * features[partner],
-            targets=col * targets[anchor] + (1.0 - col) * targets[partner],
-            lam=lam)
+            targets=col * targets[anchor] + (1.0 - col) * targets[partner])
 
     return _mix(plan.x_anchor, plan.x_partner), _mix(plan.u_anchor, plan.u_partner)
 

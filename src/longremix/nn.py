@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
 from .seeding import NET_INIT, derive_rng
 
 LOG_EPS = 1e-12  # clamp inside log() so confident wrong predictions stay finite
@@ -69,13 +68,6 @@ class Network:
     @property
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    def copy(self) -> "Network":
-        return Network(self.weights, self.biases, self.tag)
 
 
 @dataclass(frozen=True)
@@ -132,69 +124,13 @@ def _forward_cached(net: Network, x):
     return acts
 
 
-def forward(net: Network, x):
-    """Class-probability output; accepts a single vector or a batch."""
+def forward(net: Network, x) -> np.ndarray:
+    """Class probabilities, one row per row of the ``(n, width)`` batch ``x``."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.ndim != 2 or batch.shape[1] != net.input_dim:
-        raise ValueError(f"input width {batch.shape[-1]} != network width {net.input_dim}")
-    probs = _forward_cached(net, batch)[-1]
-    return probs[0] if single else probs
-
-
-def cross_entropy(p, y):
-    """-sum(y * log p), clamped at 1e-12; per row for 2-D inputs."""
-    p = np.asarray(p, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if p.shape != y.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {y.shape}")
-    val = -(y * np.log(np.maximum(p, LOG_EPS))).sum(axis=-1)
-    return float(val) if p.ndim == 1 else val
-
-
-def squared_error(p, y):
-    """Squared Euclidean distance; per row for 2-D inputs."""
-    p = np.asarray(p, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if p.shape != y.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {y.shape}")
-    val = ((p - y) ** 2).sum(axis=-1)
-    return float(val) if p.ndim == 1 else val
-
-
-def _uniform_kl(mean_pred):
-    c = mean_pred.shape[0]
-    pi = 1.0 / c
-    return float(pi * (np.log(pi) - np.log(np.maximum(mean_pred, LOG_EPS))).sum())
-
-
-def batch_loss(net: Network, batch, loss) -> float:
-    """Scalar mean loss over a batch; mirrors exactly what backward() differentiates.
-
-    ``loss`` is "cross_entropy", "squared_error", or a :class:`TotalLoss`.
-    Simple losses take ``batch = (features, targets)``; the composite takes
-    ``((x_feat, x_tgt), (u_feat, u_tgt))`` where the unlabelled pair may be
-    empty.
-    """
-    if isinstance(loss, TotalLoss):
-        (xf, xt), (uf, ut) = batch
-        px = forward(net, xf)
-        value = float(np.mean(cross_entropy(px, xt)))
-        preds = px
-        if len(uf):
-            pu = forward(net, uf)
-            value += loss.lambda_u * float(np.mean(squared_error(pu, ut)))
-            preds = np.vstack([px, pu])
-        value += loss.lambda_reg * _uniform_kl(preds.mean(axis=0))
-        return value
-    feats, targets = batch
-    p = forward(net, feats)
-    if loss == "cross_entropy":
-        return float(np.mean(cross_entropy(p, targets)))
-    if loss == "squared_error":
-        return float(np.mean(squared_error(p, targets)))
-    raise ValueError(f"unknown loss spec: {loss!r}")
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ValueError(f"input must be (n, {net.input_dim}), rows of the network's "
+                         f"input width; got shape {x.shape}")
+    return _forward_cached(net, x)[-1]
 
 
 def _softmax_vjp(p, g):
@@ -294,37 +230,3 @@ def checkpoint_text(net: Network) -> str:
             lines.append(" ".join(format(v, ".17g") for v in row))
         lines.append(" ".join(format(v, ".17g") for v in b))
     return "\n".join(lines) + "\n"
-
-
-def load_checkpoint(path) -> Network:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise ParseError("empty checkpoint file", row=1)
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != CHECKPOINT_MAGIC:
-        raise ParseError("not a checkpoint file", row=1)
-    if int(head[1]) != CHECKPOINT_VERSION:
-        raise ParseError(f"unsupported checkpoint version {head[1]}", row=1)
-    tag = lines[1].split(" ", 1)[1]
-    sizes = [int(s) for s in lines[2].split()[1:]]
-    weights, biases = [], []
-    pos = 3
-    for k, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        if lines[pos] != f"layer {k}":
-            raise ParseError(f"expected 'layer {k}'", row=pos + 1)
-        pos += 1
-        rows = []
-        for _ in range(fan_in):
-            rows.append([float(v) for v in lines[pos].split()])
-            pos += 1
-        w = np.array(rows)
-        if w.shape != (fan_in, fan_out):
-            raise ParseError(f"layer {k} shape mismatch", row=pos)
-        b = np.array([float(v) for v in lines[pos].split()])
-        pos += 1
-        if b.shape != (fan_out,):
-            raise ParseError(f"layer {k} bias shape mismatch", row=pos)
-        weights.append(w)
-        biases.append(b)
-    return Network(weights, biases, tag)

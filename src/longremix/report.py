@@ -194,7 +194,7 @@ def emit_report(result: ExperimentResult, exp: ExperimentConfig, noise_info,
     if exp.report.checkpoints:
         for net in result.final.nets:
             files[net.tag] = (f"{net.tag}.ckpt", nn.checkpoint_text(net))
-    return _write_bundle(exp.outdir, doc, exp.report.formats, files)
+    return _write_bundle(exp.output.dir, doc, exp.report.formats, files)
 
 
 def reemit_from_metrics(doc, outdir) -> ReportBundle:

@@ -18,7 +18,6 @@ looks them up by index.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -114,7 +113,6 @@ class CleanSetMetrics:
     precision: float
     recall: float
     precision_defaulted: bool = False
-    recall_defaulted: bool = False
 
 
 def _assemble(in_x, weights, labels, kind) -> SplitSets:
@@ -140,7 +138,9 @@ def hct_split(history: LossHistory, tau, labels, zeta=None) -> SplitSets:
 
 def select_core_set(stage1_records, total_epochs) -> CoreSet:
     """Largest windowed clean set among snapshots from the second half of the
-    stage (epochs >= ceil(total_epochs / 2)); ties go to the latest record."""
+    stage (epochs >= ceil(total_epochs / 2)); ties go to the latest record,
+    and a stage whose eligible snapshots are all empty captures
+    ``CoreSet.empty()``."""
     first = (total_epochs + 1) // 2
     eligible = [(epoch, split) for epoch, split in stage1_records if epoch >= first]
     if not eligible:
@@ -150,7 +150,6 @@ def select_core_set(stage1_records, total_epochs) -> CoreSet:
         if split.x_size >= best.x_size:
             best_epoch, best = epoch, split
     if best.x_size == 0:
-        warnings.warn("all clean-set snapshots were empty; core set is empty")
         return CoreSet.empty()
     return CoreSet(indices=best.labeled_idx.copy(), labels=best.labeled_labels.copy(),
                    epoch=best_epoch)
@@ -172,15 +171,14 @@ def clean_set_metrics(split: SplitSets, mask) -> CleanSetMetrics:
     """Precision/recall of X against the ground-truth noise mask.
 
     TP: clean samples in X, FP: noisy samples in X, FN: clean samples in U.
-    Empty denominators default to 1.0 and are flagged.
+    Empty denominators default to 1.0; an empty X is flagged.
     """
     mask = np.asarray(mask, dtype=bool)
     tp = int((~mask[split.labeled_idx]).sum())
     fp = int(mask[split.labeled_idx].sum())
     fn = int((~mask[split.unlabeled_idx]).sum())
     p_def = (tp + fp) == 0
-    r_def = (tp + fn) == 0
     return CleanSetMetrics(
         precision=1.0 if p_def else tp / (tp + fp),
-        recall=1.0 if r_def else tp / (tp + fn),
-        precision_defaulted=p_def, recall_defaulted=r_def)
+        recall=1.0 if tp + fn == 0 else tp / (tp + fn),
+        precision_defaulted=p_def)

@@ -64,15 +64,15 @@ def test_criterion_2_gradient_finite_differences():
         kind = ("cross_entropy", "squared_error", "total")[trial % 3]
         if kind == "total":
             xf = rng.normal(size=(3, net.input_dim))
-            xt = random_soft_labels(rng, 3, net.output_dim)
+            xt = random_soft_labels(rng, 3, net.layer_sizes[-1])
             uf = rng.normal(size=(4, net.input_dim))
-            ut = random_soft_labels(rng, 4, net.output_dim)
+            ut = random_soft_labels(rng, 4, net.layer_sizes[-1])
             batch = ((xf, xt), (uf, ut))
             spec = nn.TotalLoss(lambda_u=float(rng.uniform(0.5, 25.0)),
                                 lambda_reg=float(rng.uniform(0.0, 1.5)))
         else:
             x = rng.normal(size=(5, net.input_dim))
-            y = random_soft_labels(rng, 5, net.output_dim)
+            y = random_soft_labels(rng, 5, net.layer_sizes[-1])
             batch = (x, y)
             spec = kind
         got = flatten_grads(nn.backward(net, batch, spec))

@@ -10,6 +10,7 @@ import pytest
 
 from longremix import cli, config, data, report
 from longremix.errors import ConfigError
+from conftest import load_checkpoint, serialize_flat
 
 BASE_CONF = """
 dataset.kind = blobs
@@ -84,12 +85,12 @@ class TestConfigParsing:
         mapping = config.parse_flat_config(path.read_text())
         exp = config.build_experiment(mapping)
         echo = config.effective_config(exp)
-        reparsed = config.parse_flat_config(config.serialize_flat(echo))
+        reparsed = config.parse_flat_config(serialize_flat(echo))
         exp2 = config.build_experiment(reparsed)
         assert config.effective_config(exp2) == echo
 
     def test_golden_echo_order_and_formatting(self):
-        echo = config.serialize_flat(config.effective_config(config.build_experiment({})))
+        echo = serialize_flat(config.effective_config(config.build_experiment({})))
         assert echo == "\n".join(GOLDEN_DEFAULT_ECHO) + "\n"
         asym = config.build_experiment({
             "noise.kind": "asymmetric", "noise.eta": "0.4", "noise.mapping": "2:3,0:1"})
@@ -97,7 +98,7 @@ class TestConfigParsing:
         expected.update({"noise.kind": "asymmetric", "noise.eta": "0.4",
                          "noise.mapping": "0:1,2:3", "train.lambda_u": "0.0",
                          "train.lambda_reg": "0.0"})
-        assert config.serialize_flat(config.effective_config(asym)) == "".join(
+        assert serialize_flat(config.effective_config(asym)) == "".join(
             f"{k} = {v}\n" for k, v in expected.items())
 
     def test_unknown_key_named(self):
@@ -374,10 +375,9 @@ class TestOptionalDumps:
         assert len(digest) == 64  # sha256 hex
 
     def test_checkpoints_reloadable(self, tmp_path):
-        from longremix import nn
         path, out = write_conf(tmp_path, extra="report.checkpoints = true\n")
         assert cli.main(["train", "--config", str(path)]) == 0
-        net = nn.load_checkpoint(tmp_path / "out" / "model1.ckpt")
+        net = load_checkpoint(tmp_path / "out" / "model1.ckpt")
         assert net.tag == "model1"
         assert net.input_dim == 2
 
@@ -550,7 +550,7 @@ def test_readme_config_example_builds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     exp = config.build_experiment(config.parse_flat_config(block))
-    assert (exp.noise.kind, exp.noise.eta, exp.outdir) == ("symmetric", 0.8, "runs/exp")
+    assert (exp.noise.kind, exp.noise.eta, exp.output.dir) == ("symmetric", 0.8, "runs/exp")
 
 
 def test_python_dash_m_entry_point():
@@ -562,6 +562,24 @@ def test_python_dash_m_entry_point():
     assert proc.stdout.startswith("longremix ")
 
 
+def test_empty_core_set_is_one_stderr_line(tmp_path):
+    # at 90% noise and tau 1.0 no windowed clean set of stage 1 holds a sample
+    conf = tmp_path / "empty-core.conf"
+    conf.write_text("dataset.n = 120\ndataset.test_n = 60\ndataset.classes = 6\n"
+                    "noise.kind = symmetric\nnoise.eta = 0.9\ntrain.mode = full-longremix\n"
+                    "train.tau = 1.0\ntrain.epochs = 12\ntrain.warmup = 1\n")
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "longremix", "train", "--config", str(conf),
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: stage1-hct captured an empty core set; every clean-set "
+                           "snapshot of its second half was empty\n")
+    summary = json.loads((out / "metrics.json").read_text())["summary"]
+    assert summary["core_set_size"] == 0
+
+
 def test_help_documents_subcommands():
     parser = cli.build_parser()
     help_text = parser.format_help()
@@ -569,13 +587,16 @@ def test_help_documents_subcommands():
         assert name in help_text
 
 
-def test_runtime_error_exits_3(tmp_path):
+def test_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
     path, out = write_conf(tmp_path)
-    # an output directory that cannot be created under a file surfaces as a
-    # runtime failure, not a crash
-    blocked = tmp_path / "blocked"
-    blocked.write_text("a file, not a directory")
-    assert cli.main(["train", "--config", str(path), "--out", str(blocked / "sub")]) == 3
+
+    def disk_full(outdir, texts):
+        raise OSError(28, "No space left on device")
+
+    # an OS error while writing the bundle surfaces as a runtime failure, not a crash
+    monkeypatch.setattr(report, "write_files", disk_full)
+    assert cli.main(["train", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("command", ["train", "prcurve", "lemma", "noise", "report"])
@@ -595,6 +616,11 @@ def test_output_path_naming_a_file_rejected_before_work(tmp_path, capsys, monkey
     assert cli.main(args + ["--out", str(blocked)]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: output path {blocked} exists and is not a directory\n"
+    # a path below a file is checked at its nearest existing ancestor
+    assert cli.main(args + ["--out", str(blocked / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: output path {blocked / 'sub'} is below {blocked}, "
+                   "which is not a directory\n")
     assert blocked.read_text() == "a file, not a directory"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "exp.conf"]
 
@@ -610,8 +636,8 @@ def test_outdir_env_names_a_file(tmp_path, capsys, monkeypatch):
 
 def test_build_experiment_ignores_outdir_env(monkeypatch):
     monkeypatch.setenv(cli.OUTDIR_ENV, "elsewhere")
-    assert config.build_experiment({}).outdir == config.DEFAULT_OUTDIR
-    assert config.build_experiment({"output.dir": "runs/x"}).outdir == "runs/x"
+    assert config.build_experiment({}).output.dir == "runs/experiment"
+    assert config.build_experiment({"output.dir": "runs/x"}).output.dir == "runs/x"
 
 
 def test_fmt_sig_six_significant_digits():

@@ -5,6 +5,7 @@ import pytest
 
 from longremix import gmm, nn
 from longremix.data import make_synthetic_dataset
+from conftest import cross_entropy
 
 
 def two_cluster_losses(rng, n_each=500, mu=(0.1, 0.9), sigma=0.01):
@@ -25,10 +26,10 @@ class TestPerSampleLosses:
         net = nn.init_network([2, 8, 3], seed=4)
         losses = gmm.per_sample_losses(net, ds)
         for i in [0, 7, 24]:
-            p = nn.forward(net, ds.features[i])
+            p = nn.forward(net, ds.features[i:i + 1])[0]
             y = np.zeros(3)
             y[ds.labels[i]] = 1.0
-            assert losses[i] == pytest.approx(nn.cross_entropy(p, y), abs=1e-12)
+            assert losses[i] == pytest.approx(cross_entropy(p, y), abs=1e-12)
 
     def test_given_probs_match_own_forward(self):
         ds = make_synthetic_dataset("blobs", n=300, classes=5, spread=0.3, seed=3)
@@ -94,7 +95,7 @@ class TestEmFit:
     def test_constant_input_collapses(self):
         params = gmm.fit_gmm_em(np.full(10, 0.4))
         assert params.collapsed
-        assert gmm.clean_posterior(params, 0.4) == 0.5
+        np.testing.assert_array_equal(gmm.clean_posterior(params, np.array([0.4])), [0.5])
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="4 samples"):
@@ -227,11 +228,12 @@ class TestCleanPosterior:
                              variances=np.array([var, var]))
 
     def test_midpoint_is_half(self):
-        assert gmm.clean_posterior(self._sym_params(), 0.5) == pytest.approx(0.5, abs=1e-12)
+        post, = gmm.clean_posterior(self._sym_params(), np.array([0.5]))
+        assert post == pytest.approx(0.5, abs=1e-12)
 
     def test_near_clean_mean_is_confident(self):
         p = self._sym_params()
-        post = gmm.clean_posterior(p, 0.1)
+        post, = gmm.clean_posterior(p, np.array([0.1]))
         assert post > 0.999
         # independent density-ratio evaluation
         d0 = math.exp(-0.0 / (2 * 0.04))
@@ -258,9 +260,9 @@ class TestCleanPosterior:
         want = dens[0] / dens.sum(axis=0)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_collapsed_returns_half_scalar_and_array(self):
+    def test_collapsed_returns_half_everywhere(self):
         params = gmm.fit_gmm_em(np.full(8, 1.0))
-        assert gmm.clean_posterior(params, 0.3) == 0.5
+        np.testing.assert_array_equal(gmm.clean_posterior(params, np.array([0.3])), [0.5])
         np.testing.assert_array_equal(gmm.clean_posterior(params, np.array([0.1, 0.9])), [0.5, 0.5])
 
 

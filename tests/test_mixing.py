@@ -8,6 +8,7 @@ from longremix import nn
 from longremix.errors import ConfigError, StateError
 from longremix.mixing import build_epoch_plan, mix_plan, plan_digest, target_table
 from longremix.selector import CoreSet, SplitSets, baseline_split, guided_split
+from conftest import batch_loss, cross_entropy
 
 
 def split_of(labeled, unlabeled, labels):
@@ -17,12 +18,26 @@ def split_of(labeled, unlabeled, labels):
                      unlabeled_idx=np.asarray(unlabeled, dtype=int), kind="baseline")
 
 
+def recording(rng):
+    """A stand-in for ``rng`` whose ``beta`` draws from it and keeps each
+    draw, so a test can read back the coefficients mix_plan used."""
+    draws = []
+
+    def beta(a, b, size):
+        draws.append(rng.beta(a, b, size=size))
+        return draws[-1]
+
+    return SimpleNamespace(beta=beta), draws
+
+
 def mixed_lambdas(alpha, per_plan, seed):
     """The Beta(alpha, alpha) draws of mix_plan over a plan of ``per_plan``
     labelled and as many unlabelled instructions."""
     plan = build_epoch_plan([0, 1], [2, 3], per_plan, seed=0)
-    xb, ub = mix_plan(plan, np.zeros((4, 1)), np.zeros((4, 2)), alpha, np.random.default_rng(seed))
-    return np.concatenate([xb.lam, ub.lam])
+    rng, draws = recording(np.random.default_rng(seed))
+    mix_plan(plan, np.zeros((4, 1)), np.zeros((4, 2)), alpha, rng)
+    assert [len(d) for d in draws] == [per_plan, per_plan]
+    return np.concatenate(draws)
 
 
 def mixed_at(lam):
@@ -33,9 +48,11 @@ def mixed_at(lam):
     return plan, feats, targets, mix_plan(plan, feats, targets, 1.0, fixed)[0]
 
 
-def assert_literal_mixes(plan, feats, targets, batch):
-    """Each labelled mix row is lam*a + (1-lam)*b of its anchor a and partner b."""
-    for row, (a, b, lam) in enumerate(zip(plan.x_anchor, plan.x_partner, batch.lam)):
+def assert_literal_mixes(plan, feats, targets, batch, lams):
+    """Each labelled mix row is lam*a + (1-lam)*b of its anchor a and partner
+    b, ``lams`` the labelled batch's Beta draws."""
+    assert len(lams) == len(batch) == plan.x_ops
+    for row, (a, b, lam) in enumerate(zip(plan.x_anchor, plan.x_partner, lams)):
         assert (batch.features[row] == lam * feats[a] + (1 - lam) * feats[b]).all()
         assert (batch.targets[row] == lam * targets[a] + (1 - lam) * targets[b]).all()
 
@@ -80,7 +97,9 @@ class TestMixupPair:
         rng = np.random.default_rng(4)
         feats, targets = rng.normal(size=(50, 2)), np.eye(2)[np.arange(50) % 2]
         plan = build_epoch_plan(np.arange(20), np.arange(20, 50), 50, seed=4)
-        assert_literal_mixes(plan, feats, targets, mix_plan(plan, feats, targets, 1.0, rng)[0])
+        recorder, draws = recording(rng)
+        xb, _ = mix_plan(plan, feats, targets, 1.0, recorder)
+        assert_literal_mixes(plan, feats, targets, xb, draws[0])
 
 
 class TestEpochPlan:
@@ -160,10 +179,11 @@ class TestMixPlan:
         targets = rng.random((30, 4))
         targets /= targets.sum(axis=1, keepdims=True)
         plan = build_epoch_plan(np.arange(12), np.arange(12, 30), 50, seed=2)
-        xb, ub = mix_plan(plan, feats, targets, alpha=4.0, rng=rng)
-        for batch in (xb, ub):
+        recorder, draws = recording(rng)
+        xb, ub = mix_plan(plan, feats, targets, alpha=4.0, rng=recorder)
+        for batch, lam in zip((xb, ub), draws):
             np.testing.assert_allclose(batch.targets.sum(axis=1), 1.0, atol=1e-9)
-            assert ((batch.lam >= 0) & (batch.lam <= 1)).all()
+            assert ((lam >= 0) & (lam <= 1)).all()
             assert len(batch) == 50
 
     def test_mix_matches_pairwise_op(self):
@@ -173,11 +193,13 @@ class TestMixPlan:
         targets[:, 0] += 1 - targets.sum(axis=1)
         plan = build_epoch_plan(np.arange(4), np.arange(4, 10), 6, seed=7)
         xb, _ = mix_plan(plan, feats, targets, alpha=2.0, rng=np.random.default_rng(8))
-        assert_literal_mixes(plan, feats, targets, xb)
+        # replay the seeded draws: the labelled batch's come first
+        lams = np.random.default_rng(8).beta(2.0, 2.0, size=plan.x_ops)
+        assert_literal_mixes(plan, feats, targets, xb, lams)
 
 
 def total_loss(net, batch, lambda_u, lambda_reg):
-    return nn.batch_loss(net, batch, nn.TotalLoss(lambda_u, lambda_reg))
+    return batch_loss(net, batch, nn.TotalLoss(lambda_u, lambda_reg))
 
 
 def kl_term(net, batch):
@@ -201,16 +223,16 @@ class TestLosses:
     def test_lambda_u_zero_drops_term(self):
         net = nn.init_network([2, 6, 2], seed=3)
         (xf, xt), _ = LOSS_BATCH
-        want = float(np.mean(nn.cross_entropy(nn.forward(net, xf), xt)))
+        want = float(np.mean(cross_entropy(nn.forward(net, xf), xt)))
         assert total_loss(net, LOSS_BATCH, 0.0, 0.0) == pytest.approx(want, abs=1e-12)
 
     def test_hand_recomputation(self):
         net = nn.init_network([2, 5, 2], seed=4)
         (xf, xt), (uf, ut) = LOSS_BATCH
-        ce = sum(-math.log(max(nn.forward(net, f)[int(t.argmax())], 1e-12))
+        ce = sum(-math.log(max(nn.forward(net, f[None])[0][int(t.argmax())], 1e-12))
                  * t[int(t.argmax())]  # one-hot rows
                  for f, t in zip(xf, xt)) / 2
-        se = sum(((nn.forward(net, f) - t) ** 2).sum() for f, t in zip(uf, ut)) / 2
+        se = sum(((nn.forward(net, f[None])[0] - t) ** 2).sum() for f, t in zip(uf, ut)) / 2
         assert total_loss(net, LOSS_BATCH, 3.0, 0.0) == pytest.approx(ce + 3.0 * se, abs=1e-12)
 
     def test_kl_uniform_is_zero(self):

@@ -5,7 +5,9 @@ import pytest
 
 from longremix import nn, trainer
 from longremix.errors import StateError
-from conftest import fd_gradient, flatten_grads, max_rel_err, random_net, random_soft_labels
+from longremix.errors import ParseError
+from conftest import (cross_entropy, fd_gradient, flatten_grads, load_checkpoint, max_rel_err,
+                      random_net, random_soft_labels, squared_error)
 
 
 def one_hot(idx, c):
@@ -17,13 +19,13 @@ def one_hot(idx, c):
 class TestForward:
     def test_zero_weight_net_is_uniform(self):
         net = nn.Network([np.zeros((3, 4))], [np.zeros(4)])
-        p = nn.forward(net, np.array([1.0, -2.0, 0.5]))
-        np.testing.assert_allclose(p, np.full(4, 0.25), atol=1e-12)
+        p = nn.forward(net, np.array([[1.0, -2.0, 0.5]]))
+        np.testing.assert_allclose(p, np.full((1, 4), 0.25), atol=1e-12)
 
     def test_large_margin_favors_class(self):
         # logits (6, 0) for x = (1, 0): p0 = 1/(1+e^-6), hand-computed
         net = nn.Network([np.array([[6.0, 0.0], [0.0, 0.0]])], [np.zeros(2)])
-        p = nn.forward(net, np.array([1.0, 0.0]))
+        p = nn.forward(net, np.array([[1.0, 0.0]]))[0]
         assert p[0] > 0.99
         assert p[0] == pytest.approx(1.0 / (1.0 + math.exp(-6.0)), abs=1e-12)
 
@@ -38,11 +40,15 @@ class TestForward:
     def test_dimension_mismatch(self):
         net = nn.init_network([3, 4, 2], seed=0)
         with pytest.raises(ValueError, match="width"):
-            nn.forward(net, np.zeros(5))
+            nn.forward(net, np.zeros((1, 5)))
+        # a batch is (n, width): a single vector, even of the right width, is not one
+        for x in (np.zeros(5), np.zeros(3), np.zeros((1, 1, 3))):
+            with pytest.raises(ValueError, match=r"\(n, 3\)"):
+                nn.forward(net, x)
 
     def test_deterministic(self):
         net = nn.init_network([2, 8, 3], seed=5)
-        x = np.array([0.3, -1.2])
+        x = np.array([[0.3, -1.2]])
         np.testing.assert_array_equal(nn.forward(net, x), nn.forward(net, x))
 
     def test_layer_shape_composition_enforced(self):
@@ -53,36 +59,36 @@ class TestForward:
 class TestLosses:
     def test_ce_exact_hit_is_zero(self):
         y = one_hot(1, 3)
-        assert nn.cross_entropy(y, y) == pytest.approx(0.0, abs=1e-12)
+        assert cross_entropy(y, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_ce_uniform_ten_classes(self):
         p = np.full(10, 0.1)
-        assert nn.cross_entropy(p, one_hot(4, 10)) == pytest.approx(math.log(10), abs=1e-12)
+        assert cross_entropy(p, one_hot(4, 10)) == pytest.approx(math.log(10), abs=1e-12)
 
     def test_ce_hand_value(self):
         # -ln 0.7 = 0.35667494393873245
-        assert nn.cross_entropy(np.array([0.7, 0.3]), np.array([1.0, 0.0])) == pytest.approx(
+        assert cross_entropy(np.array([0.7, 0.3]), np.array([1.0, 0.0])) == pytest.approx(
             0.356675, abs=1e-6)
 
     def test_ce_clamps_zero_probability(self):
-        val = nn.cross_entropy(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        val = cross_entropy(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         assert np.isfinite(val)
         assert val == pytest.approx(-math.log(1e-12))
 
     def test_se_identity_zero(self):
         p = np.array([0.2, 0.8])
-        assert nn.squared_error(p, p) == 0.0
+        assert squared_error(p, p) == 0.0
 
     def test_se_disjoint_onehots(self):
-        assert nn.squared_error(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(2.0)
+        assert squared_error(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(2.0)
 
     def test_se_hand_value(self):
-        assert nn.squared_error(np.array([0.6, 0.4]), np.array([0.5, 0.5])) == pytest.approx(0.02)
+        assert squared_error(np.array([0.6, 0.4]), np.array([0.5, 0.5])) == pytest.approx(0.02)
 
     def test_rowwise_variants(self):
         p = np.array([[0.7, 0.3], [0.5, 0.5]])
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        ce = nn.cross_entropy(p, y)
+        ce = cross_entropy(p, y)
         assert ce.shape == (2,)
         assert ce[0] == pytest.approx(-math.log(0.7))
 
@@ -101,7 +107,7 @@ class TestBackward:
         for _ in range(10):
             net = random_net(rng)
             x = rng.normal(size=(5, net.input_dim))
-            y = random_soft_labels(rng, 5, net.output_dim)
+            y = random_soft_labels(rng, 5, net.layer_sizes[-1])
             batch = (x, y)
             got = flatten_grads(nn.backward(net, batch, loss))
             want = fd_gradient(net, batch, loss)
@@ -111,9 +117,9 @@ class TestBackward:
         for lam_u, lam_reg in [(25.0, 1.0), (0.0, 1.0), (25.0, 0.0), (3.5, 0.7)]:
             net = random_net(rng)
             xf = rng.normal(size=(4, net.input_dim))
-            xt = random_soft_labels(rng, 4, net.output_dim)
+            xt = random_soft_labels(rng, 4, net.layer_sizes[-1])
             uf = rng.normal(size=(6, net.input_dim))
-            ut = random_soft_labels(rng, 6, net.output_dim)
+            ut = random_soft_labels(rng, 6, net.layer_sizes[-1])
             batch = ((xf, xt), (uf, ut))
             spec = nn.TotalLoss(lambda_u=lam_u, lambda_reg=lam_reg)
             got = flatten_grads(nn.backward(net, batch, spec))
@@ -123,8 +129,8 @@ class TestBackward:
     def test_total_loss_empty_unlabelled(self, rng):
         net = random_net(rng)
         xf = rng.normal(size=(4, net.input_dim))
-        xt = random_soft_labels(rng, 4, net.output_dim)
-        batch = ((xf, xt), (np.empty((0, net.input_dim)), np.empty((0, net.output_dim))))
+        xt = random_soft_labels(rng, 4, net.layer_sizes[-1])
+        batch = ((xf, xt), (np.empty((0, net.input_dim)), np.empty((0, net.layer_sizes[-1]))))
         spec = nn.TotalLoss(lambda_u=25.0, lambda_reg=1.0)
         got = flatten_grads(nn.backward(net, batch, spec))
         want = fd_gradient(net, batch, spec)
@@ -133,7 +139,7 @@ class TestBackward:
     def test_duplicated_batch_same_gradient(self, rng):
         net = random_net(rng)
         x = rng.normal(size=(3, net.input_dim))
-        y = random_soft_labels(rng, 3, net.output_dim)
+        y = random_soft_labels(rng, 3, net.layer_sizes[-1])
         g1 = flatten_grads(nn.backward(net, (x, y), "cross_entropy"))
         g2 = flatten_grads(nn.backward(net, (np.vstack([x, x]), np.vstack([y, y])), "cross_entropy"))
         np.testing.assert_allclose(g1, g2, atol=1e-12)
@@ -141,7 +147,8 @@ class TestBackward:
     def test_unknown_loss_rejected(self, rng):
         net = random_net(rng)
         with pytest.raises(ValueError, match="loss"):
-            nn.backward(net, (np.zeros((1, net.input_dim)), np.zeros((1, net.output_dim))), "huber")
+            nn.backward(net, (np.zeros((1, net.input_dim)), np.zeros((1, net.layer_sizes[-1]))),
+                        "huber")
 
 
 class TestSgdStep:
@@ -193,7 +200,7 @@ class TestCheckpoint:
         net.tag = "model2"
         path = tmp_path / "net.ckpt"
         path.write_text(nn.checkpoint_text(net))
-        back = nn.load_checkpoint(path)
+        back = load_checkpoint(path)
         assert back.tag == "model2"
         assert back.layer_sizes == net.layer_sizes
         for a, b in zip(net.weights, back.weights):
@@ -204,14 +211,14 @@ class TestCheckpoint:
     def test_version_field_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text("longremix-checkpoint 99\ntag x\nsizes 1 1\n")
-        with pytest.raises(nn.ParseError, match="version"):
-            nn.load_checkpoint(path)
+        with pytest.raises(ParseError, match="version"):
+            load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("hello world\n")
-        with pytest.raises(nn.ParseError):
-            nn.load_checkpoint(path)
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
 
 
 def test_seeded_init_is_reproducible():
@@ -242,7 +249,7 @@ class TestParameterBuffer:
 
     def test_copy_shares_no_memory(self, rng):
         net = random_net(rng, max_hidden=3)
-        twin = net.copy()
+        twin = nn.Network(net.weights, net.biases, net.tag)
         assert twin.params.tobytes() == net.params.tobytes()
         assert not np.shares_memory(twin.params, net.params)
         twin.params[:] = 0.0
@@ -252,14 +259,14 @@ class TestParameterBuffer:
     def test_checkpoint_restores_params(self, tmp_path, rng):
         net = random_net(rng, max_hidden=3)
         (tmp_path / "net.ckpt").write_text(nn.checkpoint_text(net))
-        assert nn.load_checkpoint(tmp_path / "net.ckpt").params.tobytes() == net.params.tobytes()
+        assert load_checkpoint(tmp_path / "net.ckpt").params.tobytes() == net.params.tobytes()
 
     def test_backward_writes_the_nets_own_buffer(self, rng):
         net = random_net(rng)
-        twin = net.copy()
-        other = random_net(rng, n_in=net.input_dim, n_out=net.output_dim)
+        twin = nn.Network(net.weights, net.biases, net.tag)
+        other = random_net(rng, n_in=net.input_dim, n_out=net.layer_sizes[-1])
         x = rng.normal(size=(6, net.input_dim))
-        y = random_soft_labels(rng, 6, net.output_dim)
+        y = random_soft_labels(rng, 6, net.layer_sizes[-1])
         spec = nn.TotalLoss(lambda_u=10.0, lambda_reg=1.0)
         assert nn.backward(net, ((x, y), (x[:2], y[:2])), spec) is net.grads
         grads = nn.backward(net, (x, y), "cross_entropy")
@@ -277,9 +284,9 @@ class TestParameterBuffer:
 
     def test_backward_overwrites_every_gradient(self, rng):
         net = random_net(rng)
-        twin = net.copy()
+        twin = nn.Network(net.weights, net.biases, net.tag)
         x = rng.normal(size=(5, net.input_dim))
-        y = random_soft_labels(rng, 5, net.output_dim)
+        y = random_soft_labels(rng, 5, net.layer_sizes[-1])
         net.grads[:] = np.nan
         got = nn.backward(net, (x, y), "cross_entropy")
         assert got.tobytes() == nn.backward(twin, (x, y), "cross_entropy").tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,9 +104,10 @@ class TestCoreSet:
         records = [(7, self._snapshot(42))]
         assert select_core_set(records, 10).size == 42
 
-    def test_all_empty_warns(self):
+    def test_all_empty_gives_empty_core_set(self):
         records = [(e, self._snapshot(0)) for e in range(5, 11)]
-        with pytest.warns(UserWarning, match="empty"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             core = select_core_set(records, 10)
         assert core.size == 0
 
@@ -230,7 +233,10 @@ class TestCleanSetMetrics:
         assert m.precision == 1.0
         assert m.precision_defaulted
         assert m.recall == 0.0
-        assert not m.recall_defaulted
+        assert m == CleanSetMetrics(precision=1.0, recall=0.0, precision_defaulted=True)
+        # no clean sample anywhere: recall's empty denominator defaults to 1.0
+        m = clean_set_metrics(self._split([0], [1], 2), np.array([True, True]))
+        assert m == CleanSetMetrics(precision=0.0, recall=1.0)
 
 
 class TestRandomizedProperties:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,13 +76,13 @@ class TestEvaluate:
     def test_perfect_pair(self):
         ds, test = blob_pair(n=100, classes=2, spread=0.05)
         net = nn.Network([np.array([[50.0, -50.0], [0.0, 0.0]])], [np.zeros(2)])
-        assert evaluate(net, net.copy(), test) == 1.0
+        assert evaluate(net, nn.Network(net.weights, net.biases), test) == 1.0
 
     def test_argmax_tie_takes_lowest_class(self):
         # zero-weight nets emit uniform distributions; every prediction ties
         ds, test = blob_pair(n=40, classes=4)
         net = nn.Network([np.zeros((2, 4))], [np.zeros(4)])
-        got = evaluate(net, net.copy(), test)
+        got = evaluate(net, nn.Network(net.weights, net.biases), test)
         want = float((test.true_labels == 0).mean())
         assert got == want
 
@@ -132,7 +134,7 @@ class TestSupervisedPassMatchesReference:
         sizes = (ds.dim, *cfg.hidden, ds.num_classes)
         for m, seed in enumerate((cfg.model1_seed, cfg.model2_seed)):
             net = nn.init_network(sizes, seed=(seed, 1))
-            ref = net.copy()
+            ref = nn.Network(net.weights, net.biases, net.tag)
             opt, ref_opt = (nn.init_optimizer(x, cfg.lr, cfg.momentum, cfg.weight_decay)
                             for x in (net, ref))
             for pass_no in range(1, 4):
@@ -191,8 +193,10 @@ class TestSupervisedFallback:
     def test_fallback_records(self):
         ds, test = blob_pair(n=120, classes=6, noise=0.9)
         cfg = small_cfg(mode="full-longremix", tau=1.0, epochs=12, warmup_epochs=1)
-        with pytest.warns(UserWarning, match="core set is empty"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = run_training(cfg, ds, test)
+        assert res.stages[0].core_set.size == 0
         for stage in res.stages:
             rows = [r for r in stage.record.epochs if r.phase == "train"]
             assert len(rows) == cfg.epochs
