@@ -19,11 +19,11 @@ import os
 import sys
 
 from . import __version__, data, lemma, report
-from .config import (_to_int, _to_mapping, _to_tuple, apply_seed_override, build_experiment,
-                     parse_flat_config)
+from .config import (DatasetSpec, _to_int, _to_mapping, _to_tuple, apply_seed_override,
+                     build_experiment, parse_flat_config)
 from .errors import ConfigError, LongRemixError, ParseError
 from .gmm import MIN_FIT_SAMPLES
-from .trainer import run_stage1_hct, run_training
+from .trainer import TrainConfig, run_stage1_hct, run_training
 
 OUTDIR_ENV = "LONGREMIX_OUTDIR"
 
@@ -105,18 +105,17 @@ def cmd_train(args) -> int:
     ds, test = _build_datasets(exp)
     if exp.train.mode != "ce":
         _require_mixture_rows(exp, ds)
-    result = run_training(exp.train, ds, test)
-    for stage in result.stages:
+    stages = run_training(exp.train, ds, test)
+    for stage in stages:
         if stage.core_set is not None and stage.core_set.size == 0:
             print(f"warning: {stage.record.stage} captured an empty core set; every "
                   "clean-set snapshot of its second half was empty", file=sys.stderr)
     curve = None
-    if exp.report.prcurve and result.stages[0].histories is not None:
-        stage1 = result.stages[0]
-        curve = report.pr_curve(stage1.histories[0], ds.mask, exp.report.tau_grid, ds.labels)
-    bundle = report.emit_report(result, exp, data.noise_sidecar(exp.noise, ds.mask.sum()),
+    if exp.report.prcurve and stages[0].histories is not None:
+        curve = report.pr_curve(stages[0].histories[0], ds.mask, exp.report.tau_grid, ds.labels)
+    bundle = report.emit_report(stages, exp, data.noise_sidecar(exp.noise, ds.mask.sum()),
                                 _dataset_info(exp, ds, test), prcurve_rows=curve)
-    print(f"mode={exp.train.mode} best_acc={result.best_acc:.6g} "
+    print(f"mode={exp.train.mode} best_acc={stages[-1].record.best_acc:.6g} "
           f"bundle={bundle.manifest_path}")
     return 0
 
@@ -226,15 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_noise = sub.add_parser("noise", help="inject label noise and write CSV + sidecar")
     p_noise.add_argument("--kind", choices=("symmetric", "asymmetric", "none"), required=True)
-    p_noise.add_argument("--eta", type=float, default=0.0)
+    p_noise.add_argument("--eta", type=float, default=data.NoiseSpec.eta)
     p_noise.add_argument("--mapping", help="asymmetric class mapping, e.g. 0:1,2:3")
-    p_noise.add_argument("--seed", type=int, default=0, help="noise draw seed")
+    p_noise.add_argument("--seed", type=int, default=data.NoiseSpec.seed, help="noise draw seed")
     p_noise.add_argument("--csv", help="noise an existing CSV dataset")
-    p_noise.add_argument("--dataset", choices=("blobs", "moons"), default="blobs")
-    p_noise.add_argument("--n", type=int, default=2000)
-    p_noise.add_argument("--classes", type=int, default=16)
-    p_noise.add_argument("--spread", type=float, default=0.15)
-    p_noise.add_argument("--data-seed", type=int, default=1)
+    p_noise.add_argument("--dataset", choices=("blobs", "moons"), default=DatasetSpec.kind)
+    p_noise.add_argument("--n", type=int, default=DatasetSpec.n)
+    p_noise.add_argument("--classes", type=int, default=DatasetSpec.classes)
+    p_noise.add_argument("--spread", type=float, default=DatasetSpec.spread)
+    p_noise.add_argument("--data-seed", type=int, default=TrainConfig.data_seed)
     p_noise.add_argument("--out")
     p_noise.set_defaults(func=cmd_noise)
 

@@ -35,6 +35,10 @@ class DatasetSpec:
             raise ConfigError(f"unknown dataset kind: {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ConfigError("dataset.path is required for csv datasets")
+        for key in ("n", "test_n"):
+            if self.kind != "csv" and getattr(self, key) < self.classes:
+                raise ConfigError(f"dataset.{key} must be >= dataset.classes "
+                                  f"({self.classes}), got {getattr(self, key)}")
 
 
 @dataclass
@@ -155,19 +159,15 @@ _PARSERS = {
 # ExperimentConfig field -> its spec dataclass.
 _SECTIONS = get_type_hints(ExperimentConfig)
 
-# The config keys that are not named ``<section>.<field>``.
-_RENAMED = {"train.warmup_epochs": "train.warmup"}
-
 
 def _config_keys() -> dict:
-    """Config key -> (ExperimentConfig field, spec field, parser) in
+    """Config key ``<section>.<field>`` -> (section, field, parser) in
     ExperimentConfig field order, which is also the echo order."""
     keys = {}
     for section, spec in _SECTIONS.items():
         hints = get_type_hints(spec)
         for f in fields(spec):
-            path = f"{section}.{f.name}"
-            keys[_RENAMED.get(path, path)] = (section, f.name, _PARSERS[hints[f.name]])
+            keys[f"{section}.{f.name}"] = (section, f.name, _PARSERS[hints[f.name]])
     return keys
 
 

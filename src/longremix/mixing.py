@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StateError
+from .seeding import derive_rng
 from .selector import SplitSets
 
 
@@ -36,15 +37,6 @@ class EpochPlan:
         return len(self.u_anchor)
 
 
-@dataclass
-class MixBatch:
-    features: np.ndarray
-    targets: np.ndarray
-
-    def __len__(self):
-        return len(self.features)
-
-
 def build_epoch_plan(labeled_idx, unlabeled_idx, dataset_size, seed,
                      longmix=True) -> EpochPlan:
     """Draw the epoch's mix instructions.
@@ -52,14 +44,14 @@ def build_epoch_plan(labeled_idx, unlabeled_idx, dataset_size, seed,
     Longmix mode draws ``dataset_size`` anchors from each of X and U;
     baseline-compat mode draws ``len(labeled_idx)`` from each. Partners are
     uniform with replacement over X plus U either way. With an empty U the
-    plan carries labelled instructions only.
+    plan carries labelled instructions only. ``seed`` is the plan's
+    ``derive_rng`` key tuple.
     """
     labeled_idx = np.asarray(labeled_idx, dtype=int)
     unlabeled_idx = np.asarray(unlabeled_idx, dtype=int)
     if len(labeled_idx) == 0:
         raise StateError("cannot build an epoch plan without labelled anchors")
-    seed_keys = seed if isinstance(seed, tuple) else (int(seed),)
-    rng = np.random.default_rng(list(seed_keys))
+    rng = derive_rng(*seed)
     target = int(dataset_size) if longmix else len(labeled_idx)
     pool = np.concatenate([labeled_idx, unlabeled_idx])
 
@@ -68,11 +60,11 @@ def build_epoch_plan(labeled_idx, unlabeled_idx, dataset_size, seed,
     if len(unlabeled_idx) == 0:
         return EpochPlan(x_anchor=x_anchor, x_partner=x_partner,
                          u_anchor=np.empty(0, dtype=int), u_partner=np.empty(0, dtype=int),
-                         seed=seed_keys)
+                         seed=seed)
     u_anchor = unlabeled_idx[rng.integers(0, len(unlabeled_idx), size=target)]
     u_partner = pool[rng.integers(0, len(pool), size=target)]
     return EpochPlan(x_anchor=x_anchor, x_partner=x_partner,
-                     u_anchor=u_anchor, u_partner=u_partner, seed=seed_keys)
+                     u_anchor=u_anchor, u_partner=u_partner, seed=seed)
 
 
 def target_table(split: SplitSets, guessed, num_classes) -> np.ndarray:
@@ -86,15 +78,14 @@ def target_table(split: SplitSets, guessed, num_classes) -> np.ndarray:
 
 
 def mix_plan(plan: EpochPlan, features, targets, alpha, rng):
-    """Realize a plan into mixed batches (one labelled, one unlabelled)."""
+    """Realize a plan into labelled and unlabelled mixed ``(features, targets)`` pairs."""
     if alpha <= 0:
         raise ConfigError(f"beta concentration must be positive, got {alpha}")
 
     def _mix(anchor, partner):
         col = rng.beta(alpha, alpha, size=len(anchor))[:, None]
-        return MixBatch(
-            features=col * features[anchor] + (1.0 - col) * features[partner],
-            targets=col * targets[anchor] + (1.0 - col) * targets[partner])
+        return (col * features[anchor] + (1.0 - col) * features[partner],
+                col * targets[anchor] + (1.0 - col) * targets[partner])
 
     return _mix(plan.x_anchor, plan.x_partner), _mix(plan.u_anchor, plan.u_partner)
 

@@ -90,20 +90,15 @@ class OptimizerState:
 
 
 def init_network(layer_sizes, seed, tag="model1") -> Network:
-    """Glorot-uniform weights (range +-sqrt(6/(fan_in+fan_out))), zero biases."""
-    rng = derive_rng(*_as_keys(seed), NET_INIT)
+    """Glorot-uniform weights (range +-sqrt(6/(fan_in+fan_out))), zero biases,
+    drawn from the stream of the ``seed`` key tuple."""
+    rng = derive_rng(*seed, NET_INIT)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return Network(weights, biases, tag)
-
-
-def _as_keys(seed):
-    if isinstance(seed, (tuple, list)):
-        return tuple(seed)
-    return (seed,)
 
 
 def _forward_cached(net: Network, x):
@@ -131,6 +126,14 @@ def forward(net: Network, x) -> np.ndarray:
         raise ValueError(f"input must be (n, {net.input_dim}), rows of the network's "
                          f"input width; got shape {x.shape}")
     return _forward_cached(net, x)[-1]
+
+
+def _mean_ce_grad(p, targets):
+    """Mean cross-entropy gradient at the softmax input, in place over ``p``."""
+    p *= targets.sum(axis=1, keepdims=True)
+    p -= targets
+    p /= len(p)
+    return p
 
 
 def _softmax_vjp(p, g):
@@ -161,10 +164,7 @@ def backward(net: Network, batch, loss) -> np.ndarray:
     acts = _forward_cached(net, feats)
     p = acts[-1]
     if loss == "cross_entropy":
-        dz = p  # in place: _backprop reads no class probabilities
-        dz *= targets.sum(axis=1, keepdims=True)
-        dz -= targets
-        dz /= len(feats)
+        dz = _mean_ce_grad(p, targets)  # in place: _backprop reads no class probabilities
     elif loss == "squared_error":
         dz = _softmax_vjp(p, 2.0 * (p - targets) / len(feats))
     else:
@@ -193,18 +193,15 @@ def _backward_total(net: Network, batch, loss: TotalLoss) -> np.ndarray:
             p.shape[1] * p.shape[0] * np.maximum(m, LOG_EPS)), 0.0)
     g = _softmax_vjp(p, g)
 
-    # dz, in place: mean cross-entropy in direct output-layer form on the
+    # dz, in place over p: mean cross-entropy in direct output-layer form on the
     # labelled rows, zero on the unlabelled ones, plus the softmax term
-    dz, dz_x = p, p[:n_x]
-    dz_x *= xt.sum(axis=1, keepdims=True)
-    dz_x -= xt
-    dz_x /= n_x
-    dz[n_x:] = 0.0
-    dz += g
-    return _backprop(net, acts, dz)
+    _mean_ce_grad(p[:n_x], xt)
+    p[n_x:] = 0.0
+    p += g
+    return _backprop(net, acts, p)
 
 
-def init_optimizer(net: Network, lr, momentum=0.8, weight_decay=0.0) -> OptimizerState:
+def init_optimizer(net: Network, lr, momentum, weight_decay) -> OptimizerState:
     return OptimizerState(velocity=np.zeros_like(net.params), work=np.empty_like(net.params),
                           lr=lr, momentum=momentum, weight_decay=weight_decay)
 

@@ -18,7 +18,7 @@ from . import nn
 from .config import ExperimentConfig, effective_config
 from .errors import StateError
 from .selector import baseline_split, clean_set_metrics, hct_split
-from .trainer import ExperimentResult, ModelEpochStats
+from .trainer import ModelEpochStats
 
 SCHEMA_VERSION = 1
 
@@ -86,23 +86,24 @@ def pr_curve(history, mask, taus, labels):
     return rows
 
 
-def metrics_document(result: ExperimentResult, exp: ExperimentConfig,
-                     noise_info, dataset_info, prcurve_rows=None) -> dict:
-    final = result.final.record
+def metrics_document(stages, exp: ExperimentConfig, noise_info, dataset_info,
+                     prcurve_rows=None) -> dict:
+    """The metrics document of a run's ``StageOutcome``s; the summary's core set is stage 1's."""
+    final, core = stages[-1].record, stages[0].core_set
     return {
         "schema_version": SCHEMA_VERSION,
         "config": effective_config(exp),
         "dataset": dataset_info,
         "noise": noise_info,
-        "stages": [_stage_dict(s) for s in result.stages],
+        "stages": [_stage_dict(s) for s in stages],
         "summary": {
-            "mode": result.config.mode,
+            "mode": exp.train.mode,
             "best_acc": final.best_acc,
             "best_epoch": final.best_epoch,
             "last10_acc": final.last10_acc,
             "final_stage": final.stage,
-            "core_set_size": None if result.core_set is None else result.core_set.size,
-            "core_set_epoch": None if result.core_set is None else result.core_set.epoch,
+            "core_set_size": None if core is None else core.size,
+            "core_set_epoch": None if core is None else core.epoch,
         },
         "prcurve": prcurve_rows,
     }
@@ -179,20 +180,20 @@ def _write_bundle(outdir, doc, formats, files) -> ReportBundle:
                         manifest_path=write_files(outdir, texts)[-1])
 
 
-def emit_report(result: ExperimentResult, exp: ExperimentConfig, noise_info,
-                dataset_info, prcurve_rows=None) -> ReportBundle:
-    """Render the configured bundle in full, then write it and its manifest."""
-    doc = metrics_document(result, exp, noise_info, dataset_info, prcurve_rows)
+def emit_report(stages, exp: ExperimentConfig, noise_info, dataset_info,
+                prcurve_rows=None) -> ReportBundle:
+    """Render the configured bundle of ``stages`` in full, then write it and its manifest."""
+    doc = metrics_document(stages, exp, noise_info, dataset_info, prcurve_rows)
     files = {}
     if exp.report.gmm_dump:
-        rows = (row for stage in result.stages for row in stage.gmm_rows)
+        rows = (row for stage in stages for row in stage.gmm_rows)
         files["gmm"] = ("gmm.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
     if exp.report.plan_digests:
         files["plans"] = ("plans.csv", "stage,epoch,model,digest\n" + "".join(
             f"{row['stage']},{row['epoch']},{row['model']},{row['digest']}\n"
-            for stage in result.stages for row in stage.plan_rows))
+            for stage in stages for row in stage.plan_rows))
     if exp.report.checkpoints:
-        for net in result.final.nets:
+        for net in stages[-1].nets:
             files[net.tag] = (f"{net.tag}.ckpt", nn.checkpoint_text(net))
     return _write_bundle(exp.output.dir, doc, exp.report.formats, files)
 

@@ -56,7 +56,7 @@ class TrainConfig:
     lambda_u: float = 10.0
     lambda_reg: float = 1.0
     epochs: int = 60          # selection epochs per stage
-    warmup_epochs: int = 10
+    warmup: int = 10
     batch_size: int = 64
     lr: float = 0.02
     lr_drop: float = 0.1      # factor applied at the stage midpoint
@@ -78,8 +78,8 @@ class TrainConfig:
             raise ConfigError(f"zeta must be >= 1, got {self.zeta}")
         if self.epochs < self.zeta:
             raise ConfigError(f"epochs ({self.epochs}) must be >= zeta ({self.zeta})")
-        if self.warmup_epochs < 1:
-            raise ConfigError(f"warmup must be >= 1, got {self.warmup_epochs}")
+        if self.warmup < 1:
+            raise ConfigError(f"warmup must be >= 1, got {self.warmup}")
         if self.alpha <= 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.lambda_u < 0 or self.lambda_reg < 0:
@@ -142,21 +142,6 @@ class StageOutcome:
     plan_rows: list = field(default_factory=list)
 
 
-@dataclass
-class ExperimentResult:
-    config: TrainConfig
-    stages: list              # StageOutcome per stage, in run order
-    core_set: CoreSet | None
-
-    @property
-    def final(self) -> StageOutcome:
-        return self.stages[-1]
-
-    @property
-    def best_acc(self) -> float:
-        return self.final.record.best_acc
-
-
 def one_hot(labels, num_classes) -> np.ndarray:
     out = np.zeros((len(labels), num_classes))
     out[np.arange(len(labels)), labels] = 1.0
@@ -204,19 +189,29 @@ def _supervised_pass(net, opt, ds: NoisyDataset, cfg: TrainConfig, m, stage_no, 
         nn.sgd_step(net, nn.backward(net, batch, "cross_entropy"), opt)
 
 
-def warmup(net1, net2, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig, stage_no,
+def _optimizers(nets, cfg: TrainConfig) -> list:
+    """Fresh momentum-SGD state for each net of the pair, at the base lr."""
+    return [nn.init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay) for net in nets]
+
+
+def _supervised_epoch(nets, opts, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig,
+                      stage_no, stage_tag, phase, epoch, pass_no) -> EpochMetrics:
+    """One supervised pass of each net at its optimiser's lr, each checked
+    finite, then the pair's test accuracy as the epoch's metrics row."""
+    for m, (net, opt) in enumerate(zip(nets, opts)):
+        _supervised_pass(net, opt, ds, cfg, m, stage_no, pass_no)
+        _require_finite(net, stage_tag, phase, epoch)
+    return EpochMetrics(epoch=epoch, phase=phase, lr=opts[0].lr,
+                        test_acc=evaluate(*nets, test))
+
+
+def warmup(nets, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig, stage_no,
            stage_tag) -> list:
-    """``cfg.warmup_epochs`` epochs of independent cross-entropy training of
-    both nets on all observed labels; returns one metrics row per epoch."""
-    opts = [nn.init_optimizer(n, cfg.lr, cfg.momentum, cfg.weight_decay) for n in (net1, net2)]
-    rows = []
-    for e in range(1, cfg.warmup_epochs + 1):
-        for m, (net, opt) in enumerate(zip((net1, net2), opts)):
-            _supervised_pass(net, opt, ds, cfg, m, stage_no, e)
-            _require_finite(net, stage_tag, "warmup", e)
-        rows.append(EpochMetrics(epoch=e, phase="warmup", lr=cfg.lr,
-                                 test_acc=evaluate(net1, net2, test)))
-    return rows
+    """``cfg.warmup`` epochs of independent cross-entropy training of both
+    nets of the pair on all observed labels; returns one metrics row per epoch."""
+    opts = _optimizers(nets, cfg)
+    return [_supervised_epoch(nets, opts, ds, test, cfg, stage_no, stage_tag, "warmup", e, e)
+            for e in range(1, cfg.warmup + 1)]
 
 
 def _select_half(net, probs, ds, cfg, split_mode, history, core):
@@ -243,19 +238,18 @@ def _train_half(net, opt, split, guessed, ds, cfg, stage_no, epoch, m, longmix_p
     returns the pass's mix-op counts and plan digest. Without labelled
     anchors to mix, the pass is supervised on all data and the digest None."""
     if split.x_size == 0:
-        _supervised_pass(net, opt, ds, cfg, m, stage_no, cfg.warmup_epochs + epoch)
+        _supervised_pass(net, opt, ds, cfg, m, stage_no, cfg.warmup + epoch)
         return ds.n, 0, None
     plan = build_epoch_plan(split.labeled_idx, split.unlabeled_idx, ds.n,
                             seed=(cfg.plan_seed, PLAN_DRAW, stage_no, epoch, m),
                             longmix=longmix_plans)
     targets = target_table(split, guessed, ds.num_classes)
     lam_rng = derive_rng(cfg.plan_seed, MIX_LAMBDA, stage_no, epoch, m)
-    xb, ub = mix_plan(plan, ds.features, targets, cfg.alpha, lam_rng)
+    mixed = mix_plan(plan, ds.features, targets, cfg.alpha, lam_rng)
     spec = nn.TotalLoss(lambda_u=cfg.lambda_u, lambda_reg=cfg.lambda_reg)
-    for start in range(0, len(xb), cfg.batch_size):
+    for start in range(0, plan.x_ops, cfg.batch_size):
         stop = start + cfg.batch_size
-        batch = ((xb.features[start:stop], xb.targets[start:stop]),
-                 (ub.features[start:stop], ub.targets[start:stop]))
+        batch = tuple((f[start:stop], t[start:stop]) for f, t in mixed)
         nn.sgd_step(net, nn.backward(net, batch, spec), opt)
     return plan.x_ops, plan.u_ops, plan_digest(plan)
 
@@ -320,9 +314,8 @@ def _start_stage(cfg: TrainConfig, ds: NoisyDataset, test, stage_no, stage_tag):
     sizes = (ds.dim, *cfg.hidden, ds.num_classes)
     nets = (nn.init_network(sizes, seed=(cfg.model1_seed, stage_no), tag="model1"),
             nn.init_network(sizes, seed=(cfg.model2_seed, stage_no), tag="model2"))
-    rows = warmup(*nets, ds, test, cfg, stage_no, stage_tag)
-    opts = [nn.init_optimizer(n, cfg.lr, cfg.momentum, cfg.weight_decay) for n in nets]
-    return nets, opts, rows
+    rows = warmup(nets, ds, test, cfg, stage_no, stage_tag)
+    return nets, _optimizers(nets, cfg), rows
 
 
 # Overflow in a stage ends in NaN or inf parameters or outputs, which the
@@ -369,23 +362,21 @@ def run_stage1_hct(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset) -> St
 def _run_ce(cfg: TrainConfig, ds, test) -> StageOutcome:
     nets, opts, rows = _start_stage(cfg, ds, test, 1, "ce")
     for epoch in range(1, cfg.epochs + 1):
-        lr = _set_epoch_lr(opts, cfg, epoch)
-        for m, (net, opt) in enumerate(zip(nets, opts)):
-            _supervised_pass(net, opt, ds, cfg, m, 1, cfg.warmup_epochs + epoch)
-            _require_finite(net, "ce", "train", epoch)
-        rows.append(EpochMetrics(epoch=epoch, phase="train", lr=lr,
-                                 test_acc=evaluate(*nets, test)))
+        _set_epoch_lr(opts, cfg, epoch)
+        rows.append(_supervised_epoch(nets, opts, ds, test, cfg, 1, "ce", "train", epoch,
+                                      cfg.warmup + epoch))
     return StageOutcome(record=_finalize_record("ce", rows), nets=nets)
 
 
-def run_training(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset) -> ExperimentResult:
-    """Execute the configured mode end to end; the core set a stage captures
-    is passed to the stages after it."""
+def run_training(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset) -> list:
+    """Execute the configured mode end to end and return its ``StageOutcome``s
+    in run order; the core set a stage captures is passed to the stages
+    after it."""
     if cfg.mode == "ce":
-        return ExperimentResult(cfg, [_run_ce(cfg, ds, test)], core_set=None)
+        return [_run_ce(cfg, ds, test)]
     stages, core = [], None
     for stage_no, stage in enumerate(MODE_STAGES[cfg.mode], start=1):
         outcome = run_stage(cfg, ds, test, stage_no, *stage, core=core)
         stages.append(outcome)
         core = outcome.core_set or core
-    return ExperimentResult(cfg, stages, core_set=core)
+    return stages

@@ -160,7 +160,7 @@ def random_net(rng, n_in=None, n_out=None, max_hidden=2):
     n_in = n_in or int(rng.integers(2, 5))
     n_out = n_out or int(rng.integers(2, 5))
     sizes = [n_in] + [int(rng.integers(3, 8)) for _ in range(int(rng.integers(1, max_hidden + 1)))] + [n_out]
-    net = nn.init_network(sizes, seed=int(rng.integers(0, 2**31)))
+    net = nn.init_network(sizes, seed=(int(rng.integers(0, 2**31)),))
     # non-zero biases so bias gradients are exercised away from the origin
     for b in net.biases:
         b[:] = rng.normal(scale=0.3, size=b.shape)

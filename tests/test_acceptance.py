@@ -172,11 +172,11 @@ def test_criterion_5_plan_sizing_law():
         seed = int(rng.integers(0, 2**31))
         if len(unlabeled) == 0:
             continue
-        plan = build_epoch_plan(labeled, unlabeled, d, seed=seed)
+        plan = build_epoch_plan(labeled, unlabeled, d, seed=(seed,))
         assert plan.x_ops == d and plan.u_ops == d
         assert np.isin(plan.x_anchor, labeled).all()
         assert np.isin(plan.u_anchor, unlabeled).all()
-        compat = build_epoch_plan(labeled, unlabeled, d, seed=seed, longmix=False)
+        compat = build_epoch_plan(labeled, unlabeled, d, seed=(seed,), longmix=False)
         assert compat.x_ops == x_size and compat.u_ops == x_size
         if x_size <= d // 10:
             counts = np.bincount(np.searchsorted(np.sort(labeled), plan.x_anchor),
@@ -199,7 +199,7 @@ LADDER_MODES = ("ce", "baseline", "longmix", "full-longremix")
 def _ladder_config(mode, seed):
     return trainer.TrainConfig(
         mode=mode, tau=0.7, zeta=5, alpha=0.2, lambda_u=10.0, lambda_reg=1.0,
-        epochs=60, warmup_epochs=20, batch_size=64, lr=0.02, momentum=0.8,
+        epochs=60, warmup=20, batch_size=64, lr=0.02, momentum=0.8,
         weight_decay=5e-4, hidden=(64, 64),
         data_seed=seed, model1_seed=seed + 11, model2_seed=seed + 22,
         plan_seed=seed + 33)
@@ -210,7 +210,7 @@ def _ladder_run(mode, eta, seed):
     test = data.make_synthetic_dataset("blobs", n=1000, classes=16, spread=0.15,
                                        seed=seed + 1000003)
     noisy = data.inject_symmetric_noise(ds, eta, seed=seed + 101)
-    return trainer.run_training(_ladder_config(mode, seed), noisy, test).best_acc
+    return trainer.run_training(_ladder_config(mode, seed), noisy, test)[-1].record.best_acc
 
 
 def test_criterion_6_mode_ladder():
@@ -251,7 +251,7 @@ def test_criterion_7_asymmetric_pr_tradeoff():
         noisy = data.inject_asymmetric_noise(ds, 0.4, {0: 1}, seed=seed + 101)
         cfg = trainer.TrainConfig(
             mode="full-longremix", tau=0.5, zeta=5, alpha=0.2, lambda_u=0.0,
-            lambda_reg=0.0, epochs=20, warmup_epochs=5, lr=0.05,
+            lambda_reg=0.0, epochs=20, warmup=5, lr=0.05,
             data_seed=seed, model1_seed=seed + 11, model2_seed=seed + 22,
             plan_seed=seed + 33)
         stage1 = trainer.run_stage1_hct(cfg, noisy, test)

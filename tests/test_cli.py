@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longremix import cli, config, data, report
+from longremix import cli, config, data, report, trainer
 from longremix.errors import ConfigError
 from conftest import load_checkpoint, serialize_flat
 
@@ -144,6 +144,11 @@ class TestTrainCommand:
         assert len(doc["stages"]) == 2
         assert doc["summary"]["core_set_size"] is not None
         assert doc["stages"][0]["core_set"] is not None
+        # the summary names the core set stage 1 captured; stage 2 captures none
+        core = doc["stages"][0]["core_set"]
+        assert doc["stages"][1]["core_set"] is None
+        assert (doc["summary"]["core_set_size"], doc["summary"]["core_set_epoch"]) == (
+            core["size"], core["epoch"])
         assert doc["noise"]["kind"] == "symmetric"
         manifest = json.loads((tmp_path / "out" / "bundle.json").read_text())
         for rel in manifest["files"].values():
@@ -297,6 +302,14 @@ class TestLemmaCommand:
 
 
 class TestNoiseCommand:
+    def test_defaults_are_the_spec_fields(self):
+        args = cli.build_parser().parse_args(["noise", "--kind", "none"])
+        noise, dataset = data.NoiseSpec(), config.DatasetSpec()
+        assert (args.eta, args.seed) == (noise.eta, noise.seed)
+        assert (args.dataset, args.n, args.classes, args.spread) == (
+            dataset.kind, dataset.n, dataset.classes, dataset.spread)
+        assert args.data_seed == trainer.TrainConfig().data_seed
+
     def test_sidecar_matches_csv(self, tmp_path):
         assert cli.main(["noise", "--kind", "symmetric", "--eta", "0.5", "--seed", "3",
                          "--n", "100", "--classes", "4", "--out", str(tmp_path)]) == 0
@@ -477,6 +490,8 @@ VALUE_CASES = [
     ("baseline", "noise.mapping = 0:1", 2,
      "a class mapping needs asymmetric noise, got kind 'symmetric'"),
     ("baseline", "output.dir =", 2, "output.dir must not be empty"),
+    ("baseline", "dataset.n = 3", 2, "dataset.n must be >= dataset.classes (4), got 3"),
+    ("baseline", "dataset.test_n = 0", 2, "dataset.test_n must be >= dataset.classes (4), got 0"),
 ]
 
 

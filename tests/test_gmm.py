@@ -23,7 +23,7 @@ class TestPerSampleLosses:
 
     def test_matches_independent_recomputation(self):
         ds = make_synthetic_dataset("blobs", n=25, classes=3, spread=0.3, seed=1)
-        net = nn.init_network([2, 8, 3], seed=4)
+        net = nn.init_network([2, 8, 3], seed=(4,))
         losses = gmm.per_sample_losses(net, ds)
         for i in [0, 7, 24]:
             p = nn.forward(net, ds.features[i:i + 1])[0]
@@ -33,7 +33,7 @@ class TestPerSampleLosses:
 
     def test_given_probs_match_own_forward(self):
         ds = make_synthetic_dataset("blobs", n=300, classes=5, spread=0.3, seed=3)
-        net = nn.init_network([2, 16, 5], seed=6)
+        net = nn.init_network([2, 16, 5], seed=(6,))
         given = gmm.per_sample_losses(net, ds, probs=nn.forward(net, ds.features))
         assert given.tobytes() == gmm.per_sample_losses(net, ds).tobytes()
 

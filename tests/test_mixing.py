@@ -33,7 +33,7 @@ def recording(rng):
 def mixed_lambdas(alpha, per_plan, seed):
     """The Beta(alpha, alpha) draws of mix_plan over a plan of ``per_plan``
     labelled and as many unlabelled instructions."""
-    plan = build_epoch_plan([0, 1], [2, 3], per_plan, seed=0)
+    plan = build_epoch_plan([0, 1], [2, 3], per_plan, seed=(0,))
     rng, draws = recording(np.random.default_rng(seed))
     mix_plan(plan, np.zeros((4, 1)), np.zeros((4, 2)), alpha, rng)
     assert [len(d) for d in draws] == [per_plan, per_plan]
@@ -43,7 +43,7 @@ def mixed_lambdas(alpha, per_plan, seed):
 def mixed_at(lam):
     """Plan, features, targets and labelled mix batch, every Beta draw ``lam``."""
     feats, targets = np.random.default_rng(4).normal(size=(6, 2)), np.eye(2)[[0, 1, 0, 1, 1, 0]]
-    plan = build_epoch_plan(np.arange(3), np.arange(3, 6), 6, seed=1)
+    plan = build_epoch_plan(np.arange(3), np.arange(3, 6), 6, seed=(1,))
     fixed = SimpleNamespace(beta=lambda a, b, size: np.full(size, lam))
     return plan, feats, targets, mix_plan(plan, feats, targets, 1.0, fixed)[0]
 
@@ -51,10 +51,11 @@ def mixed_at(lam):
 def assert_literal_mixes(plan, feats, targets, batch, lams):
     """Each labelled mix row is lam*a + (1-lam)*b of its anchor a and partner
     b, ``lams`` the labelled batch's Beta draws."""
-    assert len(lams) == len(batch) == plan.x_ops
+    mixed_feats, mixed_targets = batch
+    assert len(lams) == len(mixed_feats) == plan.x_ops
     for row, (a, b, lam) in enumerate(zip(plan.x_anchor, plan.x_partner, lams)):
-        assert (batch.features[row] == lam * feats[a] + (1 - lam) * feats[b]).all()
-        assert (batch.targets[row] == lam * targets[a] + (1 - lam) * targets[b]).all()
+        assert (mixed_feats[row] == lam * feats[a] + (1 - lam) * feats[b]).all()
+        assert (mixed_targets[row] == lam * targets[a] + (1 - lam) * targets[b]).all()
 
 
 class TestSampleBeta:
@@ -79,24 +80,24 @@ class TestSampleBeta:
 
 class TestMixupPair:
     def test_lambda_one_identity(self):
-        plan, feats, targets, xb = mixed_at(1.0)
-        np.testing.assert_array_equal(xb.features, feats[plan.x_anchor])
-        np.testing.assert_array_equal(xb.targets, targets[plan.x_anchor])
+        plan, feats, targets, (xf, xt) = mixed_at(1.0)
+        np.testing.assert_array_equal(xf, feats[plan.x_anchor])
+        np.testing.assert_array_equal(xt, targets[plan.x_anchor])
 
     def test_lambda_zero_partner(self):
-        plan, feats, targets, xb = mixed_at(0.0)
-        np.testing.assert_array_equal(xb.features, feats[plan.x_partner])
-        np.testing.assert_array_equal(xb.targets, targets[plan.x_partner])
+        plan, feats, targets, (xf, xt) = mixed_at(0.0)
+        np.testing.assert_array_equal(xf, feats[plan.x_partner])
+        np.testing.assert_array_equal(xt, targets[plan.x_partner])
 
     def test_midpoint_label(self):
-        plan, _, targets, xb = mixed_at(0.5)
+        plan, _, targets, (_, xt) = mixed_at(0.5)
         np.testing.assert_allclose(
-            xb.targets, 0.5 * targets[plan.x_anchor] + 0.5 * targets[plan.x_partner])
+            xt, 0.5 * targets[plan.x_anchor] + 0.5 * targets[plan.x_partner])
 
     def test_convexity_exact(self):
         rng = np.random.default_rng(4)
         feats, targets = rng.normal(size=(50, 2)), np.eye(2)[np.arange(50) % 2]
-        plan = build_epoch_plan(np.arange(20), np.arange(20, 50), 50, seed=4)
+        plan = build_epoch_plan(np.arange(20), np.arange(20, 50), 50, seed=(4,))
         recorder, draws = recording(rng)
         xb, _ = mix_plan(plan, feats, targets, 1.0, recorder)
         assert_literal_mixes(plan, feats, targets, xb, draws[0])
@@ -104,7 +105,7 @@ class TestMixupPair:
 
 class TestEpochPlan:
     def test_longmix_sizes(self):
-        plan = build_epoch_plan(np.arange(10), np.arange(10, 40), 1000, seed=0)
+        plan = build_epoch_plan(np.arange(10), np.arange(10, 40), 1000, seed=(0,))
         assert plan.x_ops == 1000
         assert plan.u_ops == 1000
         assert set(plan.x_anchor) <= set(range(10))
@@ -112,32 +113,32 @@ class TestEpochPlan:
         assert set(plan.x_partner) <= set(range(40))
 
     def test_baseline_compat_sizes(self):
-        plan = build_epoch_plan(np.arange(7), np.arange(7, 30), 1000, seed=0, longmix=False)
+        plan = build_epoch_plan(np.arange(7), np.arange(7, 30), 1000, seed=(0,), longmix=False)
         assert plan.x_ops == 7
         assert plan.u_ops == 7
 
     def test_deterministic(self):
-        a = build_epoch_plan(np.arange(5), np.arange(5, 20), 100, seed=9)
-        b = build_epoch_plan(np.arange(5), np.arange(5, 20), 100, seed=9)
+        a = build_epoch_plan(np.arange(5), np.arange(5, 20), 100, seed=(9,))
+        b = build_epoch_plan(np.arange(5), np.arange(5, 20), 100, seed=(9,))
         np.testing.assert_array_equal(a.x_anchor, b.x_anchor)
         np.testing.assert_array_equal(a.u_partner, b.u_partner)
         assert plan_digest(a) == plan_digest(b)
-        c = build_epoch_plan(np.arange(5), np.arange(5, 20), 100, seed=10)
+        c = build_epoch_plan(np.arange(5), np.arange(5, 20), 100, seed=(10,))
         assert plan_digest(a) != plan_digest(c)
 
     def test_empty_u_gives_labelled_only_plan(self):
-        plan = build_epoch_plan(np.arange(8), np.empty(0, dtype=int), 100, seed=1)
+        plan = build_epoch_plan(np.arange(8), np.empty(0, dtype=int), 100, seed=(1,))
         assert plan.u_ops == 0
         assert plan.x_ops == 100
 
     def test_empty_x_rejected(self):
         with pytest.raises(StateError, match="labelled"):
-            build_epoch_plan(np.empty(0, dtype=int), np.arange(5), 100, seed=1)
+            build_epoch_plan(np.empty(0, dtype=int), np.arange(5), 100, seed=(1,))
 
     def test_with_replacement_multiplicity(self):
         # |X| << |D|: each member's count is Binomial(D, 1/|X|); 4 sigma band
         d, x_size = 4000, 8
-        plan = build_epoch_plan(np.arange(x_size), np.arange(x_size, 100), d, seed=3)
+        plan = build_epoch_plan(np.arange(x_size), np.arange(x_size, 100), d, seed=(3,))
         counts = np.bincount(plan.x_anchor, minlength=x_size)
         expect = d / x_size
         sigma = math.sqrt(d * (1 / x_size) * (1 - 1 / x_size))
@@ -178,20 +179,20 @@ class TestMixPlan:
         feats = rng.normal(size=(30, 2))
         targets = rng.random((30, 4))
         targets /= targets.sum(axis=1, keepdims=True)
-        plan = build_epoch_plan(np.arange(12), np.arange(12, 30), 50, seed=2)
+        plan = build_epoch_plan(np.arange(12), np.arange(12, 30), 50, seed=(2,))
         recorder, draws = recording(rng)
         xb, ub = mix_plan(plan, feats, targets, alpha=4.0, rng=recorder)
-        for batch, lam in zip((xb, ub), draws):
-            np.testing.assert_allclose(batch.targets.sum(axis=1), 1.0, atol=1e-9)
+        for (mixed_feats, mixed_targets), lam in zip((xb, ub), draws):
+            np.testing.assert_allclose(mixed_targets.sum(axis=1), 1.0, atol=1e-9)
             assert ((lam >= 0) & (lam <= 1)).all()
-            assert len(batch) == 50
+            assert len(mixed_feats) == 50
 
     def test_mix_matches_pairwise_op(self):
         rng = np.random.default_rng(6)
         feats = rng.normal(size=(10, 3))
         targets = np.eye(10)[:, :4].copy()
         targets[:, 0] += 1 - targets.sum(axis=1)
-        plan = build_epoch_plan(np.arange(4), np.arange(4, 10), 6, seed=7)
+        plan = build_epoch_plan(np.arange(4), np.arange(4, 10), 6, seed=(7,))
         xb, _ = mix_plan(plan, feats, targets, alpha=2.0, rng=np.random.default_rng(8))
         # replay the seeded draws: the labelled batch's come first
         lams = np.random.default_rng(8).beta(2.0, 2.0, size=plan.x_ops)
@@ -221,13 +222,13 @@ class TestLosses:
         assert total_loss(net, batch, 25.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_lambda_u_zero_drops_term(self):
-        net = nn.init_network([2, 6, 2], seed=3)
+        net = nn.init_network([2, 6, 2], seed=(3,))
         (xf, xt), _ = LOSS_BATCH
         want = float(np.mean(cross_entropy(nn.forward(net, xf), xt)))
         assert total_loss(net, LOSS_BATCH, 0.0, 0.0) == pytest.approx(want, abs=1e-12)
 
     def test_hand_recomputation(self):
-        net = nn.init_network([2, 5, 2], seed=4)
+        net = nn.init_network([2, 5, 2], seed=(4,))
         (xf, xt), (uf, ut) = LOSS_BATCH
         ce = sum(-math.log(max(nn.forward(net, f[None])[0][int(t.argmax())], 1e-12))
                  * t[int(t.argmax())]  # one-hot rows
@@ -248,7 +249,7 @@ class TestLosses:
     def test_kl_non_negative(self):
         rng = np.random.default_rng(7)
         for seed in range(100):
-            net = nn.init_network([2, 6, 5], seed=seed)
+            net = nn.init_network([2, 6, 5], seed=(seed,))
             soft = rng.random((3, 5))
             batch = ((rng.normal(size=(3, 2)), np.eye(5)[rng.integers(0, 5, 3)]),
                      (rng.normal(size=(3, 2)), soft / soft.sum(axis=1, keepdims=True)))
@@ -256,7 +257,7 @@ class TestLosses:
 
     def test_total_loss_weighting(self):
         # lambda_reg scales the KL term and nothing else
-        net = nn.init_network([2, 5, 2], seed=6)
+        net = nn.init_network([2, 5, 2], seed=(6,))
         kl, evr = kl_term(net, LOSS_BATCH), total_loss(net, LOSS_BATCH, 3.0, 0.0)
         assert kl > 0.0
         assert total_loss(net, LOSS_BATCH, 3.0, 1.0) == pytest.approx(evr + kl, abs=1e-12)

@@ -38,7 +38,7 @@ class TestForward:
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_dimension_mismatch(self):
-        net = nn.init_network([3, 4, 2], seed=0)
+        net = nn.init_network([3, 4, 2], seed=(0,))
         with pytest.raises(ValueError, match="width"):
             nn.forward(net, np.zeros((1, 5)))
         # a batch is (n, width): a single vector, even of the right width, is not one
@@ -47,7 +47,7 @@ class TestForward:
                 nn.forward(net, x)
 
     def test_deterministic(self):
-        net = nn.init_network([2, 8, 3], seed=5)
+        net = nn.init_network([2, 8, 3], seed=(5,))
         x = np.array([[0.3, -1.2]])
         np.testing.assert_array_equal(nn.forward(net, x), nn.forward(net, x))
 
@@ -187,8 +187,8 @@ class TestSgdStep:
         assert net.weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
 
     def test_momentum_buffer_shapes(self):
-        net = nn.init_network([3, 5, 2], seed=1)
-        state = nn.init_optimizer(net, lr=0.1)
+        net = nn.init_network([3, 5, 2], seed=(1,))
+        state = nn.init_optimizer(net, lr=0.1, momentum=0.8, weight_decay=0.0)
         assert state.velocity.shape == net.params.shape == (3 * 5 + 5 + 5 * 2 + 2,)
         assert not state.velocity.any()
         assert not np.shares_memory(state.velocity, net.params)
@@ -222,17 +222,17 @@ class TestCheckpoint:
 
 
 def test_seeded_init_is_reproducible():
-    a = nn.init_network([4, 8, 3], seed=42)
-    b = nn.init_network([4, 8, 3], seed=42)
+    a = nn.init_network([4, 8, 3], seed=(42,))
+    b = nn.init_network([4, 8, 3], seed=(42,))
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
-    c = nn.init_network([4, 8, 3], seed=43)
+    c = nn.init_network([4, 8, 3], seed=(43,))
     assert any((wa != wc).any() for wa, wc in zip(a.weights, c.weights))
 
 
 class TestParameterBuffer:
     def test_params_writes_show_through_views(self):
-        net = nn.init_network([3, 5, 2], seed=1)
+        net = nn.init_network([3, 5, 2], seed=(1,))
         net.params[:] = np.arange(net.params.size, dtype=float)
         np.testing.assert_array_equal(net.weights[0], np.arange(15.0).reshape(3, 5))
         np.testing.assert_array_equal(net.biases[0], np.arange(15.0, 20.0))
@@ -292,7 +292,7 @@ class TestParameterBuffer:
         assert got.tobytes() == nn.backward(twin, (x, y), "cross_entropy").tobytes()
 
     def test_nan_in_last_bias_is_caught(self):
-        net = nn.init_network([3, 5, 2], seed=1)
+        net = nn.init_network([3, 5, 2], seed=(1,))
         trainer._require_finite(net, "baseline", "train", 1)
         net.biases[-1][-1] = np.nan
         assert np.isnan(net.params[-1])
@@ -408,7 +408,7 @@ class TestTrainingStepMatchesReference:
         n_hidden = seed + 1
         sizes = ([int(rng.integers(2, 6))] + [int(rng.integers(3, 65)) for _ in range(n_hidden)]
                  + [int(rng.integers(2, 17))])
-        net = nn.init_network(sizes, seed=seed)
+        net = nn.init_network(sizes, seed=(seed,))
         for b in net.biases:
             b[:] = rng.normal(scale=0.3, size=b.shape)
         ref_w = [w.copy() for w in net.weights]

@@ -19,7 +19,7 @@ def blob_pair(n=300, classes=4, spread=0.15, seed=1, noise=0.0, noise_seed=7):
 
 
 def small_cfg(**kw):
-    base = dict(mode="baseline", epochs=6, warmup_epochs=3, zeta=3, batch_size=64,
+    base = dict(mode="baseline", epochs=6, warmup=3, zeta=3, batch_size=64,
                 lambda_u=25.0, lambda_reg=1.0, lr=0.05)
     base.update(kw)
     return TrainConfig(**base)
@@ -31,7 +31,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("kw", [
         dict(mode="divide"), dict(tau=1.5), dict(zeta=0),
-        dict(epochs=3, zeta=5), dict(warmup_epochs=0), dict(alpha=0.0),
+        dict(epochs=3, zeta=5), dict(warmup=0), dict(alpha=0.0),
         dict(lambda_u=-1.0), dict(batch_size=0),
     ])
     def test_invalid_rejected(self, kw):
@@ -42,10 +42,10 @@ class TestConfigValidation:
 class TestWarmup:
     def test_clean_blobs_reach_high_train_accuracy(self):
         ds, test = blob_pair(n=300, classes=2, spread=0.1)
-        cfg = small_cfg(warmup_epochs=20)
+        cfg = small_cfg(warmup=20)
         net1 = nn.init_network((2, 64, 64, 2), seed=(11, 1), tag="model1")
         net2 = nn.init_network((2, 64, 64, 2), seed=(22, 1), tag="model2")
-        rows = warmup(net1, net2, ds, test, cfg, 1, "warmup")
+        rows = warmup((net1, net2), ds, test, cfg, 1, "warmup")
         assert evaluate(net1, net2, ds) >= 0.99
         assert [r.epoch for r in rows] == list(range(1, 21))
         assert all(r.phase == "warmup" and r.lr == cfg.lr and r.model1 is None for r in rows)
@@ -53,10 +53,10 @@ class TestWarmup:
 
     def test_different_seeds_different_parameters(self):
         ds, test = blob_pair(n=100, classes=2)
-        cfg = small_cfg(warmup_epochs=2)
+        cfg = small_cfg(warmup=2)
         a = nn.init_network((2, 8, 2), seed=(11, 1))
         b = nn.init_network((2, 8, 2), seed=(22, 1))
-        warmup(a, b, ds, test, cfg, 1, "warmup")
+        warmup((a, b), ds, test, cfg, 1, "warmup")
         assert any((wa != wb).any() for wa, wb in zip(a.weights, b.weights))
 
     def test_deterministic(self):
@@ -66,7 +66,7 @@ class TestWarmup:
         for _ in range(2):
             n1 = nn.init_network((2, 8, 2), seed=(11, 1))
             n2 = nn.init_network((2, 8, 2), seed=(22, 1))
-            rows.append(warmup(n1, n2, ds, test, cfg, 1, "warmup"))
+            rows.append(warmup((n1, n2), ds, test, cfg, 1, "warmup"))
             outs.append(n1.weights[0].copy())
         np.testing.assert_array_equal(outs[0], outs[1])
         assert rows[0] == rows[1]
@@ -148,8 +148,8 @@ class TestSupervisedPassMatchesReference:
 class TestCotrainPlumbing:
     def test_partition_recorded_per_model(self):
         ds, test = blob_pair(n=200, classes=4, noise=0.5)
-        res = run_training(small_cfg(), ds, test)
-        for row in res.final.record.epochs:
+        stages = run_training(small_cfg(), ds, test)
+        for row in stages[-1].record.epochs:
             if row.phase != "train":
                 continue
             for stats in (row.model1, row.model2):
@@ -157,8 +157,8 @@ class TestCotrainPlumbing:
 
     def test_baseline_ops_sized_to_clean_set(self):
         ds, test = blob_pair(n=200, classes=4, noise=0.5)
-        res = run_training(small_cfg(mode="baseline"), ds, test)
-        rows = [r for r in res.final.record.epochs if r.phase == "train"]
+        stages = run_training(small_cfg(mode="baseline"), ds, test)
+        rows = [r for r in stages[-1].record.epochs if r.phase == "train"]
         for row in rows:
             # model m trains on the other model's split
             if not row.model1.fallback:
@@ -168,8 +168,8 @@ class TestCotrainPlumbing:
 
     def test_longmix_ops_sized_to_dataset(self):
         ds, test = blob_pair(n=200, classes=4, noise=0.5)
-        res = run_training(small_cfg(mode="longmix"), ds, test)
-        rows = [r for r in res.final.record.epochs if r.phase == "train"]
+        stages = run_training(small_cfg(mode="longmix"), ds, test)
+        rows = [r for r in stages[-1].record.epochs if r.phase == "train"]
         for row in rows:
             for stats in (row.model1, row.model2):
                 if not stats.fallback:
@@ -179,8 +179,8 @@ class TestCotrainPlumbing:
     def test_identical_seeds_give_identical_splits(self):
         ds, test = blob_pair(n=150, classes=3, noise=0.3)
         cfg = small_cfg(model1_seed=5, model2_seed=5)
-        res = run_training(cfg, ds, test)
-        for row in res.final.record.epochs:
+        stages = run_training(cfg, ds, test)
+        for row in stages[-1].record.epochs:
             if row.phase == "train":
                 assert row.model1.x_size == row.model2.x_size
                 assert row.model1.precision == row.model2.precision
@@ -192,12 +192,12 @@ class TestSupervisedFallback:
 
     def test_fallback_records(self):
         ds, test = blob_pair(n=120, classes=6, noise=0.9)
-        cfg = small_cfg(mode="full-longremix", tau=1.0, epochs=12, warmup_epochs=1)
+        cfg = small_cfg(mode="full-longremix", tau=1.0, epochs=12, warmup=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = run_training(cfg, ds, test)
-        assert res.stages[0].core_set.size == 0
-        for stage in res.stages:
+            stages = run_training(cfg, ds, test)
+        assert stages[0].core_set.size == 0
+        for stage in stages:
             rows = [r for r in stage.record.epochs if r.phase == "train"]
             assert len(rows) == cfg.epochs
             fallbacks, planned = 0, []
@@ -222,7 +222,7 @@ class TestStages:
         cfg_hct = small_cfg(mode="retrain-only", zeta=1)
         cfg_base = small_cfg(mode="baseline", zeta=1)
         stage1 = trainer.run_stage1_hct(cfg_hct, ds, test)
-        base = run_training(cfg_base, ds, test).final
+        base = run_training(cfg_base, ds, test)[-1]
         # a window of one is single-epoch thresholding, except plan sizing:
         # retrain-only keeps baseline sizing, so records must agree exactly
         for a, b in zip(stage1.record.epochs, base.record.epochs):
@@ -232,15 +232,16 @@ class TestStages:
 
     def test_core_set_from_second_half_only(self):
         ds, test = blob_pair(n=150, classes=3, noise=0.4)
-        res = run_training(small_cfg(mode="full-longremix"), ds, test)
-        assert res.core_set is not None
-        assert res.core_set.epoch >= (res.config.epochs + 1) // 2
+        cfg = small_cfg(mode="full-longremix")
+        stages = run_training(cfg, ds, test)
+        assert stages[0].core_set is not None
+        assert stages[0].core_set.epoch >= (cfg.epochs + 1) // 2
 
     def test_core_members_always_labelled_in_stage2(self):
         ds, test = blob_pair(n=150, classes=3, noise=0.4)
-        res = run_training(small_cfg(mode="full-longremix"), ds, test)
-        core = res.core_set
-        stage2 = res.stages[1]
+        stages = run_training(small_cfg(mode="full-longremix"), ds, test)
+        core = stages[0].core_set
+        stage2 = stages[1]
         for row in stage2.record.epochs:
             if row.phase == "train":
                 assert row.model1.split_kind == "guided"
@@ -249,14 +250,14 @@ class TestStages:
     def test_stage2_initialized_fresh(self):
         ds, test = blob_pair(n=120, classes=3, noise=0.4)
         cfg = small_cfg(mode="full-longremix")
-        res = run_training(cfg, ds, test)
-        stage1_net = res.stages[0].nets[0]
+        stages = run_training(cfg, ds, test)
+        stage1_net = stages[0].nets[0]
         fresh2 = nn.init_network((2, *cfg.hidden, 3), seed=(cfg.model1_seed, 2), tag="model1")
         # stage-2 training started from the stage-2 seed, not stage-1 weights:
         # replaying stage 2 from that seed reproduces its record exactly
         replay = trainer.run_stage(cfg, ds, test, 2, "stage2-guided", "guided", True,
-                                   core=res.core_set)
-        assert replay.record == res.stages[1].record
+                                   core=stages[0].core_set)
+        assert replay.record == stages[1].record
         assert any((a != b).any() for a, b in zip(stage1_net.weights, fresh2.weights))
 
     def test_stage1_windowed_precision_at_high_noise(self):
@@ -270,7 +271,7 @@ class TestStages:
                                                seed=seed + 1000003)
             noisy = data.inject_symmetric_noise(ds, 0.8, seed=seed + 101)
             cfg = TrainConfig(mode="full-longremix", tau=0.7, zeta=5, alpha=0.2,
-                              lambda_u=10.0, epochs=60, warmup_epochs=20, lr=0.02,
+                              lambda_u=10.0, epochs=60, warmup=20, lr=0.02,
                               data_seed=seed, model1_seed=seed + 11,
                               model2_seed=seed + 22, plan_seed=seed + 33)
             stage1 = trainer.run_stage1_hct(cfg, noisy, test)
@@ -299,18 +300,25 @@ class TestStages:
                 assert a.model1.x_size == b.model1.x_size
                 assert a.model1.precision == b.model1.precision
 
+    @pytest.mark.parametrize("mode", trainer.MODES)
+    def test_one_outcome_per_stage(self, mode):
+        ds, test = blob_pair(n=120, classes=3, noise=0.4)
+        stages = run_training(small_cfg(mode=mode), ds, test)
+        want = ["ce"] if mode == "ce" else [tag for tag, _, _ in trainer.MODE_STAGES[mode]]
+        assert [s.record.stage for s in stages] == want
+
     def test_ce_mode_has_no_splits(self):
         ds, test = blob_pair(n=100, classes=2, noise=0.2)
-        res = run_training(small_cfg(mode="ce"), ds, test)
-        assert len(res.stages) == 1
-        assert all(r.model1 is None for r in res.final.record.epochs)
+        stages = run_training(small_cfg(mode="ce"), ds, test)
+        assert len(stages) == 1
+        assert all(r.model1 is None for r in stages[-1].record.epochs)
 
 
 class TestRunRecordInvariants:
     def test_best_dominates_and_last10(self):
         ds, test = blob_pair(n=150, classes=3, noise=0.3)
-        res = run_training(small_cfg(epochs=10, warmup_epochs=2), ds, test)
-        rec = res.final.record
+        stages = run_training(small_cfg(epochs=10, warmup=2), ds, test)
+        rec = stages[-1].record
         accs = [r.test_acc for r in rec.epochs]
         assert rec.best_acc == max(accs)
         assert rec.best_acc >= rec.last10_acc
@@ -318,22 +326,22 @@ class TestRunRecordInvariants:
 
     def test_last10_none_when_short(self):
         ds, test = blob_pair(n=100, classes=2, noise=0.2)
-        res = run_training(small_cfg(mode="ce", epochs=4, warmup_epochs=1, zeta=1), ds, test)
-        assert res.final.record.last10_acc is None
+        stages = run_training(small_cfg(mode="ce", epochs=4, warmup=1, zeta=1), ds, test)
+        assert stages[-1].record.last10_acc is None
 
     def test_full_pipeline_determinism(self):
         ds, test = blob_pair(n=150, classes=3, noise=0.4)
         cfg = small_cfg(mode="full-longremix")
         a = run_training(cfg, ds, test)
         b = run_training(cfg, ds, test)
-        assert [s.record for s in a.stages] == [s.record for s in b.stages]
-        assert a.core_set.epoch == b.core_set.epoch
-        np.testing.assert_array_equal(a.core_set.indices, b.core_set.indices)
+        assert [s.record for s in a] == [s.record for s in b]
+        assert a[0].core_set.epoch == b[0].core_set.epoch
+        np.testing.assert_array_equal(a[0].core_set.indices, b[0].core_set.indices)
 
     def test_lr_drops_at_midpoint(self):
         ds, test = blob_pair(n=100, classes=2, noise=0.2)
         cfg = small_cfg(epochs=6, lr=0.08)
-        res = run_training(cfg, ds, test)
-        rows = [r for r in res.final.record.epochs if r.phase == "train"]
+        stages = run_training(cfg, ds, test)
+        rows = [r for r in stages[-1].record.epochs if r.phase == "train"]
         assert rows[0].lr == pytest.approx(0.08)
         assert rows[-1].lr == pytest.approx(0.008)
