@@ -33,10 +33,19 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in ("blobs", "moons", "csv"):
             raise ConfigError(f"unknown dataset kind: {self.kind!r}")
-        if self.kind == "csv" and not self.path:
-            raise ConfigError("dataset.path is required for csv datasets")
+        if self.kind == "csv":
+            if not self.path:
+                raise ConfigError("dataset.path is required for csv datasets")
+            return
+        if self.classes < 2:
+            raise ConfigError(f"dataset.classes must be >= 2, got {self.classes}")
+        if self.kind == "moons" and self.classes != 2:
+            raise ConfigError(f"dataset.kind = moons needs dataset.classes = 2, "
+                              f"got {self.classes}")
+        if not (math.isfinite(self.spread) and self.spread > 0):
+            raise ConfigError(f"dataset.spread must be finite and positive, got {self.spread}")
         for key in ("n", "test_n"):
-            if self.kind != "csv" and getattr(self, key) < self.classes:
+            if getattr(self, key) < self.classes:
                 raise ConfigError(f"dataset.{key} must be >= dataset.classes "
                                   f"({self.classes}), got {getattr(self, key)}")
 

@@ -1,6 +1,9 @@
 import json
+import multiprocessing
+import multiprocessing.context
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -492,6 +495,10 @@ VALUE_CASES = [
     ("baseline", "output.dir =", 2, "output.dir must not be empty"),
     ("baseline", "dataset.n = 3", 2, "dataset.n must be >= dataset.classes (4), got 3"),
     ("baseline", "dataset.test_n = 0", 2, "dataset.test_n must be >= dataset.classes (4), got 0"),
+    ("baseline", "dataset.classes = 1", 2, "dataset.classes must be >= 2, got 1"),
+    ("baseline", "dataset.spread = 0", 2, "dataset.spread must be finite and positive, got 0.0"),
+    ("baseline", "dataset.kind = moons", 2,
+     "dataset.kind = moons needs dataset.classes = 2, got 4"),
 ]
 
 
@@ -661,3 +668,92 @@ def test_fmt_sig_six_significant_digits():
     assert report.fmt_sig(True) == "true"
     assert report.fmt_sig(None) == ""
     assert report.fmt_sig(7) == "7"
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pair's workers are forked")
+
+
+@needs_fork
+class TestPairTransports:
+    """The pair runs in two forked workers or in this process
+    (``trainer._use_workers`` decides); the outputs, the failure lines and
+    the processes left afterwards (none) must not tell them apart."""
+
+    DUMPS = "report.plan_digests = true\nreport.checkpoints = true\n"
+    # fails in a train epoch after warmup, in every mode
+    HUGE_LR = "train.lr = 40\n"
+
+    def run_both(self, tmp_path, monkeypatch, capsys, args):
+        """(exit code, stderr, output files) of ``args`` on each path, into
+        the same directory, which is emptied between the runs."""
+        results = []
+        for workers in (True, False):
+            monkeypatch.setattr(trainer, "_use_workers", lambda: workers)
+            code = cli.main(args)
+            assert not multiprocessing.active_children()
+            out = tmp_path / "out"
+            files = _tree_bytes(out) if out.exists() else {}
+            results.append((code, capsys.readouterr().err, files))
+            if out.exists():
+                shutil.rmtree(out)
+        return results
+
+    @pytest.mark.parametrize("command,mode", [("train", mode) for mode in trainer.MODES]
+                             + [("prcurve", "full-longremix")])
+    def test_same_bytes_and_failure_lines(self, tmp_path, monkeypatch, capsys, command, mode):
+        dumps = self.DUMPS + ("" if mode == "ce" else "report.gmm_dump = true\n")
+        path, _ = write_conf(tmp_path, mode=mode, extra=dumps)
+        workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
+                                            [command, "--config", str(path)])
+        assert workers[0] == 0 and workers[2]
+        assert workers == in_process
+        path, _ = write_conf(tmp_path, mode=mode, extra=dumps + self.HUGE_LR)
+        workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
+                                            [command, "--config", str(path)])
+        assert workers[0] == 3 and workers[1].startswith("error: non-finite parameters in ")
+        assert workers == in_process
+
+    def test_dead_worker_is_one_state_error(self, tmp_path, capsys, monkeypatch):
+        path, out = write_conf(tmp_path)
+        train = trainer._Member.train
+
+        def exit_in_model2(member, *args):
+            if member.m == 1:
+                os._exit(1)
+            return train(member, *args)
+
+        monkeypatch.setattr(trainer, "_use_workers", lambda: True)
+        monkeypatch.setattr(trainer._Member, "train", exit_in_model2)
+        assert cli.main(["train", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "error: the model2 worker exited without replying\n"
+        assert not multiprocessing.active_children()
+        assert not Path(out).exists()
+
+    def test_failed_start_runs_in_process(self, tmp_path, capsys, monkeypatch):
+        # the second worker cannot start: the first is stopped, and the
+        # whole stage runs in this process
+        path, _ = write_conf(tmp_path, mode="ce")
+        start, started = multiprocessing.context.ForkProcess.start, []
+
+        def second_fails(proc):
+            started.append(proc)
+            if len(started) == 2:
+                raise OSError(11, "Resource temporarily unavailable")
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", second_fails)
+        workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
+                                            ["train", "--config", str(path)])
+        assert len(started) == 2
+        assert workers[0] == 0 and workers == in_process
+
+
+@pytest.mark.parametrize("cpus,workers", [({0}, False), ({0, 1}, hasattr(os, "fork"))])
+def test_workers_need_two_usable_cpus(monkeypatch, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert trainer._use_workers() is workers

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -16,6 +17,23 @@ def blob_pair(n=300, classes=4, spread=0.15, seed=1, noise=0.0, noise_seed=7):
     if noise:
         ds = data.inject_symmetric_noise(ds, noise, seed=noise_seed)
     return ds, test
+
+
+def run_warmup(nets, ds, test, cfg):
+    """``warmup`` of the given nets through the trainer's pair, which copies
+    the trained parameters back into them; returns the metrics rows."""
+    tables = trainer._shared_tables(ds, test)
+    members = [trainer._Member(m, net, cfg, ds, test, tables, 1, "warmup")
+               for m, net in enumerate(nets)]
+    with contextlib.closing(trainer._Pair(members, tables)) as pair:
+        rows = warmup(pair, test, cfg)
+        pair.finish()
+    return rows
+
+
+def outputs(nets, ds):
+    """The pair's class probabilities on ``ds``, as ``evaluate`` takes them."""
+    return [nn.forward(net, ds.features) for net in nets]
 
 
 def small_cfg(**kw):
@@ -45,18 +63,18 @@ class TestWarmup:
         cfg = small_cfg(warmup=20)
         net1 = nn.init_network((2, 64, 64, 2), seed=(11, 1), tag="model1")
         net2 = nn.init_network((2, 64, 64, 2), seed=(22, 1), tag="model2")
-        rows = warmup((net1, net2), ds, test, cfg, 1, "warmup")
-        assert evaluate(net1, net2, ds) >= 0.99
+        rows = run_warmup((net1, net2), ds, test, cfg)
+        assert evaluate(outputs((net1, net2), ds), ds) >= 0.99
         assert [r.epoch for r in rows] == list(range(1, 21))
         assert all(r.phase == "warmup" and r.lr == cfg.lr and r.model1 is None for r in rows)
-        assert rows[-1].test_acc == evaluate(net1, net2, test)
+        assert rows[-1].test_acc == evaluate(outputs((net1, net2), test), test)
 
     def test_different_seeds_different_parameters(self):
         ds, test = blob_pair(n=100, classes=2)
         cfg = small_cfg(warmup=2)
         a = nn.init_network((2, 8, 2), seed=(11, 1))
         b = nn.init_network((2, 8, 2), seed=(22, 1))
-        warmup((a, b), ds, test, cfg, 1, "warmup")
+        run_warmup((a, b), ds, test, cfg)
         assert any((wa != wb).any() for wa, wb in zip(a.weights, b.weights))
 
     def test_deterministic(self):
@@ -66,7 +84,7 @@ class TestWarmup:
         for _ in range(2):
             n1 = nn.init_network((2, 8, 2), seed=(11, 1))
             n2 = nn.init_network((2, 8, 2), seed=(22, 1))
-            rows.append(warmup((n1, n2), ds, test, cfg, 1, "warmup"))
+            rows.append(run_warmup((n1, n2), ds, test, cfg))
             outs.append(n1.weights[0].copy())
         np.testing.assert_array_equal(outs[0], outs[1])
         assert rows[0] == rows[1]
@@ -76,13 +94,13 @@ class TestEvaluate:
     def test_perfect_pair(self):
         ds, test = blob_pair(n=100, classes=2, spread=0.05)
         net = nn.Network([np.array([[50.0, -50.0], [0.0, 0.0]])], [np.zeros(2)])
-        assert evaluate(net, nn.Network(net.weights, net.biases), test) == 1.0
+        assert evaluate(outputs((net, nn.Network(net.weights, net.biases)), test), test) == 1.0
 
     def test_argmax_tie_takes_lowest_class(self):
         # zero-weight nets emit uniform distributions; every prediction ties
         ds, test = blob_pair(n=40, classes=4)
         net = nn.Network([np.zeros((2, 4))], [np.zeros(4)])
-        got = evaluate(net, nn.Network(net.weights, net.biases), test)
+        got = evaluate(outputs((net, nn.Network(net.weights, net.biases)), test), test)
         want = float((test.true_labels == 0).mean())
         assert got == want
 
@@ -90,7 +108,7 @@ class TestEvaluate:
         ds, test = blob_pair(n=60, classes=3)
         net1 = nn.init_network((2, 6, 3), seed=(1, 1))
         net2 = nn.init_network((2, 6, 3), seed=(2, 1))
-        got = evaluate(net1, net2, test)
+        got = evaluate(outputs((net1, net2), test), test)
         mean = (nn.forward(net1, test.features) + nn.forward(net2, test.features)) / 2
         want = float((mean.argmax(axis=1) == test.true_labels).mean())
         assert got == want
@@ -108,7 +126,7 @@ class TestEvaluate:
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(nn.forward(nets[huge], test.features)).all()
             with pytest.raises(StateError, match=f"^non-finite test outputs of {huge}$"):
-                evaluate(nets["model1"], nets["model2"], test)
+                evaluate(outputs((nets["model1"], nets["model2"]), test), test)
 
 
 def reference_supervised_pass(net, opt, ds, cfg, m, stage_no, pass_no):
