@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,10 +148,14 @@ def load_csv_dataset(path, class_names=None) -> NoisyDataset:
                 if not cell:
                     raise ParseError(f"missing value in column {col!r}", row=row_no, path=path)
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(f"non-numeric value {cell!r} in column {col!r}",
                                      row=row_no, path=path) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite value {cell!r} in column {col!r}",
+                                     row=row_no, path=path)
+                vals.append(value)
             token = row[-1].strip()
             if not token:
                 raise ParseError("missing label", row=row_no, path=path)

@@ -9,11 +9,13 @@ runs one stage and ``run_training`` runs a mode's stages in order.
 Each epoch, model 1's losses produce the split that trains model 2 and
 vice versa; evaluation averages the two softmax outputs. Each net runs its
 half of every epoch as a ``_Member``, in a forked worker of its own where
-two CPUs are usable (``_Pair``). After each training pass a net's
-parameters, at the start of each co-training epoch its outputs, and at each
-evaluation its test-set outputs must be finite, or the run stops with a
-``StateError`` naming the model (and, for the first two, the stage and the
-epoch).
+two CPUs are usable (``_Pair``); its parameters and outputs live in shared
+memory that the main process reads. The main process checks every step in
+run order: after each training pass both nets' parameters, model 1's
+first, then the outputs each net checked at the start of its next
+co-training epoch, then, at evaluation, both test-set outputs. The first
+that is not finite stops the run with a ``StateError`` naming the model
+(and, for the first two, the stage and the epoch).
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ MODE_STAGES = {
 }
 MODES = tuple(MODE_STAGES)
 TAGS = ("model1", "model2")
-
-# Ranks of a step's checks in run order; a worker that never replied ranks first.
-_DEAD, _PARAMS, _OUTPUTS, _TEST, _SELECT = range(-1, 4)
 
 
 @dataclass
@@ -195,24 +194,31 @@ def _supervised_pass(net, opt, ds: NoisyDataset, cfg: TrainConfig, m, stage_no, 
         nn.sgd_step(net, nn.backward(net, batch, "cross_entropy"), opt)
 
 
-def _shared_tables(ds: NoisyDataset, test: NoisyDataset):
+def _shared_tables(ds: NoisyDataset, test: NoisyDataset, nets):
     """The pair's training-set outputs ``(2, n, C)``, test-set outputs
     ``(2, test_n, C)`` and guessed labels ``(n, C)``, in anonymous shared
     memory that forked workers inherit. Member m writes only row m of the
-    first two, the main process the third while both members wait."""
-    shapes = ((2, ds.n, ds.num_classes), (2, test.n, ds.num_classes), (ds.n, ds.num_classes))
-    return tuple(np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), float).reshape(shape)
-                 for shape in shapes)
+    first two, the main process the third while both members wait. Each of
+    the pair's ``nets`` moves its parameters onto a row of a fourth such
+    table, so the main process reads what its member trains."""
+    shapes = ((2, ds.n, ds.num_classes), (2, test.n, ds.num_classes), (ds.n, ds.num_classes),
+              (2, nets[0].params.size))
+    *tables, params = (np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), float).reshape(shape)
+                       for shape in shapes)
+    for net, row in zip(nets, params):
+        row[:] = net.params
+        net.params = row
+        net.weights, net.biases = nn._layer_views(row, net.layer_sizes)
+    return tuple(tables)
 
 
 class _Member:
     """Net ``m`` of a stage's pair, its optimiser and, in ``hct`` stages, its
     LossHistory. A step runs this net's half of an epoch, writing row ``m``
-    of the shared tables; a failed step returns its exception, with the
-    ``rank`` of the check that raised it. The member keeps its latest
-    outputs besides their copies in the tables: freed at once, they let
-    malloc trim the heap that the next forward pass faults back in (7x the
-    page faults and about 10% more run time, measured)."""
+    of the shared tables; a failed step returns its exception. The member
+    keeps its latest outputs besides their copies in the tables: freed at
+    once, they let malloc trim the heap that the next forward pass faults
+    back in (7x the page faults and about 10% more run time, measured)."""
 
     def __init__(self, m, net, cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, tables,
                  stage_no, stage_tag, split_mode=None, longmix_plans=False, core=None):
@@ -222,23 +228,19 @@ class _Member:
         self.train_out, self.test_out, self.guessed = tables[0][m], tables[1][m], tables[2]
         self.history = LossHistory(ds.n, cfg.zeta) if split_mode == "hct" else None
         self.opt = nn.init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay)
-        self.rank = _PARAMS
 
     def __call__(self, step, *args):
         try:
             return getattr(self, step)(*args)
         except Exception as exc:  # raised by the main process, in run order
-            exc.rank = self.rank
             return exc
 
     def supervised(self, phase, epoch, lr):
         """A cross-entropy pass (a warmup or ``ce`` epoch), then the test-set
         outputs; the epochs after warmup start from fresh momentum."""
-        self.rank = _PARAMS
         self.opt.lr = lr
         _supervised_pass(self.net, self.opt, self.ds, self.cfg, self.m, self.stage_no,
                          epoch if phase == "warmup" else self.cfg.warmup + epoch)
-        _require_finite(self.net, self.stage_tag, phase, epoch)
         if phase == "warmup" and epoch == self.cfg.warmup:
             self.opt = nn.init_optimizer(self.net, lr, self.cfg.momentum, self.cfg.weight_decay)
         self.test_probs = nn.forward(self.net, self.test.features)
@@ -248,14 +250,12 @@ class _Member:
         """Select half: the outputs at the start of ``epoch`` (checked finite),
         then this net's split and loss-mixture fit. ``hct`` thresholds the
         history's window once full, ``guided`` pins the core set into X."""
-        self.rank = _OUTPUTS
         ds, cfg = self.ds, self.cfg
         self.probs = nn.forward(self.net, ds.features)
         self.train_out[:] = self.probs
         if not np.isfinite(self.probs).all():
             raise StateError(f"non-finite outputs of {self.net.tag} at the start of "
                              f"{self.stage_tag} train epoch {epoch}")
-        self.rank = _SELECT
         losses = per_sample_losses(self.net, ds, probs=self.probs)
         if cfg.normalize_losses:
             losses = normalize_losses(losses)
@@ -273,7 +273,6 @@ class _Member:
         """Train half: a pass over the plan built from the other net's
         ``split`` (supervised, without a digest, if X is empty), the test-set
         outputs, then the next epoch's selection (None after the last)."""
-        self.rank = _PARAMS
         self.opt.lr = lr
         net, ds, cfg, m = self.net, self.ds, self.cfg, self.m
         if split.x_size == 0:
@@ -292,13 +291,12 @@ class _Member:
                 batch = tuple((f[start:stop], t[start:stop]) for f, t in mixed)
                 nn.sgd_step(net, nn.backward(net, batch, spec), self.opt)
             counts = plan.x_ops, plan.u_ops, plan_digest(plan)
-        _require_finite(net, self.stage_tag, "train", epoch)
         self.test_probs = nn.forward(net, self.test.features)
         self.test_out[:] = self.test_probs
         return (*counts, self.select(epoch + 1) if epoch < cfg.epochs else None)
 
     def finish(self):
-        return self.net.params, self.history
+        return self.history
 
 
 def _serve(conn, member, main_ends):
@@ -342,10 +340,12 @@ class _Pair:
         except OSError:  # a worker did not start: run in this process
             self.close()
 
-    def ask(self, requests, test: NoisyDataset | None = None):
+    def ask(self, requests, trained=None, test: NoisyDataset | None = None):
         """Both members' replies to ``requests`` and, after a step that wrote
-        test-set outputs, the pair's accuracy on ``test``. The first failure
-        in run order is raised: lowest rank first, model1's on a tie."""
+        test-set outputs, the pair's accuracy on ``test``. A worker that died
+        fails at once; otherwise, in run order: after a training pass (its
+        ``trained`` phase and epoch) each net's parameters, then each
+        member's own failure, then the test-set outputs, model1's first."""
         if self.procs:
             for conn, request in zip(self.conns, requests):
                 with contextlib.suppress(OSError):  # a dead worker fails its recv below
@@ -355,23 +355,20 @@ class _Pair:
                 try:
                     replies.append(conn.recv())
                 except (EOFError, OSError):
-                    replies.append(StateError(f"the {tag} worker exited without replying"))
-                    replies[-1].rank = _DEAD
+                    raise StateError(f"the {tag} worker exited without replying") from None
         else:
             replies = [member(*request) for member, request in zip(self.members, requests)]
-        failed = sorted((r.rank, m) for m, r in enumerate(replies) if isinstance(r, Exception))
-        if failed and failed[0][0] < _TEST:
-            raise replies[failed[0][1]]
-        acc = None if test is None else evaluate(self.tables[1], test)
-        if failed:
-            raise replies[failed[0][1]]
-        return replies, acc
+        if trained is not None:
+            for member in self.members:
+                _require_finite(member.net, member.stage_tag, *trained)
+        for reply in replies:
+            if isinstance(reply, Exception):
+                raise reply
+        return replies, None if test is None else evaluate(self.tables[1], test)
 
     def finish(self):
-        """Bring each net's final parameters and history into this process."""
-        for member, (params, history) in zip(self.members, self.ask([("finish",)] * 2)[0]):
-            member.net.params[:] = params
-            member.history = history
+        """Each member's LossHistory, in this process."""
+        return self.ask([("finish",)] * 2)[0]
 
     def close(self):
         for conn in self.conns:
@@ -386,7 +383,7 @@ class _Pair:
 def _supervised_epoch(pair, test: NoisyDataset, phase, epoch, lr) -> EpochMetrics:
     """One supervised pass of each net at ``lr``, each checked finite, then
     the pair's test accuracy as the epoch's metrics row."""
-    _, acc = pair.ask([("supervised", phase, epoch, lr)] * 2, test)
+    _, acc = pair.ask([("supervised", phase, epoch, lr)] * 2, (phase, epoch), test)
     return EpochMetrics(epoch=epoch, phase=phase, lr=lr, test_acc=acc)
 
 
@@ -405,7 +402,8 @@ def cotrain_epoch(pair, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig, 
     train_out, _, guessed = pair.tables
     np.add(train_out[0], train_out[1], out=guessed)
     guessed /= 2.0
-    replies, acc = pair.ask([("train", epoch, lr, selected[1 - m][0]) for m in (0, 1)], test)
+    replies, acc = pair.ask([("train", epoch, lr, selected[1 - m][0]) for m in (0, 1)],
+                            ("train", epoch), test)
     stats, records = [], []
     for (split, params), (x_ops, u_ops, digest, _) in zip(selected, replies):
         metrics = clean_set_metrics(split, ds.mask)
@@ -443,10 +441,11 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
     fills, and captures the core set from the second half of the stage.
     ``guided`` pins ``core`` into the labelled set every epoch."""
     sizes = (ds.dim, *cfg.hidden, ds.num_classes)
-    tables = _shared_tables(ds, test)
-    members = [_Member(m, nn.init_network(sizes, seed=(seed, stage_no), tag=tag), cfg, ds, test,
-                       tables, stage_no, stage_tag, split_mode, longmix_plans, core)
-               for m, (seed, tag) in enumerate(zip((cfg.model1_seed, cfg.model2_seed), TAGS))]
+    nets = [nn.init_network(sizes, seed=(seed, stage_no), tag=tag)
+            for seed, tag in zip((cfg.model1_seed, cfg.model2_seed), TAGS)]
+    tables = _shared_tables(ds, test, nets)
+    members = [_Member(m, net, cfg, ds, test, tables, stage_no, stage_tag, split_mode,
+                       longmix_plans, core) for m, net in enumerate(nets)]
     snapshots, gmm_rows, plan_rows = [], [], []
     with contextlib.closing(_Pair(members, tables)) as pair:
         rows = warmup(pair, test, cfg)
@@ -465,12 +464,10 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
                                           "model": tag, "digest": digest})
                     if split.kind == "hct":
                         snapshots.append((epoch, split))
-        pair.finish()
+        histories = pair.finish()
     captured = select_core_set(snapshots, cfg.epochs) if split_mode == "hct" else None
-    return StageOutcome(record=_finalize_record(stage_tag, rows),
-                        nets=tuple(member.net for member in members),
-                        histories=tuple(member.history for member in members)
-                        if split_mode == "hct" else None,
+    return StageOutcome(record=_finalize_record(stage_tag, rows), nets=tuple(nets),
+                        histories=tuple(histories) if split_mode == "hct" else None,
                         core_set=captured, gmm_rows=gmm_rows, plan_rows=plan_rows)
 
 

@@ -1,15 +1,17 @@
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+# longremix before numpy: its one-thread BLAS default only takes effect if
+# set before numpy loads, and the pair's forked workers need it
 from longremix import nn  # noqa: E402
 from longremix.errors import ParseError  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 # -- reference losses ----------------------------------------------------------

@@ -422,6 +422,8 @@ CSV_CASES = [
      "baseline", 2, "test.csv: row 7: label 'bird' is not a training class"),
     ("test-file-missing-cell", ROWS, ROWS[:1] + [(None, "dog")] + ROWS[1:], 1,
      "baseline", 2, "test.csv: row 3: missing value in column 'x0'"),
+    ("training-file-nan-cell", ROWS[:4] + [(float("nan"), "cat")] + ROWS[4:], ROWS, 1,
+     "baseline", 2, "train.csv: row 6: non-finite value 'nan' in column 'x0'"),
     ("single-class-training", [r for r in ROWS if r[1] == "cat"], ROWS, 1, "baseline", 2,
      "train.csv: every training label is 'cat'; training needs at least 2 classes"),
     ("single-class-test-file", ROWS, [r for r in ROWS if r[1] == "dog"], 1, "baseline", 0, None),
@@ -584,6 +586,20 @@ def test_python_dash_m_entry_point():
     assert proc.stdout.startswith("longremix ")
 
 
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+def test_import_pins_blas_threads_unless_set(preset, want):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if preset is not None:
+        env.update(dict.fromkeys(names, preset))
+    proc = subprocess.run([sys.executable, "-c", "import os, longremix; print(*(os.environ[n] "
+                           f"for n in {names!r}))"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [want] * 3
+
+
 def test_empty_core_set_is_one_stderr_line(tmp_path):
     # at 90% noise and tau 1.0 no windowed clean set of stage 1 holds a sample
     conf = tmp_path / "empty-core.conf"
@@ -712,10 +728,40 @@ class TestPairTransports:
                                             [command, "--config", str(path)])
         assert workers[0] == 0 and workers[2]
         assert workers == in_process
-        path, _ = write_conf(tmp_path, mode=mode, extra=dumps + self.HUGE_LR)
+        # HUGE_LR, then this mode's exit-3 rows of VALUE_CASES with their lines
+        failures = [(self.HUGE_LR, "error: non-finite parameters in ")] + [
+            (line + "\n", f"error: {message}\n") for case_mode, line, code, message in VALUE_CASES
+            if code == 3 and case_mode == mode and command == "train"]
+        for extra, line in failures:
+            path, _ = write_conf(tmp_path, mode=mode, extra=dumps + extra)
+            workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
+                                                [command, "--config", str(path)])
+            assert workers[0] == 3 and workers[1].startswith(line)
+            assert workers == in_process
+
+    def test_parameters_are_checked_before_outputs(self, tmp_path, monkeypatch, capsys):
+        # in train epoch 2 model2's pass ends with NaN parameters, while
+        # model1's grow finite but so large that its next outputs overflow:
+        # model2's parameters come first in run order
+        train, select = trainer._Member.train, trainer._Member.select
+
+        def nan_in_model2(member, epoch, lr, split):
+            if member.m == 1 and epoch == 2:
+                member.net.params[-1] = np.nan
+            return train(member, epoch, lr, split)
+
+        def overflow_in_model1(member, epoch):
+            if member.m == 0 and epoch == 3:
+                member.net.params *= 1e300
+            return select(member, epoch)
+
+        monkeypatch.setattr(trainer._Member, "train", nan_in_model2)
+        monkeypatch.setattr(trainer._Member, "select", overflow_in_model1)
+        path, _ = write_conf(tmp_path)
         workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
-                                            [command, "--config", str(path)])
-        assert workers[0] == 3 and workers[1].startswith("error: non-finite parameters in ")
+                                            ["train", "--config", str(path)])
+        assert workers[0] == 3
+        assert workers[1] == "error: non-finite parameters in model2 after baseline train epoch 2\n"
         assert workers == in_process
 
     def test_dead_worker_is_one_state_error(self, tmp_path, capsys, monkeypatch):

@@ -95,6 +95,14 @@ class TestCsv:
         with pytest.raises(ParseError, match="non-numeric"):
             data.load_csv_dataset(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,b,label\n1,2,c\n3,{cell},d\n")
+        with pytest.raises(ParseError) as info:
+            data.load_csv_dataset(p)
+        assert str(info.value) == f"{p}: row 3: non-finite value {cell!r} in column 'b'"
+
     def test_round_trip(self, tmp_path):
         ds = data.make_synthetic_dataset("blobs", n=30, classes=3, spread=0.2, seed=1)
         p = tmp_path / "out.csv"

@@ -20,15 +20,14 @@ def blob_pair(n=300, classes=4, spread=0.15, seed=1, noise=0.0, noise_seed=7):
 
 
 def run_warmup(nets, ds, test, cfg):
-    """``warmup`` of the given nets through the trainer's pair, which copies
-    the trained parameters back into them; returns the metrics rows."""
-    tables = trainer._shared_tables(ds, test)
+    """``warmup`` of the given nets through the trainer's pair; the nets'
+    parameters move into the pair's shared memory, so they end trained.
+    Returns the metrics rows."""
+    tables = trainer._shared_tables(ds, test, nets)
     members = [trainer._Member(m, net, cfg, ds, test, tables, 1, "warmup")
                for m, net in enumerate(nets)]
     with contextlib.closing(trainer._Pair(members, tables)) as pair:
-        rows = warmup(pair, test, cfg)
-        pair.finish()
-    return rows
+        return warmup(pair, test, cfg)
 
 
 def outputs(nets, ds):
