@@ -53,11 +53,7 @@ def _output_dir(out, default) -> str:
 
 
 def _load_config(path, seed=None, out=None):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            mapping = parse_flat_config(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    mapping = parse_flat_config(data.read_text(path, "config"))
     if seed is not None:
         mapping = apply_seed_override(mapping, _non_negative("--seed", seed))
     exp = build_experiment(mapping)
@@ -172,11 +168,8 @@ def cmd_noise(args) -> int:
 def cmd_report(args) -> int:
     outdir = _output_dir(args.out, os.path.dirname(args.metrics) or ".")
     try:
-        with open(args.metrics, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read metrics {args.metrics}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.read_text(args.metrics, "metrics"))
+    except (ValueError, RecursionError) as exc:  # malformed, too many digits, too deep
         raise ConfigError(f"metrics file is not valid JSON: {exc}") from exc
     try:
         bundle = report.reemit_from_metrics(doc, outdir)
@@ -254,6 +247,9 @@ def main(argv=None) -> int:
         return 2
     except LongRemixError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -112,6 +112,25 @@ def make_synthetic_dataset(kind, n, classes, spread, seed) -> NoisyDataset:
     return _clean(feats, labels, classes)
 
 
+def read_text(path, what) -> str:
+    """The text of the UTF-8 file at ``path``; the package's only file reader."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _csv_records(text, path):
+    """The records of CSV ``text``; a malformed one is a parse error naming
+    ``path`` and the line the reader stopped at."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=reader.line_num, path=path) from None
+
+
 def load_csv_dataset(path, class_names=None) -> NoisyDataset:
     """UTF-8 CSV with a header row: feature columns, then a final ``label`` column.
 
@@ -120,52 +139,47 @@ def load_csv_dataset(path, class_names=None) -> NoisyDataset:
     in which case an unknown token is a parse error. Parse failures name the
     file and the offending 1-based file row.
     """
+    reader = _csv_records(read_text(path, "dataset"), path)
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", row=1, path=path) from None
-        if len(header) < 2:
-            raise ParseError("need at least one feature column and a label column",
-                             row=1, path=path)
-        if header[-1].strip() != "label":
-            raise ParseError(f"last column must be named 'label', got {header[-1]!r}",
-                             row=1, path=path)
-        d = len(header) - 1
-        feats, tokens = [], []
-        token_index = {name: c for c, name in enumerate(class_names or ())}
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise ParseError(f"expected {d + 1} columns, got {len(row)}", row=row_no, path=path)
-            vals = []
-            for col, cell in zip(header[:-1], row[:-1]):
-                cell = cell.strip()
-                if not cell:
-                    raise ParseError(f"missing value in column {col!r}", row=row_no, path=path)
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(f"non-numeric value {cell!r} in column {col!r}",
-                                     row=row_no, path=path) from None
-                if not math.isfinite(value):
-                    raise ParseError(f"non-finite value {cell!r} in column {col!r}",
-                                     row=row_no, path=path)
-                vals.append(value)
-            token = row[-1].strip()
-            if not token:
-                raise ParseError("missing label", row=row_no, path=path)
-            if token not in token_index:
-                if class_names is not None:
-                    raise ParseError(f"label {token!r} is not a training class "
-                                     f"{list(class_names)}", row=row_no, path=path)
-                token_index[token] = len(token_index)
-            feats.append(vals)
-            tokens.append(token)
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", row=1, path=path) from None
+    if len(header) < 2:
+        raise ParseError("need at least one feature column and a label column",
+                         row=1, path=path)
+    if header[-1].strip() != "label":
+        raise ParseError(f"last column must be named 'label', got {header[-1]!r}",
+                         row=1, path=path)
+    d = len(header) - 1
+    feats, tokens = [], []
+    token_index = {name: c for c, name in enumerate(class_names or ())}
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != d + 1:
+            raise ParseError(f"expected {d + 1} columns, got {len(row)}", row=row_no, path=path)
+        vals = []
+        for col, cell in zip(header[:-1], row[:-1]):
+            cell = cell.strip()
+            if not cell:
+                raise ParseError(f"missing value in column {col!r}", row=row_no, path=path)
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"non-numeric value {cell!r} in column {col!r}",
+                                 row=row_no, path=path) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {cell!r} in column {col!r}",
+                                 row=row_no, path=path)
+            vals.append(value)
+        token = row[-1].strip()
+        if not token:
+            raise ParseError("missing label", row=row_no, path=path)
+        if token not in token_index:
+            if class_names is not None:
+                raise ParseError(f"label {token!r} is not a training class "
+                                 f"{list(class_names)}", row=row_no, path=path)
+            token_index[token] = len(token_index)
+        feats.append(vals)
+        tokens.append(token)
     if not feats:
         raise ParseError("no data rows", row=1, path=path)
     labels = np.array([token_index[t] for t in tokens], dtype=int)

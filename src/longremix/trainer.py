@@ -23,11 +23,12 @@ from __future__ import annotations
 import contextlib
 import mmap
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import BLAS_UNPINNED, nn
 from .data import NoisyDataset
 from .errors import ConfigError, StateError
 from .gmm import clean_posterior, fit_gmm_em, gmm_record, normalize_losses, per_sample_losses
@@ -312,9 +313,16 @@ def _serve(conn, member, main_ends):
 
 
 def _use_workers() -> bool:
-    """Fork a worker per net where this process may use two CPUs or more."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
+    """Fork a worker per net where this process may use two CPUs or more,
+    unless it is daemonic (a pool worker, which may not start children) or
+    BLAS is unpinned (``BLAS_UNPINNED``). Without ``multiprocessing`` loaded
+    this process cannot be a pool worker, so a command pays nothing to check."""
+    if BLAS_UNPINNED or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return False
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return False
+    return len(os.sched_getaffinity(0)) >= 2
 
 
 class _Pair:

@@ -406,10 +406,12 @@ def _separable_rows():
 
 
 def _write_csv(path, rows, width=1):
-    """A feature of None is written as an empty cell."""
+    """A feature of None is written as an empty cell; a lone surrogate in a
+    label is written as the byte it escapes (``surrogateescape``)."""
     header = ",".join(f"x{j}" for j in range(width))
-    path.write_text(f"{header},label\n" + "".join(
-        ",".join(["" if x is None else repr(x)] * width) + f",{label}\n" for x, label in rows))
+    path.write_bytes((f"{header},label\n" + "".join(
+        ",".join(["" if x is None else repr(x)] * width) + f",{label}\n" for x, label in rows)
+    ).encode("utf-8", "surrogateescape"))
 
 
 # (case, training rows, test rows, test width, mode, exit code, stderr substring);
@@ -433,6 +435,12 @@ CSV_CASES = [
      "cannot read dataset train.csv: [Errno 2] No such file or directory: 'train.csv'"),
     ("test-file-missing", ROWS, None, 1, "baseline", 2,
      "cannot read dataset test.csv: [Errno 2] No such file or directory: 'test.csv'"),
+    ("training-file-not-utf8", ROWS[:3] + [(0.0, "caf\udce9")] + ROWS[3:], ROWS, 1, "baseline", 2,
+     "cannot read dataset train.csv: 'utf-8' codec can't decode byte 0xe9 in position "),
+    ("test-file-not-utf8", ROWS, ROWS[:3] + [(0.0, "\udcffdog")] + ROWS[3:], 1, "baseline", 2,
+     "cannot read dataset test.csv: 'utf-8' codec can't decode byte 0xff in position "),
+    ("training-cell-over-field-limit", ROWS[:3] + [(0.0, '"' + "a" * 200_000 + '"')] + ROWS[3:],
+     ROWS, 1, "baseline", 2, "train.csv: row 5: field larger than field limit (131072)"),
 ]
 
 
@@ -520,14 +528,22 @@ def _metrics_doc(lr):
         {"epoch": 1, "phase": "train", "lr": lr, "test_acc": 0.5, "model1": None, "model2": None}]}]}
 
 
-# Malformed metrics documents, each written into the test's directory.
-BAD_METRICS = {"text-lr.json": _metrics_doc("x"), "list-lr.json": _metrics_doc([0.02]),
-               "no-stages.json": {}}
+# Input files, each written into the test's directory: an empty config,
+# malformed metrics documents, and files that are not UTF-8.
+INPUT_FILES = {"empty.conf": b"",
+               "text-lr.json": json.dumps(_metrics_doc("x")).encode(),
+               "list-lr.json": json.dumps(_metrics_doc([0.02])).encode(),
+               "no-stages.json": b"{}",
+               "nested.json": b"[" * 200_000,
+               "digits.json": b"1" * 5000,
+               "latin1.json": b'{"stages": "caf\xe9"}',
+               "latin1.conf": b"dataset.n = 200\nnoise.kind = caf\xe9\n",
+               "latin1.csv": b"x0,label\n0.5,caf\xe9\n"}
 LEMMA = ["lemma", "--pcc", "0.8", "--pnn", "0.7", "--pc", "0.5"]
 
 # (case, arguments, start of the stderr line after "config error: ") for bad
 # flags and inputs other than config values; {tmp} is the test's directory,
-# which holds the BAD_METRICS files and an empty config
+# which holds the INPUT_FILES
 COMMAND_CASES = [
     ("lemma-zetas-not-int", LEMMA + ["--zetas", "1,a"], "--zetas: expected an integer, got 'a'"),
     ("lemma-negative-trials", LEMMA + ["--trials", "-1"], "--trials must be >= 0, got -1"),
@@ -554,14 +570,23 @@ COMMAND_CASES = [
      "--mapping: class 0 is mapped twice"),
     ("noise-csv-missing", ["noise", "--kind", "none", "--csv", "{tmp}/missing.csv"],
      "cannot read dataset {tmp}/missing.csv: [Errno 2] No such file or directory"),
+    ("train-config-not-utf8", ["train", "--config", "{tmp}/latin1.conf"],
+     "cannot read config {tmp}/latin1.conf: 'utf-8' codec can't decode byte 0xe9 in position 32"),
+    ("noise-csv-not-utf8", ["noise", "--kind", "none", "--csv", "{tmp}/latin1.csv"],
+     "cannot read dataset {tmp}/latin1.csv: 'utf-8' codec can't decode byte 0xe9 in position 16"),
+    ("report-not-utf8", ["report", "--metrics", "{tmp}/latin1.json"],
+     "cannot read metrics {tmp}/latin1.json: 'utf-8' codec can't decode byte 0xe9 in position 15"),
+    ("report-nested-too-deep", ["report", "--metrics", "{tmp}/nested.json"],
+     "metrics file is not valid JSON: maximum recursion depth exceeded"),
+    ("report-too-many-digits", ["report", "--metrics", "{tmp}/digits.json"],
+     "metrics file is not valid JSON: Exceeds the limit (4300 digits)"),
 ]
 
 
 @pytest.mark.parametrize("case,args,message", COMMAND_CASES, ids=[c[0] for c in COMMAND_CASES])
 def test_command_contract(tmp_path, capsys, case, args, message):
-    for name, doc in BAD_METRICS.items():
-        (tmp_path / name).write_text(json.dumps(doc))
-    (tmp_path / "empty.conf").write_text("")
+    for name, content in INPUT_FILES.items():
+        (tmp_path / name).write_bytes(content)
     args = [a.format(tmp=tmp_path) for a in args]
     assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -586,18 +611,34 @@ def test_python_dash_m_entry_point():
     assert proc.stdout.startswith("longremix ")
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python_without_blas_threads(code, **preset):
+    """Run ``code`` in a fresh interpreter that has the package on its path
+    and none of the BLAS thread variables set, apart from ``preset``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
 def test_import_pins_blas_threads_unless_set(preset, want):
-    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in names}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    if preset is not None:
-        env.update(dict.fromkeys(names, preset))
-    proc = subprocess.run([sys.executable, "-c", "import os, longremix; print(*(os.environ[n] "
-                           f"for n in {names!r}))"], env=env, capture_output=True, text=True,
-                          timeout=60)
+    proc = _python_without_blas_threads(
+        f"import os, longremix; print(*(os.environ[n] for n in {BLAS_THREADS!r}))",
+        **({} if preset is None else dict.fromkeys(BLAS_THREADS, preset)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [want] * 3
+
+
+def test_numpy_first_with_blas_unpinned_runs_the_pair_in_process():
+    # numpy imported first has sized its BLAS pool for the machine; each
+    # forked worker would inherit it, so the pair stays in one process
+    proc = _python_without_blas_threads("import numpy; from longremix import trainer; "
+                                        "print(trainer._use_workers())")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_empty_core_set_is_one_stderr_line(tmp_path):
@@ -616,6 +657,20 @@ def test_empty_core_set_is_one_stderr_line(tmp_path):
                            "snapshot of its second half was empty\n")
     summary = json.loads((out / "metrics.json").read_text())["summary"]
     assert summary["core_set_size"] == 0
+
+
+@pytest.mark.parametrize("args", [LEMMA + ["--zetas", "1", "--trials", str(10**15)],
+                                  ["train", "--config", "{tmp}/huge.conf"]],
+                         ids=["lemma-trials", "train-dataset-n"])
+def test_out_of_memory_exits_3(tmp_path, capsys, args):
+    # 7 PiB is more than any process's address space: the allocation fails at once
+    (tmp_path / "huge.conf").write_text(f"dataset.n = {10**15}\n")
+    args = [a.format(tmp=tmp_path) for a in args] + ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 7.11 PiB")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_help_documents_subcommands():
@@ -797,6 +852,21 @@ class TestPairTransports:
                                             ["train", "--config", str(path)])
         assert len(started) == 2
         assert workers[0] == 0 and workers == in_process
+
+
+@needs_fork
+def test_pair_in_a_pool_worker_runs_in_process(tmp_path):
+    # a pool worker is daemonic, so it may not start the pair's workers
+    path, out = write_conf(tmp_path)
+    path.write_text(path.read_text().replace("dataset.n = 300", "dataset.n = 200"))
+    pool = multiprocessing.get_context("fork").Pool(1)
+    try:
+        assert pool.apply(cli.main, (["train", "--config", str(path)],)) == 0
+    finally:
+        pool.close()
+        pool.join()
+    assert not multiprocessing.active_children()
+    assert Path(out, "bundle.json").exists()
 
 
 @pytest.mark.parametrize("cpus,workers", [({0}, False), ({0, 1}, hasattr(os, "fork"))])
