@@ -23,7 +23,7 @@ from .config import (DatasetSpec, _to_int, _to_mapping, _to_tuple, apply_seed_ov
                      build_experiment, parse_flat_config)
 from .errors import ConfigError, LongRemixError, ParseError
 from .gmm import MIN_FIT_SAMPLES
-from .trainer import TrainConfig, run_stage1_hct, run_training
+from .trainer import STAGE1_HCT, TrainConfig, run_stage, run_training
 
 OUTDIR_ENV = "LONGREMIX_OUTDIR"
 
@@ -120,7 +120,7 @@ def cmd_prcurve(args) -> int:
     exp = _load_config(args.config, args.seed, args.out)
     ds, test = _build_datasets(exp)
     _require_mixture_rows(exp, ds)
-    stage1 = run_stage1_hct(exp.train, ds, test)
+    stage1 = run_stage(exp.train, ds, test, 1, *STAGE1_HCT)
     curve = report.pr_curve(stage1.histories[0], ds.mask, exp.report.tau_grid, ds.labels)
     path, = report.write_files(exp.output.dir, {"prcurve.csv": report.prcurve_csv_text(curve)})
     print(f"wrote {path} ({len(curve)} thresholds)")

@@ -1,9 +1,9 @@
 """Dataset construction, CSV ingestion, and synthetic label-noise injection.
 
-Datasets carry the observed labels next to the hidden true labels and a
-per-sample noise mask, so selection precision/recall can be measured
-against ground truth. Noise injectors are pure: they return a new dataset
-and never mutate their input.
+Datasets carry the observed labels next to the hidden true labels, whose
+difference is the per-sample noise mask, so selection precision/recall can
+be measured against ground truth. ``apply_noise`` is the one noise injector:
+it returns a new dataset and never mutates its input.
 """
 
 from __future__ import annotations
@@ -25,20 +25,22 @@ class NoisyDataset:
     features: np.ndarray      # (n, d) float
     labels: np.ndarray        # observed labels, (n,) int
     true_labels: np.ndarray   # hidden ground truth, (n,) int
-    mask: np.ndarray          # (n,) bool, True where observed != true
     num_classes: int
     class_names: list | None = None  # CSV token map, first-appearance order
 
     def __post_init__(self):
         n = len(self.features)
-        if not (len(self.labels) == len(self.true_labels) == len(self.mask) == n):
+        if not (len(self.labels) == len(self.true_labels) == n):
             raise ValueError("dataset arrays misaligned")
         if n and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("observed label out of range")
         if n and (self.true_labels.min() < 0 or self.true_labels.max() >= self.num_classes):
             raise ValueError("true label out of range")
-        if not np.array_equal(self.mask, self.labels != self.true_labels):
-            raise ValueError("noise mask inconsistent with labels")
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(n,) bool, True where the observed label is not the true one."""
+        return self.labels != self.true_labels
 
     @property
     def n(self) -> int:
@@ -63,6 +65,9 @@ class NoiseSpec:
             raise ConfigError(f"noise.seed must be >= 0, got {self.seed}")
         if self.mapping is not None and self.kind != "asymmetric":
             raise ConfigError(f"a class mapping needs asymmetric noise, got kind {self.kind!r}")
+        if self.kind == "none" and self.eta != 0:
+            raise ConfigError(
+                "a noise rate needs symmetric or asymmetric noise, got kind 'none'")
         if self.kind == "symmetric" and not 0.0 <= self.eta < 1.0:
             raise ConfigError(f"symmetric noise rate must be in [0, 1), got {self.eta}")
         if self.kind == "asymmetric":
@@ -80,7 +85,6 @@ def _clean(features, labels, num_classes, class_names=None) -> NoisyDataset:
     labels = np.asarray(labels, dtype=int)
     return NoisyDataset(features=np.asarray(features, dtype=float),
                         labels=labels, true_labels=labels.copy(),
-                        mask=np.zeros(len(labels), dtype=bool),
                         num_classes=num_classes, class_names=class_names)
 
 
@@ -113,9 +117,10 @@ def make_synthetic_dataset(kind, n, classes, spread, seed) -> NoisyDataset:
 
 
 def read_text(path, what) -> str:
-    """The text of the UTF-8 file at ``path``; the package's only file reader."""
+    """The text of the UTF-8 file at ``path``, without a leading byte order
+    mark; the package's only file reader."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
@@ -197,47 +202,31 @@ def dataset_csv_text(ds: NoisyDataset) -> str:
     return buf.getvalue()
 
 
-def _forbid_reinjection(ds: NoisyDataset):
-    if ds.mask.any():
-        raise StateError("dataset already carries injected noise; re-injection is not allowed")
-
-
-def inject_symmetric_noise(ds: NoisyDataset, eta, seed) -> NoisyDataset:
-    """Flip each label with probability eta; the replacement is uniform over
-    the other classes, so the total flip probability is exactly eta."""
-    if not 0.0 <= eta < 1.0:
-        raise ConfigError(f"symmetric noise rate must be in [0, 1), got {eta}")
-    _forbid_reinjection(ds)
-    rng = np.random.default_rng(seed)
-    flip = rng.random(ds.n) < eta
-    offsets = rng.integers(1, ds.num_classes, size=ds.n)
-    labels = ds.true_labels.copy()
-    labels[flip] = (labels[flip] + offsets[flip]) % ds.num_classes
-    return replace(ds, labels=labels, mask=labels != ds.true_labels)
-
-
-def inject_asymmetric_noise(ds: NoisyDataset, eta, mapping, seed) -> NoisyDataset:
-    """Flip samples of mapped classes to their mapped target with probability eta."""
-    spec = NoiseSpec(kind="asymmetric", eta=eta, mapping=dict(mapping), seed=0)
-    for src, dst in spec.mapping.items():
-        if not (0 <= src < ds.num_classes and 0 <= dst < ds.num_classes):
-            raise ConfigError(f"mapping {src}->{dst} outside class range [0, {ds.num_classes})")
-    _forbid_reinjection(ds)
-    rng = np.random.default_rng(seed)
-    flip = rng.random(ds.n) < eta
-    labels = ds.true_labels.copy()
-    for src, dst in sorted(spec.mapping.items()):
-        hit = flip & (ds.true_labels == src)
-        labels[hit] = dst
-    return replace(ds, labels=labels, mask=labels != ds.true_labels)
-
-
 def apply_noise(ds: NoisyDataset, spec: NoiseSpec) -> NoisyDataset:
+    """``ds`` with ``spec``'s label noise drawn over its true labels.
+
+    Symmetric noise flips each label with probability eta to a class uniform
+    over the others, so the total flip probability is exactly eta;
+    asymmetric noise flips samples of each mapped class to its target with
+    probability eta. A dataset that already carries noise is refused.
+    """
     if spec.kind == "none":
         return ds
+    for src, dst in (spec.mapping or {}).items():
+        if not (0 <= src < ds.num_classes and 0 <= dst < ds.num_classes):
+            raise ConfigError(f"mapping {src}->{dst} outside class range [0, {ds.num_classes})")
+    if ds.mask.any():
+        raise StateError("dataset already carries injected noise; re-injection is not allowed")
+    rng = np.random.default_rng(spec.seed)
+    flip = rng.random(ds.n) < spec.eta
+    labels = ds.true_labels.copy()
     if spec.kind == "symmetric":
-        return inject_symmetric_noise(ds, spec.eta, spec.seed)
-    return inject_asymmetric_noise(ds, spec.eta, spec.mapping, spec.seed)
+        offsets = rng.integers(1, ds.num_classes, size=ds.n)
+        labels[flip] = (labels[flip] + offsets[flip]) % ds.num_classes
+    else:
+        for src, dst in sorted(spec.mapping.items()):
+            labels[flip & (ds.true_labels == src)] = dst
+    return replace(ds, labels=labels)
 
 
 def noise_sidecar(spec: NoiseSpec, flipped_count) -> dict:

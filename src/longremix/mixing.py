@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StateError
+from .errors import StateError
 from .seeding import derive_rng
 from .selector import SplitSets
 
@@ -79,9 +79,6 @@ def target_table(split: SplitSets, guessed, num_classes) -> np.ndarray:
 
 def mix_plan(plan: EpochPlan, features, targets, alpha, rng):
     """Realize a plan into labelled and unlabelled mixed ``(features, targets)`` pairs."""
-    if alpha <= 0:
-        raise ConfigError(f"beta concentration must be positive, got {alpha}")
-
     def _mix(anchor, partner):
         col = rng.beta(alpha, alpha, size=len(anchor))[:, None]
         return (col * features[anchor] + (1.0 - col) * features[partner],

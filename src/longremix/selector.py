@@ -30,8 +30,6 @@ class LossHistory:
     """Ring buffer of the last ``zeta`` epochs' clean posteriors per sample."""
 
     def __init__(self, n_samples: int, zeta: int):
-        if zeta < 1:
-            raise ValueError("window length must be >= 1")
         self.n_samples = n_samples
         self.zeta = zeta
         self._buf: deque = deque(maxlen=zeta)

@@ -479,11 +479,6 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
                         core_set=captured, gmm_rows=gmm_rows, plan_rows=plan_rows)
 
 
-def run_stage1_hct(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset) -> StageOutcome:
-    """The confidence-window stage of the two-stage modes, on its own."""
-    return run_stage(cfg, ds, test, 1, *STAGE1_HCT)
-
-
 def run_training(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset) -> list:
     """Execute the configured mode end to end and return its ``StageOutcome``s
     in run order; the core set a stage captures is passed to the stages

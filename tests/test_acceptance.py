@@ -209,7 +209,7 @@ def _ladder_run(mode, eta, seed):
     ds = data.make_synthetic_dataset("blobs", n=2000, classes=16, spread=0.15, seed=seed)
     test = data.make_synthetic_dataset("blobs", n=1000, classes=16, spread=0.15,
                                        seed=seed + 1000003)
-    noisy = data.inject_symmetric_noise(ds, eta, seed=seed + 101)
+    noisy = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=eta, seed=seed + 101))
     return trainer.run_training(_ladder_config(mode, seed), noisy, test)[-1].record.best_acc
 
 
@@ -248,13 +248,14 @@ def test_criterion_7_asymmetric_pr_tradeoff():
         ds = data.make_synthetic_dataset("blobs", n=2000, classes=2, spread=0.5, seed=seed)
         test = data.make_synthetic_dataset("blobs", n=1000, classes=2, spread=0.5,
                                            seed=seed + 1000003)
-        noisy = data.inject_asymmetric_noise(ds, 0.4, {0: 1}, seed=seed + 101)
+        noisy = data.apply_noise(ds, data.NoiseSpec(kind="asymmetric", eta=0.4, mapping={0: 1},
+                                                    seed=seed + 101))
         cfg = trainer.TrainConfig(
             mode="full-longremix", tau=0.5, zeta=5, alpha=0.2, lambda_u=0.0,
             lambda_reg=0.0, epochs=20, warmup=5, lr=0.05,
             data_seed=seed, model1_seed=seed + 11, model2_seed=seed + 22,
             plan_seed=seed + 33)
-        stage1 = trainer.run_stage1_hct(cfg, noisy, test)
+        stage1 = trainer.run_stage(cfg, noisy, test, 1, *trainer.STAGE1_HCT)
         rows = report.pr_curve(stage1.histories[0], noisy.mask, [0.5], noisy.labels)
         row = rows[0]
         precision_wins += row["hct_precision"] >= row["baseline_precision"]

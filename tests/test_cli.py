@@ -1,3 +1,5 @@
+import codecs
+import hashlib
 import json
 import multiprocessing
 import multiprocessing.context
@@ -333,6 +335,19 @@ class TestNoiseCommand:
         assert written == data.dataset_csv_text(noisy).encode("utf-8")
         assert written.count(b"\r\n") == 41
 
+    # the dataset.csv digests of these runs at an earlier commit: the noise
+    # draws must not change
+    @pytest.mark.parametrize("args,digest", [
+        (["--kind", "symmetric", "--eta", "0.5"],
+         "5969175253b644535de9747d1325c6ad860ef188688a7a480e1c2a1301730fbb"),
+        (["--kind", "asymmetric", "--eta", "0.4", "--mapping", "0:1,2:3"],
+         "38ce46864b7e126dba9e50a92863c8ef50913b4b66f244f446eb4c11fca717da"),
+    ], ids=["symmetric", "asymmetric"])
+    def test_noised_csv_bytes_are_pinned(self, tmp_path, args, digest):
+        assert cli.main(["noise", *args, "--n", "300", "--classes", "4",
+                         "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "dataset.csv").read_bytes()).hexdigest() == digest
+
     def test_asymmetric_limit_exit_2(self, tmp_path):
         assert cli.main(["noise", "--kind", "asymmetric", "--eta", "0.6",
                          "--mapping", "0:1", "--out", str(tmp_path)]) == 2
@@ -363,6 +378,16 @@ class TestReportCommand:
         assert cli.main(["report", "--metrics", str(tmp_path / "out" / "metrics.json"),
                          "--out", str(tmp_path / "re")]) == 0
         assert (tmp_path / "re" / "epochs.csv").read_text() == original
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as Windows editors save UTF-8 text: a config and a metrics file
+        path, out = write_conf(tmp_path, mode="baseline")
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert cli.main(["train", "--config", str(path)]) == 0
+        metrics = Path(out, "metrics.json")
+        metrics.write_bytes(codecs.BOM_UTF8 + metrics.read_bytes())
+        assert cli.main(["report", "--metrics", str(metrics), "--out", str(tmp_path / "re")]) == 0
+        assert (tmp_path / "re" / "epochs.csv").read_bytes() == Path(out, "epochs.csv").read_bytes()
 
     def test_invalid_json_exit_2(self, tmp_path):
         bad = tmp_path / "m.json"
@@ -502,6 +527,8 @@ VALUE_CASES = [
     ("baseline", "noise.seed = -1", 2, "noise.seed must be >= 0, got -1"),
     ("baseline", "noise.mapping = 0:1", 2,
      "a class mapping needs asymmetric noise, got kind 'symmetric'"),
+    ("baseline", "noise.kind = none", 2,
+     "a noise rate needs symmetric or asymmetric noise, got kind 'none'"),
     ("baseline", "output.dir =", 2, "output.dir must not be empty"),
     ("baseline", "dataset.n = 3", 2, "dataset.n must be >= dataset.classes (4), got 3"),
     ("baseline", "dataset.test_n = 0", 2, "dataset.test_n must be >= dataset.classes (4), got 0"),
@@ -551,6 +578,8 @@ COMMAND_CASES = [
      "spread must be finite and positive, got nan"),
     ("noise-spread-inf", ["noise", "--kind", "none", "--spread", "inf"],
      "spread must be finite and positive, got inf"),
+    ("noise-rate-without-kind", ["noise", "--kind", "none", "--eta", "nan"],
+     "a noise rate needs symmetric or asymmetric noise, got kind 'none'"),
     ("report-text-cell", ["report", "--metrics", "{tmp}/text-lr.json"],
      "metrics file {tmp}/text-lr.json has a missing or non-numeric field: "
      "could not convert string to float: 'x'"),
@@ -704,7 +733,7 @@ def test_output_path_naming_a_file_rejected_before_work(tmp_path, capsys, monkey
             "report": ["report", "--metrics", str(tmp_path / "metrics.json")]}[command]
     # any work would fail loudly: the check comes before training or sweeping
     monkeypatch.setattr(cli, "run_training", None)
-    monkeypatch.setattr(cli, "run_stage1_hct", None)
+    monkeypatch.setattr(cli, "run_stage", None)
     monkeypatch.setattr(cli.lemma, "sweep_zeta", None)
     assert cli.main(args + ["--out", str(blocked)]) == 2
     err = capsys.readouterr().err

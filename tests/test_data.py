@@ -115,63 +115,65 @@ class TestCsv:
 class TestSymmetricNoise:
     def test_eta_zero_identity(self):
         ds = data.make_synthetic_dataset("blobs", n=60, classes=3, spread=0.2, seed=0)
-        out = data.inject_symmetric_noise(ds, 0.0, seed=1)
+        out = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.0, seed=1))
         np.testing.assert_array_equal(out.labels, ds.labels)
         assert not out.mask.any()
 
     def test_flip_rate_within_binomial_band(self):
         # eta: sigma = sqrt(0.8 * 0.2 / 50000) ~= 0.0017889, 4 sigma ~= 0.00716
         ds = data.make_synthetic_dataset("blobs", n=50000, classes=10, spread=0.2, seed=0)
-        out = data.inject_symmetric_noise(ds, 0.8, seed=5)
+        out = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.8, seed=5))
         frac = out.mask.mean()
         assert abs(frac - 0.8) <= 4 * np.sqrt(0.8 * 0.2 / 50000)
 
     def test_two_classes_single_alternative(self):
         ds = data.make_synthetic_dataset("blobs", n=500, classes=2, spread=0.2, seed=0)
-        out = data.inject_symmetric_noise(ds, 0.5, seed=2)
+        out = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.5, seed=2))
         flipped = out.labels[out.mask]
         truth = out.true_labels[out.mask]
         np.testing.assert_array_equal(flipped, 1 - truth)
 
     def test_never_flips_to_true_class(self):
         ds = data.make_synthetic_dataset("blobs", n=5000, classes=5, spread=0.2, seed=0)
-        out = data.inject_symmetric_noise(ds, 0.9, seed=3)
+        out = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.9, seed=3))
         assert (out.labels[out.mask] != out.true_labels[out.mask]).all()
         # both uniform over the other classes and total rate ~0.9
         assert abs(out.mask.mean() - 0.9) < 4 * np.sqrt(0.9 * 0.1 / 5000)
 
     def test_mask_recomputable(self):
         ds = data.make_synthetic_dataset("blobs", n=200, classes=4, spread=0.2, seed=0)
-        out = data.inject_symmetric_noise(ds, 0.4, seed=9)
+        out = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.4, seed=9))
         np.testing.assert_array_equal(out.mask, out.labels != out.true_labels)
 
     def test_reinjection_forbidden(self):
         ds = data.make_synthetic_dataset("blobs", n=100, classes=4, spread=0.2, seed=0)
-        out = data.inject_symmetric_noise(ds, 0.5, seed=1)
+        out = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.5, seed=1))
         with pytest.raises(StateError, match="re-injection"):
-            data.inject_symmetric_noise(out, 0.5, seed=2)
+            data.apply_noise(out, data.NoiseSpec(kind="symmetric", eta=0.5, seed=2))
 
     def test_deterministic(self):
         ds = data.make_synthetic_dataset("blobs", n=300, classes=4, spread=0.2, seed=0)
-        a = data.inject_symmetric_noise(ds, 0.6, seed=11)
-        b = data.inject_symmetric_noise(ds, 0.6, seed=11)
+        a = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.6, seed=11))
+        b = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.6, seed=11))
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_input_unchanged(self):
         ds = data.make_synthetic_dataset("blobs", n=100, classes=4, spread=0.2, seed=0)
-        data.inject_symmetric_noise(ds, 0.9, seed=1)
+        data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.9, seed=1))
         assert not ds.mask.any()
 
 
 class TestAsymmetricNoise:
     def test_eta_zero_identity(self):
         ds = data.make_synthetic_dataset("blobs", n=100, classes=4, spread=0.2, seed=0)
-        out = data.inject_asymmetric_noise(ds, 0.0, {0: 1}, seed=1)
+        out = data.apply_noise(ds, data.NoiseSpec(kind="asymmetric", eta=0.0,
+                                                  mapping={0: 1}, seed=1))
         np.testing.assert_array_equal(out.labels, ds.labels)
 
     def test_flip_count_within_binomial_band(self):
         ds = data.make_synthetic_dataset("blobs", n=20000, classes=2, spread=0.2, seed=0)
-        out = data.inject_asymmetric_noise(ds, 0.4, {0: 1}, seed=4)
+        out = data.apply_noise(ds, data.NoiseSpec(kind="asymmetric", eta=0.4,
+                                                  mapping={0: 1}, seed=4))
         n_src = int((ds.true_labels == 0).sum())
         assert n_src == 10000
         flips = int(out.mask.sum())
@@ -179,7 +181,8 @@ class TestAsymmetricNoise:
 
     def test_unmapped_classes_untouched(self):
         ds = data.make_synthetic_dataset("blobs", n=3000, classes=4, spread=0.2, seed=0)
-        out = data.inject_asymmetric_noise(ds, 0.49, {0: 1}, seed=5)
+        out = data.apply_noise(ds, data.NoiseSpec(kind="asymmetric", eta=0.49,
+                                                  mapping={0: 1}, seed=5))
         untouched = ds.true_labels != 0
         np.testing.assert_array_equal(out.labels[untouched], ds.labels[untouched])
         assert (out.labels[out.mask] == 1).all()
@@ -187,17 +190,17 @@ class TestAsymmetricNoise:
     def test_rate_limit_cites_theoretical_bound(self):
         ds = data.make_synthetic_dataset("blobs", n=100, classes=4, spread=0.2, seed=0)
         with pytest.raises(ConfigError, match="0.5"):
-            data.inject_asymmetric_noise(ds, 0.5, {0: 1}, seed=0)
+            data.apply_noise(ds, data.NoiseSpec(kind="asymmetric", eta=0.5, mapping={0: 1}, seed=0))
 
     def test_identity_mapping_rejected(self):
         ds = data.make_synthetic_dataset("blobs", n=100, classes=4, spread=0.2, seed=0)
         with pytest.raises(ConfigError, match="itself"):
-            data.inject_asymmetric_noise(ds, 0.3, {2: 2}, seed=0)
+            data.apply_noise(ds, data.NoiseSpec(kind="asymmetric", eta=0.3, mapping={2: 2}, seed=0))
 
     def test_mapping_range_checked(self):
         ds = data.make_synthetic_dataset("blobs", n=100, classes=4, spread=0.2, seed=0)
         with pytest.raises(ConfigError, match="range"):
-            data.inject_asymmetric_noise(ds, 0.3, {0: 9}, seed=0)
+            data.apply_noise(ds, data.NoiseSpec(kind="asymmetric", eta=0.3, mapping={0: 9}, seed=0))
 
 
 def test_noise_sidecar_fields():

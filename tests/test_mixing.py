@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from longremix import nn
-from longremix.errors import ConfigError, StateError
+from longremix.errors import StateError
 from longremix.mixing import build_epoch_plan, mix_plan, plan_digest, target_table
 from longremix.selector import CoreSet, SplitSets, baseline_split, guided_split
 from conftest import batch_loss, cross_entropy
@@ -72,10 +72,6 @@ class TestSampleBeta:
     def test_support(self):
         draws = mixed_lambdas(0.5, 500, seed=3)
         assert ((draws >= 0) & (draws <= 1)).all()
-
-    def test_alpha_validation(self):
-        with pytest.raises(ConfigError, match="positive"):
-            mixed_lambdas(0.0, 10, seed=0)
 
 
 class TestMixupPair:

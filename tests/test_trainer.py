@@ -15,7 +15,7 @@ def blob_pair(n=300, classes=4, spread=0.15, seed=1, noise=0.0, noise_seed=7):
     test = data.make_synthetic_dataset("blobs", n=n, classes=classes, spread=spread,
                                        seed=seed + 1000003)
     if noise:
-        ds = data.inject_symmetric_noise(ds, noise, seed=noise_seed)
+        ds = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=noise, seed=noise_seed))
     return ds, test
 
 
@@ -238,7 +238,7 @@ class TestStages:
         ds, test = blob_pair(n=150, classes=3, noise=0.4)
         cfg_hct = small_cfg(mode="retrain-only", zeta=1)
         cfg_base = small_cfg(mode="baseline", zeta=1)
-        stage1 = trainer.run_stage1_hct(cfg_hct, ds, test)
+        stage1 = trainer.run_stage(cfg_hct, ds, test, 1, *trainer.STAGE1_HCT)
         base = run_training(cfg_base, ds, test)[-1]
         # a window of one is single-epoch thresholding, except plan sizing:
         # retrain-only keeps baseline sizing, so records must agree exactly
@@ -286,12 +286,12 @@ class TestStages:
             ds = data.make_synthetic_dataset("blobs", n=2000, classes=16, spread=0.15, seed=seed)
             test = data.make_synthetic_dataset("blobs", n=1000, classes=16, spread=0.15,
                                                seed=seed + 1000003)
-            noisy = data.inject_symmetric_noise(ds, 0.8, seed=seed + 101)
+            noisy = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=0.8, seed=seed + 101))
             cfg = TrainConfig(mode="full-longremix", tau=0.7, zeta=5, alpha=0.2,
                               lambda_u=10.0, epochs=60, warmup=20, lr=0.02,
                               data_seed=seed, model1_seed=seed + 11,
                               model2_seed=seed + 22, plan_seed=seed + 33)
-            stage1 = trainer.run_stage1_hct(cfg, noisy, test)
+            stage1 = trainer.run_stage(cfg, noisy, test, 1, *trainer.STAGE1_HCT)
             hist = stage1.histories[0]
             windowed = selector.hct_split(hist, cfg.tau, noisy.labels)
             base = selector.baseline_split(hist.current(), cfg.tau, noisy.labels)
