@@ -98,6 +98,11 @@ def _dataset_info(exp, ds, test):
 
 def cmd_train(args) -> int:
     exp = _load_config(args.config, args.seed, args.out)
+    # a train rule only: prcurve writes prcurve.csv whatever these keys say
+    spec = exp.report
+    if not (spec.formats or spec.gmm_dump or spec.plan_digests or spec.checkpoints):
+        raise ConfigError("report.formats is empty and no dump is on: "
+                          "the run would write no results")
     ds, test = _build_datasets(exp)
     if exp.train.mode != "ce":
         _require_mixture_rows(exp, ds)

@@ -8,14 +8,15 @@ runs one stage and ``run_training`` runs a mode's stages in order.
 
 Each epoch, model 1's losses produce the split that trains model 2 and
 vice versa; evaluation averages the two softmax outputs. Each net runs its
-half of every epoch as a ``_Member``, in a forked worker of its own where
-two CPUs are usable (``_Pair``); its parameters and outputs live in shared
-memory that the main process reads. The main process checks every step in
-run order: after each training pass both nets' parameters, model 1's
-first, then the outputs each net checked at the start of its next
-co-training epoch, then, at evaluation, both test-set outputs. The first
-that is not finite stops the run with a ``StateError`` naming the model
-(and, for the first two, the stage and the epoch).
+numeric half of every epoch (passes, forwards, loss-mixture fit) as a
+``_Member``, in a forked worker of its own where two CPUs are usable
+(``_Pair``); its parameters and outputs live in shared memory. The main
+process owns selection (each net's window and split, the core set) and
+checks every step in run order: after each training pass both nets'
+parameters, model 1's first, then the outputs each net checked at the
+start of its next co-training epoch, then, at evaluation, both test-set
+outputs. The first that is not finite stops the run with a ``StateError``
+naming the model (and, for the first two, the stage and the epoch).
 """
 
 from __future__ import annotations
@@ -214,20 +215,18 @@ def _shared_tables(ds: NoisyDataset, test: NoisyDataset, nets):
 
 
 class _Member:
-    """Net ``m`` of a stage's pair, its optimiser and, in ``hct`` stages, its
-    LossHistory. A step runs this net's half of an epoch, writing row ``m``
-    of the shared tables; a failed step returns its exception. The member
-    keeps its latest outputs besides their copies in the tables: freed at
-    once, they let malloc trim the heap that the next forward pass faults
-    back in (7x the page faults and about 10% more run time, measured)."""
+    """Net ``m`` of a stage's pair and its optimiser. A step runs this net's
+    half of an epoch, writing row ``m`` of the shared tables; a failed step
+    returns its exception. The member keeps its latest outputs besides their
+    copies in the tables: freed at once, they let malloc trim the heap that
+    the next forward pass faults back in (7x the page faults and about 10%
+    more run time, measured)."""
 
     def __init__(self, m, net, cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, tables,
-                 stage_no, stage_tag, split_mode=None, longmix_plans=False, core=None):
+                 stage_no, stage_tag, longmix_plans=False):
         self.m, self.net, self.cfg, self.ds, self.test = m, net, cfg, ds, test
-        self.stage_no, self.stage_tag, self.split_mode = stage_no, stage_tag, split_mode
-        self.longmix_plans, self.core = longmix_plans, core
+        self.stage_no, self.stage_tag, self.longmix_plans = stage_no, stage_tag, longmix_plans
         self.train_out, self.test_out, self.guessed = tables[0][m], tables[1][m], tables[2]
-        self.history = LossHistory(ds.n, cfg.zeta) if split_mode == "hct" else None
         self.opt = nn.init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay)
 
     def __call__(self, step, *args):
@@ -247,33 +246,26 @@ class _Member:
         self.test_probs = nn.forward(self.net, self.test.features)
         self.test_out[:] = self.test_probs
 
-    def select(self, epoch):
-        """Select half: the outputs at the start of ``epoch`` (checked finite),
-        then this net's split and loss-mixture fit. ``hct`` thresholds the
-        history's window once full, ``guided`` pins the core set into X."""
-        ds, cfg = self.ds, self.cfg
+    def fit(self, epoch):
+        """Fit half: the outputs at the start of ``epoch`` (checked finite),
+        then this net's loss-mixture fit; returns the clean posteriors and
+        the fit."""
+        ds = self.ds
         self.probs = nn.forward(self.net, ds.features)
         self.train_out[:] = self.probs
         if not np.isfinite(self.probs).all():
             raise StateError(f"non-finite outputs of {self.net.tag} at the start of "
                              f"{self.stage_tag} train epoch {epoch}")
         losses = per_sample_losses(self.net, ds, probs=self.probs)
-        if cfg.normalize_losses:
+        if self.cfg.normalize_losses:
             losses = normalize_losses(losses)
         params = fit_gmm_em(losses)
-        posteriors = clean_posterior(params, losses)
-        if self.split_mode == "guided":
-            return guided_split(posteriors, cfg.tau, self.core, ds.labels), params
-        if self.split_mode == "hct":
-            self.history.push(posteriors)
-            if self.history.full:
-                return hct_split(self.history, cfg.tau, ds.labels), params
-        return baseline_split(posteriors, cfg.tau, ds.labels), params
+        return clean_posterior(params, losses), params
 
     def train(self, epoch, lr, split):
         """Train half: a pass over the plan built from the other net's
         ``split`` (supervised, without a digest, if X is empty), the test-set
-        outputs, then the next epoch's selection (None after the last)."""
+        outputs, then the next epoch's fit (None after the last)."""
         self.opt.lr = lr
         net, ds, cfg, m = self.net, self.ds, self.cfg, self.m
         if split.x_size == 0:
@@ -294,10 +286,7 @@ class _Member:
             counts = plan.x_ops, plan.u_ops, plan_digest(plan)
         self.test_probs = nn.forward(net, self.test.features)
         self.test_out[:] = self.test_probs
-        return (*counts, self.select(epoch + 1) if epoch < cfg.epochs else None)
-
-    def finish(self):
-        return self.history
+        return (*counts, self.fit(epoch + 1) if epoch < cfg.epochs else None)
 
 
 def _serve(conn, member, main_ends):
@@ -374,10 +363,6 @@ class _Pair:
                 raise reply
         return replies, None if test is None else evaluate(self.tables[1], test)
 
-    def finish(self):
-        """Each member's LossHistory, in this process."""
-        return self.ask([("finish",)] * 2)[0]
-
     def close(self):
         for conn in self.conns:
             conn.close()
@@ -401,27 +386,39 @@ def warmup(pair, test: NoisyDataset, cfg: TrainConfig) -> list:
     return [_supervised_epoch(pair, test, "warmup", e, cfg.lr) for e in range(1, cfg.warmup + 1)]
 
 
-def cotrain_epoch(pair, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig, epoch, selected):
-    """One co-training epoch from each net's ``selected`` (split, mixture fit):
-    each net trains on the other's split, U towards the guessed labels, the
-    pair's mean output, kept for this epoch only. Returns the metrics row,
-    each net's (split, fit, plan digest) and its selection for the next."""
+def _next_split(split_mode, posteriors, history, core, ds: NoisyDataset, cfg: TrainConfig):
+    """A net's ``split_mode`` split (see ``run_stage``) for its next epoch
+    from its clean ``posteriors``, which ``hct`` pushes into its ``history``."""
+    if split_mode == "guided":
+        return guided_split(posteriors, cfg.tau, core, ds.labels)
+    if split_mode == "hct":
+        history.push(posteriors)
+        if history.full:
+            return hct_split(history, cfg.tau, ds.labels)
+    return baseline_split(posteriors, cfg.tau, ds.labels)
+
+
+def cotrain_epoch(pair, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig, epoch, splits):
+    """One co-training epoch from each net's ``splits``: each net trains on
+    the other's split, U towards the guessed labels, the pair's mean output,
+    kept for this epoch only. Returns the metrics row, each net's plan
+    digest and its (posteriors, mixture fit) for the next epoch."""
     lr = _epoch_lr(cfg, epoch)
     train_out, _, guessed = pair.tables
     np.add(train_out[0], train_out[1], out=guessed)
     guessed /= 2.0
-    replies, acc = pair.ask([("train", epoch, lr, selected[1 - m][0]) for m in (0, 1)],
+    replies, acc = pair.ask([("train", epoch, lr, splits[1 - m]) for m in (0, 1)],
                             ("train", epoch), test)
-    stats, records = [], []
-    for (split, params), (x_ops, u_ops, digest, _) in zip(selected, replies):
+    stats = []
+    for split, (x_ops, u_ops, digest, _) in zip(splits, replies):
         metrics = clean_set_metrics(split, ds.mask)
         stats.append(ModelEpochStats(
             split_kind=split.kind, x_size=split.x_size, u_size=split.u_size,
             precision=metrics.precision, recall=metrics.recall,
             x_ops=x_ops, u_ops=u_ops, fallback=digest is None))
-        records.append((split, params, digest))
-    return EpochMetrics(epoch=epoch, phase="train", lr=lr, test_acc=acc,
-                        model1=stats[0], model2=stats[1]), records, [r[3] for r in replies]
+    return (EpochMetrics(epoch=epoch, phase="train", lr=lr, test_acc=acc,
+                         model1=stats[0], model2=stats[1]),
+            [r[2] for r in replies], [r[3] for r in replies])
 
 
 def _finalize_record(stage_tag, rows) -> RunRecord:
@@ -452,8 +449,9 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
     nets = [nn.init_network(sizes, seed=(seed, stage_no), tag=tag)
             for seed, tag in zip((cfg.model1_seed, cfg.model2_seed), TAGS)]
     tables = _shared_tables(ds, test, nets)
-    members = [_Member(m, net, cfg, ds, test, tables, stage_no, stage_tag, split_mode,
-                       longmix_plans, core) for m, net in enumerate(nets)]
+    members = [_Member(m, net, cfg, ds, test, tables, stage_no, stage_tag, longmix_plans)
+               for m, net in enumerate(nets)]
+    histories = tuple(LossHistory(ds.n, cfg.zeta) for _ in TAGS)
     snapshots, gmm_rows, plan_rows = [], [], []
     with contextlib.closing(_Pair(members, tables)) as pair:
         rows = warmup(pair, test, cfg)
@@ -461,21 +459,19 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
             rows += [_supervised_epoch(pair, test, "train", epoch, _epoch_lr(cfg, epoch))
                      for epoch in range(1, cfg.epochs + 1)]
         else:
-            selected, _ = pair.ask([("select", 1)] * 2)
+            fits, _ = pair.ask([("fit", 1)] * 2)
             for epoch in range(1, cfg.epochs + 1):
-                row, records, selected = cotrain_epoch(pair, ds, test, cfg, epoch, selected)
+                splits = [_next_split(split_mode, posteriors, history, core, ds, cfg)
+                          for (posteriors, _), history in zip(fits, histories)]
+                gmm_rows += [gmm_record(fit[1], epoch, tag) for tag, fit in zip(TAGS, fits)]
+                snapshots += [(epoch, split) for split in splits if split.kind == "hct"]
+                row, digests, fits = cotrain_epoch(pair, ds, test, cfg, epoch, splits)
                 rows.append(row)
-                for tag, (split, params, digest) in zip(TAGS, records):
-                    gmm_rows.append(gmm_record(params, epoch, tag))
-                    if digest is not None:
-                        plan_rows.append({"stage": stage_tag, "epoch": epoch,
-                                          "model": tag, "digest": digest})
-                    if split.kind == "hct":
-                        snapshots.append((epoch, split))
-        histories = pair.finish()
+                plan_rows += [{"stage": stage_tag, "epoch": epoch, "model": tag, "digest": digest}
+                              for tag, digest in zip(TAGS, digests) if digest is not None]
     captured = select_core_set(snapshots, cfg.epochs) if split_mode == "hct" else None
     return StageOutcome(record=_finalize_record(stage_tag, rows), nets=tuple(nets),
-                        histories=tuple(histories) if split_mode == "hct" else None,
+                        histories=histories if split_mode == "hct" else None,
                         core_set=captured, gmm_rows=gmm_rows, plan_rows=plan_rows)
 
 

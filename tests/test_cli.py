@@ -1,4 +1,5 @@
 import codecs
+import collections
 import hashlib
 import json
 import multiprocessing
@@ -282,7 +283,8 @@ class TestPrCurveCommand:
             assert int(row["hct_x_size"]) <= int(row["baseline_x_size"])
 
     def test_top_end_near_empty(self, tmp_path):
-        path, out = write_conf(tmp_path, mode="full-longremix")
+        # prcurve writes prcurve.csv whatever report.formats says
+        path, out = write_conf(tmp_path, mode="full-longremix", extra="report.formats =\n")
         assert cli.main(["prcurve", "--config", str(path), "--out", str(tmp_path / "pc")]) == 0
         lines = (tmp_path / "pc" / "prcurve.csv").read_text().strip().splitlines()
         last = lines[-1].split(",")
@@ -422,6 +424,14 @@ class TestOptionalDumps:
         assert net.tag == "model1"
         assert net.input_dim == 2
 
+    def test_dumps_without_formats(self, tmp_path):
+        # with a dump on, an empty report.formats still writes results
+        path, out = write_conf(tmp_path, extra="report.formats =\nreport.gmm_dump = true\n"
+                                                "report.checkpoints = true\n")
+        assert cli.main(["train", "--config", str(path)]) == 0
+        assert sorted(p.name for p in Path(out).iterdir()) == [
+            "bundle.json", "gmm.jsonl", "model1.ckpt", "model2.ckpt"]
+
 
 def _separable_rows():
     """200 rows of two classes a unit either side of zero, alternating cat/dog."""
@@ -530,6 +540,8 @@ VALUE_CASES = [
     ("baseline", "noise.kind = none", 2,
      "a noise rate needs symmetric or asymmetric noise, got kind 'none'"),
     ("baseline", "output.dir =", 2, "output.dir must not be empty"),
+    ("baseline", "report.formats =", 2,
+     "report.formats is empty and no dump is on: the run would write no results"),
     ("baseline", "dataset.n = 3", 2, "dataset.n must be >= dataset.classes (4), got 3"),
     ("baseline", "dataset.test_n = 0", 2, "dataset.test_n must be >= dataset.classes (4), got 0"),
     ("baseline", "dataset.classes = 1", 2, "dataset.classes must be >= 2, got 1"),
@@ -803,15 +815,25 @@ class TestPairTransports:
                 shutil.rmtree(out)
         return results
 
-    @pytest.mark.parametrize("command,mode", [("train", mode) for mode in trainer.MODES]
-                             + [("prcurve", "full-longremix")])
-    def test_same_bytes_and_failure_lines(self, tmp_path, monkeypatch, capsys, command, mode):
-        dumps = self.DUMPS + ("" if mode == "ce" else "report.gmm_dump = true\n")
+    # (command, mode, config lines, test id)
+    CASES = [("train", mode, "", f"train-{mode}") for mode in trainer.MODES] + [
+        ("prcurve", "full-longremix", "", "prcurve-full-longremix"),
+        ("train", "baseline", "train.normalize_losses = false\n", "train-baseline-raw-losses")]
+
+    @pytest.mark.parametrize("command,mode,setting", [c[:3] for c in CASES],
+                             ids=[c[3] for c in CASES])
+    def test_same_bytes_and_failure_lines(self, tmp_path, monkeypatch, capsys, command, mode,
+                                          setting):
+        dumps = self.DUMPS + ("" if mode == "ce" else "report.gmm_dump = true\n") + setting
         path, _ = write_conf(tmp_path, mode=mode, extra=dumps)
         workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
                                             [command, "--config", str(path)])
         assert workers[0] == 0 and workers[2]
         assert workers == in_process
+        if setting:
+            # min-max normalised losses lie in [0, 1], and so do the means fitted to them
+            first = json.loads(workers[2]["gmm.jsonl"].splitlines()[0])
+            assert max(first["means"]) > 1
         # HUGE_LR, then this mode's exit-3 rows of VALUE_CASES with their lines
         failures = [(self.HUGE_LR, "error: non-finite parameters in ")] + [
             (line + "\n", f"error: {message}\n") for case_mode, line, code, message in VALUE_CASES
@@ -827,7 +849,7 @@ class TestPairTransports:
         # in train epoch 2 model2's pass ends with NaN parameters, while
         # model1's grow finite but so large that its next outputs overflow:
         # model2's parameters come first in run order
-        train, select = trainer._Member.train, trainer._Member.select
+        train, fit = trainer._Member.train, trainer._Member.fit
 
         def nan_in_model2(member, epoch, lr, split):
             if member.m == 1 and epoch == 2:
@@ -837,16 +859,40 @@ class TestPairTransports:
         def overflow_in_model1(member, epoch):
             if member.m == 0 and epoch == 3:
                 member.net.params *= 1e300
-            return select(member, epoch)
+            return fit(member, epoch)
 
         monkeypatch.setattr(trainer._Member, "train", nan_in_model2)
-        monkeypatch.setattr(trainer._Member, "select", overflow_in_model1)
+        monkeypatch.setattr(trainer._Member, "fit", overflow_in_model1)
         path, _ = write_conf(tmp_path)
         workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
                                             ["train", "--config", str(path)])
         assert workers[0] == 3
         assert workers[1] == "error: non-finite parameters in model2 after baseline train epoch 2\n"
         assert workers == in_process
+
+    def test_main_process_builds_every_split(self, tmp_path, monkeypatch):
+        # selection belongs to the main process on either transport: with
+        # zeta 2, stage 1 thresholds one epoch alone, then its window for
+        # five, and stage 2 guides all six
+        path, _ = write_conf(tmp_path, mode="full-longremix")
+        path.write_text(path.read_text().replace("dataset.n = 300", "dataset.n = 200")
+                        .replace("train.zeta = 3", "train.zeta = 2"))
+        calls = collections.Counter()
+
+        def counted(name, split):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return split(*args, **kwargs)
+            return call
+
+        for name in ("baseline_split", "hct_split", "guided_split"):
+            monkeypatch.setattr(trainer, name, counted(name, getattr(trainer, name)))
+        for workers in (True, False):
+            monkeypatch.setattr(trainer, "_use_workers", lambda: workers)
+            calls.clear()
+            assert cli.main(["train", "--config", str(path), "--out",
+                             str(tmp_path / f"out-{workers}")]) == 0
+            assert calls == {"baseline_split": 2, "hct_split": 10, "guided_split": 12}
 
     def test_dead_worker_is_one_state_error(self, tmp_path, capsys, monkeypatch):
         path, out = write_conf(tmp_path)
