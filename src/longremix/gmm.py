@@ -6,9 +6,10 @@ probability that a training sample is clean. EM is initialized from the
 epoch to epoch (no label switching), which makes the fit deterministic.
 
 The fit is also byte-stable. Each EM iteration evaluates the component
-log-densities once, and the M-step sums over samples run in sample order,
-as a reduce over the samples axis of an ``(n, 2)`` array does; a plain 1-D
-``np.sum`` adds pairwise and rounds differently. Holding the order fixed
+log-densities once, in working arrays allocated once per fit, and the
+M-step sums over samples run in sample order, as a reduce over the samples
+axis of an ``(n, 2)`` array does; a plain 1-D ``np.sum`` adds pairwise and
+rounds differently. Holding the order fixed
 keeps the fitted parameters, ``gmm.jsonl`` and every split downstream the
 same bit for bit whichever layout the arrays take.
 """
@@ -71,24 +72,6 @@ def _log_normal(x, mean, var):
     return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
 
 
-def _e_step(x, weights, means, variances):
-    """Responsibilities ``(2, n)`` and the mean log-likelihood, from one
-    evaluation of the component log-densities; each component is a
-    contiguous row, so the per-sample max and sum are plain 1-D ops."""
-    comp = np.log(weights)[:, None] + _log_normal(x[None, :], means[:, None], variances[:, None])
-    hi = np.maximum(comp[0], comp[1])
-    resp = np.exp(comp - hi)
-    total = resp[0] + resp[1]
-    resp /= total
-    return resp, float(np.mean(hi + np.log(total)))
-
-
-def _row_sums(a):
-    # running sums add samples in order, as an axis-0 reduce over (n, 2) does;
-    # a 1-D np.sum is pairwise and differs in the last bits
-    return np.cumsum(a, axis=1)[:, -1]
-
-
 def _collapsed(values) -> GmmParams:
     center = float(np.mean(values)) if len(values) else 0.5
     return GmmParams(weights=np.array([0.5, 0.5]),
@@ -116,21 +99,52 @@ def fit_gmm_em(losses, tol=1e-6, max_iter=100) -> GmmParams:
     weights = np.array([0.5, 0.5])
     variances = np.full(2, max(float(np.var(x)), VAR_FLOOR))
 
-    resp, ll = _e_step(x, weights, means, variances)
+    # one fit's working arrays: the log-densities, the accepted and the
+    # candidate responsibilities, the running row sums and two per-sample rows
+    n = len(x)
+    dens, resp, new_resp, acc = (np.empty((2, n)) for _ in range(4))
+    hi, total = np.empty(n), np.empty(n)
+
+    def e_step(weights, means, variances, out):
+        """Responsibilities into ``out`` and the mean log-likelihood, from one
+        evaluation of the component log-densities (``_log_normal`` step by
+        step); each component is a contiguous row, so the per-sample max and
+        sum are plain 1-D ops."""
+        np.subtract(x, means[:, None], out=dens)
+        np.square(dens, out=dens)
+        np.divide(dens, variances[:, None], out=dens)
+        np.add(np.log(2.0 * np.pi * variances)[:, None], dens, out=dens)
+        np.multiply(dens, -0.5, out=dens)
+        np.add(np.log(weights)[:, None], dens, out=dens)
+        np.maximum(dens[0], dens[1], out=hi)
+        np.exp(np.subtract(dens, hi, out=out), out=out)
+        np.add(out[0], out[1], out=total)
+        np.divide(out, total, out=out)
+        np.add(hi, np.log(total, out=total), out=hi)
+        return float(np.add.reduce(hi) / n)  # what np.mean computes
+
+    def row_sums(a):
+        # running sums add samples in order, as an axis-0 reduce over (n, 2)
+        # does; a 1-D np.sum is pairwise and differs in the last bits
+        return np.add.accumulate(a, axis=1, out=acc)[:, -1].copy()
+
+    ll = e_step(weights, means, variances, resp)
     path = [ll]
     n_iter = 0
     for _ in range(max_iter):
         # M-step with variance floor
-        mass = _row_sums(resp)
-        if (mass / len(x) < WEIGHT_FLOOR).any():
+        mass = row_sums(resp)
+        if (mass / n < WEIGHT_FLOOR).any():
             return _collapsed(x)
-        new_means = _row_sums(resp * x) / mass
-        new_vars = np.maximum(_row_sums(resp * (x - new_means[:, None]) ** 2) / mass, VAR_FLOOR)
-        new_weights = mass / len(x)
-        new_resp, new_ll = _e_step(x, new_weights, new_means, new_vars)
+        new_means = row_sums(np.multiply(resp, x, out=dens)) / mass
+        np.square(np.subtract(x, new_means[:, None], out=dens), out=dens)
+        new_vars = np.maximum(row_sums(np.multiply(resp, dens, out=dens)) / mass, VAR_FLOOR)
+        new_weights = mass / n
+        new_ll = e_step(new_weights, new_means, new_vars, new_resp)
         if new_ll < ll:
             break  # floored step would regress; keep previous parameters
-        weights, means, variances, resp = new_weights, new_means, new_vars, new_resp
+        weights, means, variances = new_weights, new_means, new_vars
+        resp, new_resp = new_resp, resp
         improved = new_ll - ll
         ll = new_ll
         path.append(ll)

@@ -9,10 +9,11 @@ runs one stage and ``run_training`` runs a mode's stages in order.
 Each epoch, model 1's losses produce the split that trains model 2 and
 vice versa; evaluation averages the two softmax outputs. Each net runs its
 numeric half of every epoch (passes, forwards, loss-mixture fit) as a
-``_Member``, in a forked worker of its own where two CPUs are usable
-(``_Pair``); its parameters and outputs live in shared memory. The main
-process owns selection (each net's window and split, the core set) and
-checks every step in run order: after each training pass both nets'
+``_Member``. Where two CPUs are usable (``_Pair``), model 2's member runs in
+a forked worker, one per stage, while model 1's runs in the main process
+at the same time; both nets' parameters and outputs live in shared memory.
+The main process owns selection (each net's window and split, the core
+set) and checks every step in run order: after each training pass both nets'
 parameters, model 1's first, then the outputs each net checked at the
 start of its next co-training epoch, then, at evaluation, both test-set
 outputs. The first that is not finite stops the run with a ``StateError``
@@ -289,20 +290,19 @@ class _Member:
         return (*counts, self.fit(epoch + 1) if epoch < cfg.epochs else None)
 
 
-def _serve(conn, member, main_ends):
-    """A worker's loop: answer ``member``'s steps until the main process's
-    end of the pipe closes; inherited copies of those ends would keep it open."""
+def _serve(conn, member, main_end):
+    """The worker's loop: answer ``member``'s steps until the main process's
+    end of the pipe closes; an inherited copy of that end would keep it open."""
     import signal  # here: only a worker needs it, and its import costs a run's set-up 1 ms
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops the pair
-    for end in main_ends:
-        end.close()
+    main_end.close()
     with contextlib.suppress(EOFError, OSError):
         while True:
             conn.send(member(*conn.recv()))
 
 
 def _use_workers() -> bool:
-    """Fork a worker per net where this process may use two CPUs or more,
+    """Fork a worker for model 2 where this process may use two CPUs or more,
     unless it is daemonic (a pool worker, which may not start children) or
     BLAS is unpinned (``BLAS_UNPINNED``). Without ``multiprocessing`` loaded
     this process cannot be a pool worker, so a command pays nothing to check."""
@@ -315,46 +315,46 @@ def _use_workers() -> bool:
 
 
 class _Pair:
-    """A stage's two members behind one transport: a forked worker each if
-    ``_use_workers`` and they start, else direct calls, model1's first."""
+    """A stage's two members behind one transport. If ``_use_workers`` and
+    its worker starts, model 2 runs in a forked worker and model 1 in this
+    process, between sending model 2 its request and receiving the reply;
+    else both run here, model 1 first."""
 
     def __init__(self, members, tables):
-        self.members, self.tables, self.conns, self.procs = members, tables, [], []
+        self.members, self.tables, self.conn, self.proc = members, tables, None, None
         if not _use_workers():
             return
         import multiprocessing  # here, not at module import: a run's set-up would pay for it
         ctx = multiprocessing.get_context("fork")
+        conn, child = ctx.Pipe()
+        proc = ctx.Process(target=_serve, args=(child, members[1], conn), daemon=True)
         try:
-            for member in members:
-                conn, child = ctx.Pipe()
-                self.conns.append(conn)
-                proc = ctx.Process(target=_serve, args=(child, member, self.conns), daemon=True)
-                try:
-                    proc.start()
-                finally:
-                    child.close()
-                self.procs.append(proc)
-        except OSError:  # a worker did not start: run in this process
-            self.close()
+            proc.start()
+        except OSError:  # the worker did not start: run in this process
+            conn.close()
+        else:
+            self.conn, self.proc = conn, proc
+        finally:
+            child.close()
 
     def ask(self, requests, trained=None, test: NoisyDataset | None = None):
         """Both members' replies to ``requests`` and, after a step that wrote
         test-set outputs, the pair's accuracy on ``test``. A worker that died
-        fails at once; otherwise, in run order: after a training pass (its
-        ``trained`` phase and epoch) each net's parameters, then each
-        member's own failure, then the test-set outputs, model1's first."""
-        if self.procs:
-            for conn, request in zip(self.conns, requests):
-                with contextlib.suppress(OSError):  # a dead worker fails its recv below
-                    conn.send(request)
-            replies = []
-            for tag, conn in zip(TAGS, self.conns):
-                try:
-                    replies.append(conn.recv())
-                except (EOFError, OSError):
-                    raise StateError(f"the {tag} worker exited without replying") from None
+        fails once model 1's step is done; otherwise, in run order: after a
+        training pass (its ``trained`` phase and epoch) each net's
+        parameters, then each member's own failure, then the test-set
+        outputs, model1's first."""
+        model1, model2 = self.members
+        if self.proc is None:
+            replies = [model1(*requests[0]), model2(*requests[1])]
         else:
-            replies = [member(*request) for member, request in zip(self.members, requests)]
+            with contextlib.suppress(OSError):  # a dead worker fails its recv below
+                self.conn.send(requests[1])
+            replies = [model1(*requests[0])]
+            try:
+                replies.append(self.conn.recv())
+            except (EOFError, OSError):
+                raise StateError("the model2 worker exited without replying") from None
         if trained is not None:
             for member in self.members:
                 _require_finite(member.net, member.stage_tag, *trained)
@@ -364,13 +364,12 @@ class _Pair:
         return replies, None if test is None else evaluate(self.tables[1], test)
 
     def close(self):
-        for conn in self.conns:
-            conn.close()
-        for proc in self.procs:
-            proc.terminate()
-            proc.join()
-            proc.close()
-        self.conns, self.procs = [], []
+        if self.proc is not None:
+            self.conn.close()
+            self.proc.terminate()
+            self.proc.join()
+            self.proc.close()
+            self.conn = self.proc = None
 
 
 def _supervised_epoch(pair, test: NoisyDataset, phase, epoch, lr) -> EpochMetrics:

@@ -792,9 +792,10 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pair's work
 
 @needs_fork
 class TestPairTransports:
-    """The pair runs in two forked workers or in this process
-    (``trainer._use_workers`` decides); the outputs, the failure lines and
-    the processes left afterwards (none) must not tell them apart."""
+    """The pair runs with model 2 in a forked worker and model 1 in this
+    process, or wholly in this process (``trainer._use_workers`` decides);
+    the outputs, the failure lines and the processes left afterwards (none)
+    must not tell them apart."""
 
     DUMPS = "report.plan_digests = true\nreport.checkpoints = true\n"
     # fails in a train epoch after warmup, in every mode
@@ -911,22 +912,47 @@ class TestPairTransports:
         assert not Path(out).exists()
 
     def test_failed_start_runs_in_process(self, tmp_path, capsys, monkeypatch):
-        # the second worker cannot start: the first is stopped, and the
-        # whole stage runs in this process
+        # the stage's worker cannot start: the whole stage runs in this process
         path, _ = write_conf(tmp_path, mode="ce")
-        start, started = multiprocessing.context.ForkProcess.start, []
+        started = []
 
-        def second_fails(proc):
+        def fails(proc):
             started.append(proc)
-            if len(started) == 2:
-                raise OSError(11, "Resource temporarily unavailable")
-            start(proc)
+            raise OSError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", second_fails)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fails)
         workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
                                             ["train", "--config", str(path)])
-        assert len(started) == 2
+        assert len(started) == 1
         assert workers[0] == 0 and workers == in_process
+
+    def test_one_worker_per_stage(self, tmp_path, monkeypatch):
+        # model 2 trains in the stage's one forked worker and model 1 in
+        # this process: CI's tiny.conf setting starts two processes, one per
+        # stage, and this process runs model 1's steps, never model 2's
+        path = tmp_path / "tiny.conf"
+        path.write_text("dataset.n = 200\ndataset.test_n = 100\ndataset.classes = 4\n"
+                        "noise.kind = symmetric\nnoise.eta = 0.5\ntrain.mode = full-longremix\n"
+                        "train.epochs = 6\ntrain.warmup = 2\n")
+        start, call = multiprocessing.context.ForkProcess.start, trainer._Member.__call__
+        started, steps, pid = [], collections.Counter(), os.getpid()
+
+        def counted_start(proc):
+            started.append(proc)
+            start(proc)
+
+        def counted_step(member, *args):
+            if os.getpid() == pid:
+                steps[member.m] += 1
+            return call(member, *args)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted_start)
+        monkeypatch.setattr(trainer._Member, "__call__", counted_step)
+        monkeypatch.setattr(trainer, "_use_workers", lambda: True)
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert not multiprocessing.active_children()
+        assert len(started) == 2
+        assert steps[0] > 0 and steps[1] == 0
 
 
 @needs_fork

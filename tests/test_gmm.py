@@ -92,6 +92,21 @@ class TestEmFit:
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.variances, b.variances)
 
+    def test_fits_share_no_buffers(self):
+        # EM iterates in working arrays of its own: a second fit, of another
+        # length, leaves the first fit's parameters as they were
+        rng = np.random.default_rng(5)
+        a = gmm.fit_gmm_em(two_cluster_losses(rng))
+        kept = [a.weights.copy(), a.means.copy(), a.variances.copy(), a.log_likelihoods]
+        b = gmm.fit_gmm_em(two_cluster_losses(rng, n_each=300, mu=(0.2, 0.7)))
+        assert not a.collapsed and not b.collapsed
+        for before, after in zip(kept, (a.weights, a.means, a.variances)):
+            assert before.tobytes() == after.tobytes()
+        assert a.log_likelihoods == kept[3]
+        for field in ("weights", "means", "variances"):
+            for other in ("weights", "means", "variances"):
+                assert not np.shares_memory(getattr(a, field), getattr(b, other))
+
     def test_constant_input_collapses(self):
         params = gmm.fit_gmm_em(np.full(10, 0.4))
         assert params.collapsed
