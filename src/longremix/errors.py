@@ -14,8 +14,8 @@ class StateError(LongRemixError):
 
 
 class ParseError(LongRemixError):
-    """A file could not be parsed; carries the file and the offending row
-    when known."""
+    """A file could not be parsed; the message names the file and the
+    offending row when known."""
 
     def __init__(self, message, row=None, path=None):
         if row is not None:
@@ -23,5 +23,3 @@ class ParseError(LongRemixError):
         if path is not None:
             message = f"{path}: {message}"
         super().__init__(message)
-        self.row = row
-        self.path = path

@@ -23,6 +23,8 @@ import numpy as np
 from .nn import Network, forward
 
 VAR_FLOOR = 1e-6
+EM_TOL = 1e-6       # EM stops once a step raises the mean log-likelihood by less
+EM_MAX_ITER = 100   # ... or after this many accepted steps
 MIN_FIT_SAMPLES = 4  # fewest losses fit_gmm_em accepts
 WEIGHT_FLOOR = 1e-8
 
@@ -79,7 +81,7 @@ def _collapsed(values) -> GmmParams:
                      variances=np.array([VAR_FLOOR, VAR_FLOOR]), collapsed=True)
 
 
-def fit_gmm_em(losses, tol=1e-6, max_iter=100) -> GmmParams:
+def fit_gmm_em(losses) -> GmmParams:
     """EM fit of a 2-component 1-D mixture to the loss values.
 
     The percentile-anchored initialization makes the fit deterministic.
@@ -131,7 +133,7 @@ def fit_gmm_em(losses, tol=1e-6, max_iter=100) -> GmmParams:
     ll = e_step(weights, means, variances, resp)
     path = [ll]
     n_iter = 0
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         # M-step with variance floor
         mass = row_sums(resp)
         if (mass / n < WEIGHT_FLOOR).any():
@@ -149,7 +151,7 @@ def fit_gmm_em(losses, tol=1e-6, max_iter=100) -> GmmParams:
         ll = new_ll
         path.append(ll)
         n_iter += 1
-        if improved < tol:
+        if improved < EM_TOL:
             break
 
     order = np.argsort(means)  # smaller mean first: component 0 is the clean one

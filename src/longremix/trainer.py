@@ -9,9 +9,9 @@ runs one stage and ``run_training`` runs a mode's stages in order.
 Each epoch, model 1's losses produce the split that trains model 2 and
 vice versa; evaluation averages the two softmax outputs. Each net runs its
 numeric half of every epoch (passes, forwards, loss-mixture fit) as a
-``_Member``. Where two CPUs are usable (``_Pair``), model 2's member runs in
-a forked worker, one per stage, while model 1's runs in the main process
-at the same time; both nets' parameters and outputs live in shared memory.
+``_Member``. A stage's ``_Pair`` builds both and owns what they share in
+shared memory; where two CPUs are usable, model 2's member runs in a forked
+worker, one per stage, while model 1's runs in the main process meanwhile.
 The main process owns selection (each net's window and split, the core
 set) and checks every step in run order: after each training pass both nets'
 parameters, model 1's first, then the outputs each net checked at the
@@ -197,37 +197,20 @@ def _supervised_pass(net, opt, ds: NoisyDataset, cfg: TrainConfig, m, stage_no, 
         nn.sgd_step(net, nn.backward(net, batch, "cross_entropy"), opt)
 
 
-def _shared_tables(ds: NoisyDataset, test: NoisyDataset, nets):
-    """The pair's training-set outputs ``(2, n, C)``, test-set outputs
-    ``(2, test_n, C)`` and guessed labels ``(n, C)``, in anonymous shared
-    memory that forked workers inherit. Member m writes only row m of the
-    first two, the main process the third while both members wait. Each of
-    the pair's ``nets`` moves its parameters onto a row of a fourth such
-    table, so the main process reads what its member trains."""
-    shapes = ((2, ds.n, ds.num_classes), (2, test.n, ds.num_classes), (ds.n, ds.num_classes),
-              (2, nets[0].params.size))
-    *tables, params = (np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), float).reshape(shape)
-                       for shape in shapes)
-    for net, row in zip(nets, params):
-        row[:] = net.params
-        net.params = row
-        net.weights, net.biases = nn._layer_views(row, net.layer_sizes)
-    return tuple(tables)
-
-
 class _Member:
-    """Net ``m`` of a stage's pair and its optimiser. A step runs this net's
-    half of an epoch, writing row ``m`` of the shared tables; a failed step
-    returns its exception. The member keeps its latest outputs besides their
-    copies in the tables: freed at once, they let malloc trim the heap that
-    the next forward pass faults back in (7x the page faults and about 10%
-    more run time, measured)."""
+    """Net ``m`` of a stage's ``pair`` and its optimiser. A step runs this
+    net's half of an epoch, writing row ``m`` of the pair's ``train_out`` and
+    ``test_out``; a failed step returns its exception. The member keeps its
+    latest outputs besides those copies: freed at once, they let malloc trim
+    the heap that the next forward pass faults back in (7x the page faults
+    and about 10% more run time, measured)."""
 
-    def __init__(self, m, net, cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, tables,
+    def __init__(self, m, net, pair, cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset,
                  stage_no, stage_tag, longmix_plans=False):
         self.m, self.net, self.cfg, self.ds, self.test = m, net, cfg, ds, test
         self.stage_no, self.stage_tag, self.longmix_plans = stage_no, stage_tag, longmix_plans
-        self.train_out, self.test_out, self.guessed = tables[0][m], tables[1][m], tables[2]
+        self.train_out, self.test_out = pair.train_out[m], pair.test_out[m]
+        self.guessed = pair.guessed
         self.opt = nn.init_optimizer(net, cfg.lr, cfg.momentum, cfg.weight_decay)
 
     def __call__(self, step, *args):
@@ -267,12 +250,12 @@ class _Member:
         """Train half: a pass over the plan built from the other net's
         ``split`` (supervised, without a digest, if X is empty), the test-set
         outputs, then the next epoch's fit (None after the last)."""
-        self.opt.lr = lr
         net, ds, cfg, m = self.net, self.ds, self.cfg, self.m
         if split.x_size == 0:
-            _supervised_pass(net, self.opt, ds, cfg, m, self.stage_no, cfg.warmup + epoch)
+            self.supervised("train", epoch, lr)
             counts = ds.n, 0, None
         else:
+            self.opt.lr = lr
             plan = build_epoch_plan(split.labeled_idx, split.unlabeled_idx, ds.n,
                                     seed=(cfg.plan_seed, PLAN_DRAW, self.stage_no, epoch, m),
                                     longmix=self.longmix_plans)
@@ -285,8 +268,8 @@ class _Member:
                 batch = tuple((f[start:stop], t[start:stop]) for f, t in mixed)
                 nn.sgd_step(net, nn.backward(net, batch, spec), self.opt)
             counts = plan.x_ops, plan.u_ops, plan_digest(plan)
-        self.test_probs = nn.forward(net, self.test.features)
-        self.test_out[:] = self.test_probs
+            self.test_probs = nn.forward(net, self.test.features)
+            self.test_out[:] = self.test_probs
         return (*counts, self.fit(epoch + 1) if epoch < cfg.epochs else None)
 
 
@@ -315,19 +298,36 @@ def _use_workers() -> bool:
 
 
 class _Pair:
-    """A stage's two members behind one transport. If ``_use_workers`` and
-    its worker starts, model 2 runs in a forked worker and model 1 in this
-    process, between sending model 2 its request and receiving the reply;
-    else both run here, model 1 first."""
+    """A stage's two members, the transport between them and the tables they
+    share, in anonymous shared memory that a forked worker inherits. Member
+    m writes row m of ``train_out`` ``(2, n, C)`` and ``test_out``
+    ``(2, test_n, C)``; the main process writes ``guessed`` ``(n, C)`` while
+    both wait. Each of ``nets`` moves its parameters onto a row of a fourth
+    table, so the main process reads what its member trains. If
+    ``_use_workers`` and its worker starts, model 2 runs in a forked worker
+    and model 1 here, between sending model 2 its request and receiving the
+    reply; else both run here, model 1 first."""
 
-    def __init__(self, members, tables):
-        self.members, self.tables, self.conn, self.proc = members, tables, None, None
+    def __init__(self, nets, cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no,
+                 stage_tag, longmix_plans=False):
+        shapes = ((2, ds.n, ds.num_classes), (2, test.n, ds.num_classes), (ds.n, ds.num_classes),
+                  (2, nets[0].params.size))
+        self.train_out, self.test_out, self.guessed, params = (
+            np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), float).reshape(shape)
+            for shape in shapes)
+        for net, row in zip(nets, params):
+            row[:] = net.params
+            net.params = row
+            net.weights, net.biases = nn._layer_views(row, net.layer_sizes)
+        self.members = [_Member(m, net, self, cfg, ds, test, stage_no, stage_tag, longmix_plans)
+                        for m, net in enumerate(nets)]
+        self.conn = self.proc = None
         if not _use_workers():
             return
         import multiprocessing  # here, not at module import: a run's set-up would pay for it
         ctx = multiprocessing.get_context("fork")
         conn, child = ctx.Pipe()
-        proc = ctx.Process(target=_serve, args=(child, members[1], conn), daemon=True)
+        proc = ctx.Process(target=_serve, args=(child, self.members[1], conn), daemon=True)
         try:
             proc.start()
         except OSError:  # the worker did not start: run in this process
@@ -361,7 +361,7 @@ class _Pair:
         for reply in replies:
             if isinstance(reply, Exception):
                 raise reply
-        return replies, None if test is None else evaluate(self.tables[1], test)
+        return replies, None if test is None else evaluate(self.test_out, test)
 
     def close(self):
         if self.proc is not None:
@@ -403,9 +403,8 @@ def cotrain_epoch(pair, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig, 
     kept for this epoch only. Returns the metrics row, each net's plan
     digest and its (posteriors, mixture fit) for the next epoch."""
     lr = _epoch_lr(cfg, epoch)
-    train_out, _, guessed = pair.tables
-    np.add(train_out[0], train_out[1], out=guessed)
-    guessed /= 2.0
+    np.add(pair.train_out[0], pair.train_out[1], out=pair.guessed)
+    pair.guessed /= 2.0
     replies, acc = pair.ask([("train", epoch, lr, splits[1 - m]) for m in (0, 1)],
                             ("train", epoch), test)
     stats = []
@@ -447,12 +446,10 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
     sizes = (ds.dim, *cfg.hidden, ds.num_classes)
     nets = [nn.init_network(sizes, seed=(seed, stage_no), tag=tag)
             for seed, tag in zip((cfg.model1_seed, cfg.model2_seed), TAGS)]
-    tables = _shared_tables(ds, test, nets)
-    members = [_Member(m, net, cfg, ds, test, tables, stage_no, stage_tag, longmix_plans)
-               for m, net in enumerate(nets)]
     histories = tuple(LossHistory(ds.n, cfg.zeta) for _ in TAGS)
     snapshots, gmm_rows, plan_rows = [], [], []
-    with contextlib.closing(_Pair(members, tables)) as pair:
+    with contextlib.closing(_Pair(nets, cfg, ds, test, stage_no, stage_tag,
+                                  longmix_plans)) as pair:
         rows = warmup(pair, test, cfg)
         if split_mode is None:
             rows += [_supervised_epoch(pair, test, "train", epoch, _epoch_lr(cfg, epoch))

@@ -548,6 +548,14 @@ VALUE_CASES = [
     ("baseline", "dataset.spread = 0", 2, "dataset.spread must be finite and positive, got 0.0"),
     ("baseline", "dataset.kind = moons", 2,
      "dataset.kind = moons needs dataset.classes = 2, got 4"),
+    ("baseline", "report.prcurve = maybe", 2, "report.prcurve: expected a boolean, got 'maybe'"),
+    ("baseline", "train.tau = abc", 2, "train.tau: expected a number, got 'abc'"),
+    ("baseline", "noise.mapping = 0-1", 2, "noise.mapping: expected 'src:dst' pairs, got '0-1'"),
+    ("baseline", "report.formats = xml", 2, "unknown report format: 'xml'"),
+    ("baseline", "dataset.kind = spiral", 2, "unknown dataset kind: 'spiral'"),
+    ("baseline", "dataset.kind = csv", 2, "dataset.path is required for csv datasets"),
+    ("baseline", "noise.kind = bogus", 2, "unknown noise kind: 'bogus'"),
+    ("baseline", "noise.eta = 1.5", 2, "symmetric noise rate must be in [0, 1), got 1.5"),
 ]
 
 
@@ -568,7 +576,8 @@ def _metrics_doc(lr):
 
 
 # Input files, each written into the test's directory: an empty config,
-# malformed metrics documents, and files that are not UTF-8.
+# malformed configs, metrics documents and CSV files, and files that are
+# not UTF-8.
 INPUT_FILES = {"empty.conf": b"",
                "text-lr.json": json.dumps(_metrics_doc("x")).encode(),
                "list-lr.json": json.dumps(_metrics_doc([0.02])).encode(),
@@ -577,7 +586,16 @@ INPUT_FILES = {"empty.conf": b"",
                "digits.json": b"1" * 5000,
                "latin1.json": b'{"stages": "caf\xe9"}',
                "latin1.conf": b"dataset.n = 200\nnoise.kind = caf\xe9\n",
-               "latin1.csv": b"x0,label\n0.5,caf\xe9\n"}
+               "latin1.csv": b"x0,label\n0.5,caf\xe9\n",
+               "no-equals.conf": b"dataset.n = 200\ndataset.classes 4\n",
+               "empty-key.conf": b"# a comment\n = 4\n",
+               "two-class.csv": b"x0,label\n0.1,a\n0.2,b\n0.3,a\n0.4,b\n",
+               "csv-no-test.conf": b"dataset.kind = csv\ndataset.path = two-class.csv\n",
+               "empty.csv": b"",
+               "header-only.csv": b"x0,label\n",
+               "one-column.csv": b"label\na\n",
+               "no-label-column.csv": b"x0,y\n0.5,a\n",
+               "empty-label.csv": b"x0,label\n0.5,a\n0.6, \n"}
 LEMMA = ["lemma", "--pcc", "0.8", "--pnn", "0.7", "--pc", "0.5"]
 
 # (case, arguments, start of the stderr line after "config error: ") for bad
@@ -621,11 +639,33 @@ COMMAND_CASES = [
      "metrics file is not valid JSON: maximum recursion depth exceeded"),
     ("report-too-many-digits", ["report", "--metrics", "{tmp}/digits.json"],
      "metrics file is not valid JSON: Exceeds the limit (4300 digits)"),
+    ("train-config-line-without-equals", ["train", "--config", "{tmp}/no-equals.conf"],
+     "line 2: expected 'key = value', got 'dataset.classes 4'"),
+    ("train-config-empty-key", ["train", "--config", "{tmp}/empty-key.conf"], "line 2: empty key"),
+    ("train-csv-without-test-path", ["train", "--config", "{tmp}/csv-no-test.conf"],
+     "dataset.test_path is required for csv training runs"),
+    ("noise-asymmetric-without-mapping", ["noise", "--kind", "asymmetric", "--eta", "0.2"],
+     "asymmetric noise needs a class mapping"),
+    ("noise-one-class", ["noise", "--kind", "none", "--classes", "1"], "need at least 2 classes"),
+    ("noise-moons-three-classes", ["noise", "--kind", "none", "--dataset", "moons",
+                                   "--classes", "3"], "moons supports exactly 2 classes"),
+    ("noise-csv-empty", ["noise", "--kind", "none", "--csv", "{tmp}/empty.csv"],
+     "{tmp}/empty.csv: row 1: empty file"),
+    ("noise-csv-header-only", ["noise", "--kind", "none", "--csv", "{tmp}/header-only.csv"],
+     "{tmp}/header-only.csv: row 1: no data rows"),
+    ("noise-csv-one-column", ["noise", "--kind", "none", "--csv", "{tmp}/one-column.csv"],
+     "{tmp}/one-column.csv: row 1: need at least one feature column and a label column"),
+    ("noise-csv-last-column-not-label",
+     ["noise", "--kind", "none", "--csv", "{tmp}/no-label-column.csv"],
+     "{tmp}/no-label-column.csv: row 1: last column must be named 'label', got 'y'"),
+    ("noise-csv-empty-label", ["noise", "--kind", "none", "--csv", "{tmp}/empty-label.csv"],
+     "{tmp}/empty-label.csv: row 3: missing label"),
 ]
 
 
 @pytest.mark.parametrize("case,args,message", COMMAND_CASES, ids=[c[0] for c in COMMAND_CASES])
-def test_command_contract(tmp_path, capsys, case, args, message):
+def test_command_contract(tmp_path, capsys, monkeypatch, case, args, message):
+    monkeypatch.chdir(tmp_path)  # a config names its dataset relative to the working directory
     for name, content in INPUT_FILES.items():
         (tmp_path / name).write_bytes(content)
     args = [a.format(tmp=tmp_path) for a in args]

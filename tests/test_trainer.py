@@ -23,10 +23,7 @@ def run_warmup(nets, ds, test, cfg):
     """``warmup`` of the given nets through the trainer's pair; the nets'
     parameters move into the pair's shared memory, so they end trained.
     Returns the metrics rows."""
-    tables = trainer._shared_tables(ds, test, nets)
-    members = [trainer._Member(m, net, cfg, ds, test, tables, 1, "warmup")
-               for m, net in enumerate(nets)]
-    with contextlib.closing(trainer._Pair(members, tables)) as pair:
+    with contextlib.closing(trainer._Pair(nets, cfg, ds, test, 1, "warmup")) as pair:
         return warmup(pair, test, cfg)
 
 
