@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -112,8 +113,8 @@ def cmd_train(args) -> int:
             print(f"warning: {stage.record.stage} captured an empty core set; every "
                   "clean-set snapshot of its second half was empty", file=sys.stderr)
     curve = None
-    if exp.report.prcurve and stages[0].histories is not None:
-        curve = report.pr_curve(stages[0].histories[0], ds.mask, exp.report.tau_grid, ds.labels)
+    if exp.report.prcurve and stages[0].window is not None:
+        curve = report.pr_curve(stages[0].window, ds.mask, exp.report.tau_grid, ds.labels)
     bundle = report.emit_report(stages, exp, data.noise_sidecar(exp.noise, ds.mask.sum()),
                                 _dataset_info(exp, ds, test), prcurve_rows=curve)
     print(f"mode={exp.train.mode} best_acc={stages[-1].record.best_acc:.6g} "
@@ -126,7 +127,7 @@ def cmd_prcurve(args) -> int:
     ds, test = _build_datasets(exp)
     _require_mixture_rows(exp, ds)
     stage1 = run_stage(exp.train, ds, test, 1, *STAGE1_HCT)
-    curve = report.pr_curve(stage1.histories[0], ds.mask, exp.report.tau_grid, ds.labels)
+    curve = report.pr_curve(stage1.window, ds.mask, exp.report.tau_grid, ds.labels)
     path, = report.write_files(exp.output.dir, {"prcurve.csv": report.prcurve_csv_text(curve)})
     print(f"wrote {path} ({len(curve)} thresholds)")
     return 0
@@ -153,9 +154,17 @@ def cmd_noise(args) -> int:
     outdir = _output_dir(args.out, ".")
     if args.csv:
         ds = data.load_csv_dataset(args.csv)
-    else:
-        ds = data.make_synthetic_dataset(args.dataset, args.n, args.classes, args.spread,
-                                         seed=_non_negative("--data-seed", args.data_seed))
+    else:  # the rules of a config's DatasetSpec, named by flag
+        seed = _non_negative("--data-seed", args.data_seed)
+        if args.classes < 2:
+            raise ConfigError(f"--classes must be >= 2, got {args.classes}")
+        if args.dataset == "moons" and args.classes != 2:
+            raise ConfigError(f"--dataset moons needs --classes 2, got {args.classes}")
+        if not (math.isfinite(args.spread) and args.spread > 0):
+            raise ConfigError(f"--spread must be finite and positive, got {args.spread}")
+        if args.n < args.classes:
+            raise ConfigError(f"--n must be >= --classes ({args.classes}), got {args.n}")
+        ds = data.make_synthetic_dataset(args.dataset, args.n, args.classes, args.spread, seed)
     spec = data.NoiseSpec(kind=args.kind, eta=args.eta,
                           mapping=_to_mapping("--mapping", args.mapping),
                           seed=_non_negative("--seed", args.seed))
@@ -181,7 +190,7 @@ def cmd_report(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"metrics file {args.metrics} has a missing or non-numeric field: "
                           f"{exc}") from exc
-    print(f"re-emitted {len(bundle.files)} files into {outdir}")
+    print(f"re-emitted into {outdir}; {bundle.manifest_path} lists {len(bundle.files)} files")
     return 0
 
 

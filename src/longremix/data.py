@@ -90,13 +90,8 @@ def _clean(features, labels, num_classes, class_names=None) -> NoisyDataset:
 
 def make_synthetic_dataset(kind, n, classes, spread, seed) -> NoisyDataset:
     """Balanced 2-D toy dataset; ``blobs`` puts class centers on a circle,
-    ``moons`` is the usual pair of interleaved half circles."""
-    if classes < 2:
-        raise ConfigError("need at least 2 classes")
-    if n < classes:
-        raise ConfigError(f"n={n} smaller than class count {classes}")
-    if not (np.isfinite(spread) and spread > 0):
-        raise ConfigError(f"spread must be finite and positive, got {spread}")
+    ``moons`` is the usual pair of interleaved half circles. The caller
+    checks the sizes: a config's ``DatasetSpec``, or the ``noise`` command."""
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % classes
     if kind == "blobs":
@@ -104,8 +99,6 @@ def make_synthetic_dataset(kind, n, classes, spread, seed) -> NoisyDataset:
         centers = BLOB_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         feats = centers[labels] + rng.normal(scale=spread, size=(n, 2))
     elif kind == "moons":
-        if classes != 2:
-            raise ConfigError("moons supports exactly 2 classes")
         t = rng.uniform(0.0, np.pi, size=n)
         upper = np.stack([np.cos(t), np.sin(t)], axis=1)
         lower = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)

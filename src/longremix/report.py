@@ -16,7 +16,8 @@ import numpy as np
 
 from . import nn
 from .config import ExperimentConfig, effective_config
-from .errors import StateError
+from .data import read_text
+from .errors import ConfigError, StateError
 from .selector import baseline_split, clean_set_metrics, hct_split
 from .trainer import ModelEpochStats
 
@@ -63,13 +64,13 @@ def _stage_dict(outcome):
             "epochs": [_epoch_dict(r) for r in outcome.record.epochs]}
 
 
-def pr_curve(history, mask, taus, labels):
+def pr_curve(window, mask, taus, labels):
     """Precision/recall of the single-epoch and windowed splits at each
-    threshold, from the final recorded posterior window."""
+    threshold, from a net's final ``(zeta, n)`` posterior window."""
     rows = []
     for tau in taus:
-        base = baseline_split(history.current(), tau, labels)
-        windowed = hct_split(history, tau, labels)
+        base = baseline_split(window[-1], tau, labels)
+        windowed = hct_split(window, tau, labels)
         mb = clean_set_metrics(base, mask)
         mh = clean_set_metrics(windowed, mask)
         rows.append({
@@ -160,10 +161,11 @@ def write_files(outdir, texts) -> list:
     return paths
 
 
-def _write_bundle(outdir, doc, formats, files) -> ReportBundle:
+def _write_bundle(outdir, doc, formats, files, kept=None) -> ReportBundle:
     """Add ``metrics.json`` and the CSVs that ``formats`` ask for to ``files``
-    (name -> (relative path, text)), render the manifest over them all, then
-    write them; an empty file stops the bundle before its first byte."""
+    (name -> (relative path, text)), render the manifest over them and the
+    ``kept`` files already in ``outdir`` (name -> relative path), then write
+    them; an empty file stops the bundle before its first byte."""
     if "json" in formats:
         files["metrics"] = ("metrics.json", json_text(doc))
     if "csv" in formats:
@@ -173,7 +175,7 @@ def _write_bundle(outdir, doc, formats, files) -> ReportBundle:
     for name, (rel, text) in files.items():
         if not text:
             raise StateError(f"bundle file {name} ({rel}) is empty")
-    listing = {name: rel for name, (rel, _) in files.items()}
+    listing = {**(kept or {}), **{name: rel for name, (rel, _) in files.items()}}
     manifest = {"files": listing, "schema_version": doc.get("schema_version", SCHEMA_VERSION)}
     texts = {**dict(files.values()), "bundle.json": json_text(manifest)}
     return ReportBundle(outdir=outdir, files=listing,
@@ -198,6 +200,21 @@ def emit_report(stages, exp: ExperimentConfig, noise_info, dataset_info,
     return _write_bundle(exp.output.dir, doc, exp.report.formats, files)
 
 
+def _present_files(outdir) -> dict:
+    """name -> relative path of each file that ``outdir``'s manifest lists
+    and that is still there; empty without a manifest."""
+    path = os.path.join(outdir, "bundle.json")
+    if not os.path.exists(path):
+        return {}
+    try:
+        listing = json.loads(read_text(path, "manifest"))["files"]
+        return {name: rel for name, rel in listing.items()
+                if os.path.isfile(os.path.join(outdir, rel))}
+    except (ValueError, RecursionError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"manifest {path} is malformed: {exc}") from exc
+
+
 def reemit_from_metrics(doc, outdir) -> ReportBundle:
-    """Regenerate the CSV side of a bundle from an existing metrics document."""
-    return _write_bundle(outdir, doc, ("json", "csv"), {})
+    """Regenerate the CSV side of a bundle from an existing metrics document;
+    the manifest still lists every file of a bundle re-emitted in place."""
+    return _write_bundle(outdir, doc, ("json", "csv"), {}, _present_files(outdir))

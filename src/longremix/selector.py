@@ -5,9 +5,10 @@ unlabelled set U, all driven by the per-sample clean posterior:
 
 * ``baseline_split``    - threshold the current epoch's posterior.
 * ``hct_split``         - require the posterior to clear the threshold for
-  every epoch of a sliding confidence window.
-* ``select_core_set``   - pick the largest windowed clean set captured over
-  the second half of a training stage.
+  every epoch of a confidence window, the ``(zeta, n)`` array of a net's
+  last ``zeta`` posterior vectors, oldest first.
+* ``select_core_set``   - keep the largest windowed clean set of the second
+  half of a training stage, one epoch's splits at a time, as the stage runs.
 * ``guided_split``      - baseline thresholding with the core set pinned
   into X at weight 1 and its captured labels.
 
@@ -18,49 +19,11 @@ looks them up by index.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StateError
-
-
-class LossHistory:
-    """Ring buffer of the last ``zeta`` epochs' clean posteriors per sample."""
-
-    def __init__(self, n_samples: int, zeta: int):
-        self.n_samples = n_samples
-        self.zeta = zeta
-        self._buf: deque = deque(maxlen=zeta)
-
-    def push(self, posteriors):
-        posteriors = np.asarray(posteriors, dtype=float)
-        if posteriors.shape != (self.n_samples,):
-            raise ValueError("posterior vector misaligned with dataset")
-        self._buf.append(posteriors)
-
-    def __len__(self):
-        return len(self._buf)
-
-    @property
-    def full(self) -> bool:
-        return len(self._buf) == self.zeta
-
-    def window(self, zeta=None) -> np.ndarray:
-        """Last ``zeta`` epochs of posteriors, shape (zeta, n_samples)."""
-        zeta = self.zeta if zeta is None else zeta
-        if len(self._buf) < zeta:
-            raise StateError(f"window holds {len(self._buf)} epochs, need {zeta}")
-        return np.stack(list(self._buf)[-zeta:])
-
-    def verdicts(self, tau, zeta=None) -> np.ndarray:
-        return self.window(zeta) >= tau
-
-    def current(self) -> np.ndarray:
-        if not self._buf:
-            raise StateError("no posteriors recorded yet")
-        return self._buf[-1]
 
 
 @dataclass
@@ -126,31 +89,32 @@ def baseline_split(posteriors, tau, labels) -> SplitSets:
     return _assemble(posteriors >= tau, posteriors, labels, "baseline")
 
 
-def hct_split(history: LossHistory, tau, labels, zeta=None) -> SplitSets:
+def hct_split(window, tau, labels) -> SplitSets:
     """Windowed split: X keeps only samples classified clean at every epoch
-    of the confidence window. Weights carry the current-epoch posterior."""
-    verdicts = history.verdicts(tau, zeta)
-    current = history.current()
-    return _assemble(verdicts.all(axis=0), current, labels, "hct")
+    of the ``(zeta, n)`` confidence ``window``. Weights carry the current
+    (last) epoch's posterior."""
+    window = np.asarray(window, dtype=float)
+    if window.ndim != 2 or not len(window):
+        raise StateError(f"confidence window of shape {window.shape}; need (zeta, n), zeta >= 1")
+    return _assemble((window >= tau).all(axis=0), window[-1], labels, "hct")
 
 
-def select_core_set(stage1_records, total_epochs) -> CoreSet:
-    """Largest windowed clean set among snapshots from the second half of the
-    stage (epochs >= ceil(total_epochs / 2)); ties go to the latest record,
-    and a stage whose eligible snapshots are all empty captures
-    ``CoreSet.empty()``."""
+def select_core_set(core, epoch, splits, total_epochs) -> CoreSet | None:
+    """The core set chosen so far in a stage of ``total_epochs`` epochs, from
+    the choice ``core`` before ``epoch`` (None at first) and the epoch's
+    ``splits`` in model order. Only windowed splits of epochs >=
+    ceil(total_epochs / 2) count; the largest X wins and ties go to the
+    latest, so model 2's beats model 1's within an epoch. A choice whose X
+    is empty is ``CoreSet.empty()``; a stage whose last epoch leaves no
+    choice is a ``StateError``."""
     first = (total_epochs + 1) // 2
-    eligible = [(epoch, split) for epoch, split in stage1_records if epoch >= first]
-    if not eligible:
-        raise StateError(f"no clean-set snapshots recorded for epochs {first}..{total_epochs}")
-    best_epoch, best = eligible[0]
-    for epoch, split in eligible[1:]:
-        if split.x_size >= best.x_size:
-            best_epoch, best = epoch, split
-    if best.x_size == 0:
-        return CoreSet.empty()
-    return CoreSet(indices=best.labeled_idx.copy(), labels=best.labeled_labels.copy(),
-                   epoch=best_epoch)
+    for split in splits:
+        if epoch >= first and split.kind == "hct" and (core is None or split.x_size >= core.size):
+            core = CoreSet(indices=split.labeled_idx.copy(), labels=split.labeled_labels.copy(),
+                           epoch=epoch) if split.x_size else CoreSet.empty()
+    if core is None and epoch == total_epochs:
+        raise StateError(f"no windowed split made in epochs {first}..{total_epochs}")
+    return core
 
 
 def guided_split(posteriors, tau, core: CoreSet, labels) -> SplitSets:

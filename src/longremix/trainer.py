@@ -12,12 +12,13 @@ numeric half of every epoch (passes, forwards, loss-mixture fit) as a
 ``_Member``. A stage's ``_Pair`` builds both and owns what they share in
 shared memory; where two CPUs are usable, model 2's member runs in a forked
 worker, one per stage, while model 1's runs in the main process meanwhile.
-The main process owns selection (each net's window and split, the core
-set) and checks every step in run order: after each training pass both nets'
-parameters, model 1's first, then the outputs each net checked at the
-start of its next co-training epoch, then, at evaluation, both test-set
-outputs. The first that is not finite stops the run with a ``StateError``
-naming the model (and, for the first two, the stage and the epoch).
+The main process owns selection (each net's confidence window and split,
+and the core set, chosen as the stage runs) and checks every step in run
+order: after each training pass both nets' parameters, model 1's first,
+then the outputs each net checked at the start of its next co-training
+epoch, then, at evaluation, both test-set outputs. The first that is not
+finite stops the run with a ``StateError`` naming the model (and, for the
+first two, the stage and the epoch).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import contextlib
 import mmap
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +38,8 @@ from .errors import ConfigError, StateError
 from .gmm import clean_posterior, fit_gmm_em, gmm_record, normalize_losses, per_sample_losses
 from .mixing import build_epoch_plan, mix_plan, plan_digest, target_table
 from .seeding import MIX_LAMBDA, PLAN_DRAW, WARMUP_SHUFFLE, derive_rng
-from .selector import (CoreSet, LossHistory, baseline_split, clean_set_metrics,
-                       guided_split, hct_split, select_core_set)
+from .selector import (CoreSet, baseline_split, clean_set_metrics, guided_split, hct_split,
+                       select_core_set)
 
 # (stage tag, split mode, dataset-sized plans) for each stage of a mode.
 # ce: one stage of supervised epochs, without splits; baseline/longmix: one
@@ -149,7 +151,7 @@ class RunRecord:
 class StageOutcome:
     record: RunRecord
     nets: tuple
-    histories: tuple | None = None   # per-model LossHistory (windowed stages)
+    window: np.ndarray | None = None  # model 1's final (zeta, n) window (windowed stages)
     core_set: CoreSet | None = None
     gmm_rows: list = field(default_factory=list)
     plan_rows: list = field(default_factory=list)
@@ -205,9 +207,9 @@ class _Member:
     the heap that the next forward pass faults back in (7x the page faults
     and about 10% more run time, measured)."""
 
-    def __init__(self, m, net, pair, cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset,
-                 stage_no, stage_tag, longmix_plans=False):
-        self.m, self.net, self.cfg, self.ds, self.test = m, net, cfg, ds, test
+    def __init__(self, m, net, pair, cfg: TrainConfig, ds: NoisyDataset, stage_no, stage_tag,
+                 longmix_plans=False):
+        self.m, self.net, self.cfg, self.ds, self.test = m, net, cfg, ds, pair.test
         self.stage_no, self.stage_tag, self.longmix_plans = stage_no, stage_tag, longmix_plans
         self.train_out, self.test_out = pair.train_out[m], pair.test_out[m]
         self.guessed = pair.guessed
@@ -303,7 +305,8 @@ class _Pair:
     m writes row m of ``train_out`` ``(2, n, C)`` and ``test_out``
     ``(2, test_n, C)``; the main process writes ``guessed`` ``(n, C)`` while
     both wait. Each of ``nets`` moves its parameters onto a row of a fourth
-    table, so the main process reads what its member trains. If
+    table, so the main process reads what its member trains; ``ask``
+    scores the pair on its ``test`` set after each training pass. If
     ``_use_workers`` and its worker starts, model 2 runs in a forked worker
     and model 1 here, between sending model 2 its request and receiving the
     reply; else both run here, model 1 first."""
@@ -319,7 +322,8 @@ class _Pair:
             row[:] = net.params
             net.params = row
             net.weights, net.biases = nn._layer_views(row, net.layer_sizes)
-        self.members = [_Member(m, net, self, cfg, ds, test, stage_no, stage_tag, longmix_plans)
+        self.test = test
+        self.members = [_Member(m, net, self, cfg, ds, stage_no, stage_tag, longmix_plans)
                         for m, net in enumerate(nets)]
         self.conn = self.proc = None
         if not _use_workers():
@@ -337,11 +341,11 @@ class _Pair:
         finally:
             child.close()
 
-    def ask(self, requests, trained=None, test: NoisyDataset | None = None):
-        """Both members' replies to ``requests`` and, after a step that wrote
-        test-set outputs, the pair's accuracy on ``test``. A worker that died
-        fails once model 1's step is done; otherwise, in run order: after a
-        training pass (its ``trained`` phase and epoch) each net's
+    def ask(self, requests, trained=None):
+        """Both members' replies to ``requests`` and, after a training pass
+        (its ``trained`` phase and epoch), the pair's accuracy on its test
+        set. A worker that died fails once model 1's step is done;
+        otherwise, in run order: after a training pass each net's
         parameters, then each member's own failure, then the test-set
         outputs, model1's first."""
         model1, model2 = self.members
@@ -361,7 +365,7 @@ class _Pair:
         for reply in replies:
             if isinstance(reply, Exception):
                 raise reply
-        return replies, None if test is None else evaluate(self.test_out, test)
+        return replies, None if trained is None else evaluate(self.test_out, self.test)
 
     def close(self):
         if self.proc is not None:
@@ -372,32 +376,33 @@ class _Pair:
             self.conn = self.proc = None
 
 
-def _supervised_epoch(pair, test: NoisyDataset, phase, epoch, lr) -> EpochMetrics:
+def _supervised_epoch(pair, phase, epoch, lr) -> EpochMetrics:
     """One supervised pass of each net at ``lr``, each checked finite, then
     the pair's test accuracy as the epoch's metrics row."""
-    _, acc = pair.ask([("supervised", phase, epoch, lr)] * 2, (phase, epoch), test)
+    _, acc = pair.ask([("supervised", phase, epoch, lr)] * 2, (phase, epoch))
     return EpochMetrics(epoch=epoch, phase=phase, lr=lr, test_acc=acc)
 
 
-def warmup(pair, test: NoisyDataset, cfg: TrainConfig) -> list:
+def warmup(pair, cfg: TrainConfig) -> list:
     """``cfg.warmup`` epochs of independent cross-entropy training of both
     nets of the pair on all observed labels; returns one metrics row per epoch."""
-    return [_supervised_epoch(pair, test, "warmup", e, cfg.lr) for e in range(1, cfg.warmup + 1)]
+    return [_supervised_epoch(pair, "warmup", e, cfg.lr) for e in range(1, cfg.warmup + 1)]
 
 
-def _next_split(split_mode, posteriors, history, core, ds: NoisyDataset, cfg: TrainConfig):
+def _next_split(split_mode, posteriors, window, core, ds: NoisyDataset, cfg: TrainConfig):
     """A net's ``split_mode`` split (see ``run_stage``) for its next epoch
-    from its clean ``posteriors``, which ``hct`` pushes into its ``history``."""
+    from its clean ``posteriors``, which ``hct`` appends to its ``window``,
+    the deque of its last ``cfg.zeta`` posterior vectors."""
     if split_mode == "guided":
         return guided_split(posteriors, cfg.tau, core, ds.labels)
     if split_mode == "hct":
-        history.push(posteriors)
-        if history.full:
-            return hct_split(history, cfg.tau, ds.labels)
+        window.append(posteriors)
+        if len(window) == cfg.zeta:
+            return hct_split(np.stack(window), cfg.tau, ds.labels)
     return baseline_split(posteriors, cfg.tau, ds.labels)
 
 
-def cotrain_epoch(pair, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig, epoch, splits):
+def cotrain_epoch(pair, ds: NoisyDataset, cfg: TrainConfig, epoch, splits):
     """One co-training epoch from each net's ``splits``: each net trains on
     the other's split, U towards the guessed labels, the pair's mean output,
     kept for this epoch only. Returns the metrics row, each net's plan
@@ -406,7 +411,7 @@ def cotrain_epoch(pair, ds: NoisyDataset, test: NoisyDataset, cfg: TrainConfig, 
     np.add(pair.train_out[0], pair.train_out[1], out=pair.guessed)
     pair.guessed /= 2.0
     replies, acc = pair.ask([("train", epoch, lr, splits[1 - m]) for m in (0, 1)],
-                            ("train", epoch), test)
+                            ("train", epoch))
     stats = []
     for split, (x_ops, u_ops, digest, _) in zip(splits, replies):
         metrics = clean_set_metrics(split, ds.mask)
@@ -439,35 +444,35 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
     epochs: supervised ones without a ``split_mode`` (``ce``), else
     co-training ones on ``split_mode`` splits.
 
-    ``baseline`` thresholds each epoch's posteriors. ``hct`` uses the
+    ``baseline`` thresholds each epoch's posteriors. ``hct`` uses each net's
     confidence window, falling back to single-epoch splits until the window
-    fills, and captures the core set from the second half of the stage.
-    ``guided`` pins ``core`` into the labelled set every epoch."""
+    fills, and chooses the core set from each epoch's splits as they are
+    made. ``guided`` pins ``core`` into the labelled set every epoch."""
     sizes = (ds.dim, *cfg.hidden, ds.num_classes)
     nets = [nn.init_network(sizes, seed=(seed, stage_no), tag=tag)
             for seed, tag in zip((cfg.model1_seed, cfg.model2_seed), TAGS)]
-    histories = tuple(LossHistory(ds.n, cfg.zeta) for _ in TAGS)
-    snapshots, gmm_rows, plan_rows = [], [], []
+    windows = [deque(maxlen=cfg.zeta) for _ in TAGS]
+    captured, gmm_rows, plan_rows = None, [], []
     with contextlib.closing(_Pair(nets, cfg, ds, test, stage_no, stage_tag,
                                   longmix_plans)) as pair:
-        rows = warmup(pair, test, cfg)
+        rows = warmup(pair, cfg)
         if split_mode is None:
-            rows += [_supervised_epoch(pair, test, "train", epoch, _epoch_lr(cfg, epoch))
+            rows += [_supervised_epoch(pair, "train", epoch, _epoch_lr(cfg, epoch))
                      for epoch in range(1, cfg.epochs + 1)]
         else:
             fits, _ = pair.ask([("fit", 1)] * 2)
             for epoch in range(1, cfg.epochs + 1):
-                splits = [_next_split(split_mode, posteriors, history, core, ds, cfg)
-                          for (posteriors, _), history in zip(fits, histories)]
+                splits = [_next_split(split_mode, posteriors, window, core, ds, cfg)
+                          for (posteriors, _), window in zip(fits, windows)]
                 gmm_rows += [gmm_record(fit[1], epoch, tag) for tag, fit in zip(TAGS, fits)]
-                snapshots += [(epoch, split) for split in splits if split.kind == "hct"]
-                row, digests, fits = cotrain_epoch(pair, ds, test, cfg, epoch, splits)
+                if split_mode == "hct":
+                    captured = select_core_set(captured, epoch, splits, cfg.epochs)
+                row, digests, fits = cotrain_epoch(pair, ds, cfg, epoch, splits)
                 rows.append(row)
                 plan_rows += [{"stage": stage_tag, "epoch": epoch, "model": tag, "digest": digest}
                               for tag, digest in zip(TAGS, digests) if digest is not None]
-    captured = select_core_set(snapshots, cfg.epochs) if split_mode == "hct" else None
     return StageOutcome(record=_finalize_record(stage_tag, rows), nets=tuple(nets),
-                        histories=histories if split_mode == "hct" else None,
+                        window=np.stack(windows[0]) if split_mode == "hct" else None,
                         core_set=captured, gmm_rows=gmm_rows, plan_rows=plan_rows)
 
 

@@ -10,8 +10,7 @@ import numpy as np
 
 from longremix import data, gmm, lemma, nn, report, trainer
 from longremix.mixing import build_epoch_plan
-from longremix.selector import (CoreSet, LossHistory, baseline_split, guided_split,
-                                hct_split)
+from longremix.selector import CoreSet, baseline_split, guided_split, hct_split
 from conftest import fd_gradient, flatten_grads, max_rel_err, random_net, random_soft_labels
 
 
@@ -116,15 +115,13 @@ def test_criterion_4_selector_properties():
         depth = zeta + int(rng.integers(0, 3))
         tau = float(rng.uniform(0.05, 0.95))
         labels = rng.integers(0, 5, n)
-        # no split reads these soft labels; drawing them keeps the histories the same
+        # no split reads these soft labels; drawing them keeps the windows the same
         guessed = rng.random((n, 5))
         guessed /= guessed.sum(axis=1, keepdims=True)
-        history = LossHistory(n, zeta)
-        for row in rng.random((depth, n)):
-            history.push(row)
+        window = rng.random((depth, n))[-zeta:]  # the last zeta of depth epochs
 
-        base = baseline_split(history.current(), tau, labels)
-        windowed = hct_split(history, tau, labels)
+        base = baseline_split(window[-1], tau, labels)
+        windowed = hct_split(window, tau, labels)
 
         # partition: X and U cover all indices exactly once
         for split in (base, windowed):
@@ -136,11 +133,11 @@ def test_criterion_4_selector_properties():
 
         # zeta monotonicity
         if zeta >= 2:
-            narrower = hct_split(history, tau, labels, zeta=zeta - 1)
+            narrower = hct_split(window[1:], tau, labels)
             assert set(windowed.labeled_idx) <= set(narrower.labeled_idx)
 
         # guided with an empty core set reduces to the baseline split
-        empty = guided_split(history.current(), tau, CoreSet.empty(), labels)
+        empty = guided_split(window[-1], tau, CoreSet.empty(), labels)
         assert np.array_equal(empty.labeled_idx, base.labeled_idx)
         assert np.allclose(empty.labeled_w, base.labeled_w)
 
@@ -148,14 +145,14 @@ def test_criterion_4_selector_properties():
         k = int(rng.integers(1, n + 1))
         members = rng.choice(n, size=k, replace=False)
         core = CoreSet(indices=members, labels=rng.integers(0, 5, k), epoch=1)
-        guided = guided_split(history.current(), tau, core, labels)
+        guided = guided_split(window[-1], tau, core, labels)
         member_mask = np.isin(guided.labeled_idx, members)
         assert member_mask.sum() == k
         assert (guided.labeled_w[member_mask] == 1.0).all()
         assert not set(members.tolist()) & set(guided.unlabeled_idx.tolist())
     elapsed = time.time() - t0
     _report("criterion-4 selector-exactness", True, elapsed,
-            f"{draws} randomized histories, all five properties exact")
+            f"{draws} randomized windows, all five properties exact")
 
 
 # -- criterion 5: plan law -------------------------------------------------------
@@ -256,7 +253,7 @@ def test_criterion_7_asymmetric_pr_tradeoff():
             data_seed=seed, model1_seed=seed + 11, model2_seed=seed + 22,
             plan_seed=seed + 33)
         stage1 = trainer.run_stage(cfg, noisy, test, 1, *trainer.STAGE1_HCT)
-        rows = report.pr_curve(stage1.histories[0], noisy.mask, [0.5], noisy.labels)
+        rows = report.pr_curve(stage1.window, noisy.mask, [0.5], noisy.labels)
         row = rows[0]
         precision_wins += row["hct_precision"] >= row["baseline_precision"]
         recall_wins += row["hct_recall"] <= row["baseline_recall"]

@@ -396,6 +396,38 @@ class TestReportCommand:
         bad.write_text("{not json")
         assert cli.main(["report", "--metrics", str(bad)]) == 2
 
+    def _dumped_run(self, tmp_path):
+        path, out = write_conf(tmp_path, extra="report.gmm_dump = true\n"
+                                                "report.plan_digests = true\n"
+                                                "report.checkpoints = true\n")
+        assert cli.main(["train", "--config", str(path)]) == 0
+        return Path(out)
+
+    def test_in_place_manifest_lists_every_file(self, tmp_path):
+        # report writes into the metrics file's own directory by default
+        out = self._dumped_run(tmp_path)
+        manifest = (out / "bundle.json").read_bytes()
+        assert cli.main(["report", "--metrics", str(out / "metrics.json")]) == 0
+        assert (out / "bundle.json").read_bytes() == manifest
+        # a listed file that is gone is no longer listed
+        (out / "model2.ckpt").unlink()
+        assert cli.main(["report", "--metrics", str(out / "metrics.json")]) == 0
+        files = json.loads((out / "bundle.json").read_text())["files"]
+        assert sorted(files) == ["epochs", "gmm", "metrics", "model1", "plans"]
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"files": 3}', '{"files": {"x": 5}}',
+                                      '{"schema_version": 1}'])
+    def test_malformed_manifest_exit_2(self, tmp_path, capsys, text):
+        out = self._dumped_run(tmp_path)
+        (out / "bundle.json").write_text(text)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert cli.main(["report", "--metrics", str(out / "metrics.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: manifest {out / 'bundle.json'} is malformed: ")
+        assert err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestOptionalDumps:
     def test_gmm_jsonl_rows(self, tmp_path):
@@ -605,9 +637,9 @@ COMMAND_CASES = [
     ("lemma-zetas-not-int", LEMMA + ["--zetas", "1,a"], "--zetas: expected an integer, got 'a'"),
     ("lemma-negative-trials", LEMMA + ["--trials", "-1"], "--trials must be >= 0, got -1"),
     ("noise-spread-nan", ["noise", "--kind", "none", "--spread", "nan"],
-     "spread must be finite and positive, got nan"),
+     "--spread must be finite and positive, got nan"),
     ("noise-spread-inf", ["noise", "--kind", "none", "--spread", "inf"],
-     "spread must be finite and positive, got inf"),
+     "--spread must be finite and positive, got inf"),
     ("noise-rate-without-kind", ["noise", "--kind", "none", "--eta", "nan"],
      "a noise rate needs symmetric or asymmetric noise, got kind 'none'"),
     ("report-text-cell", ["report", "--metrics", "{tmp}/text-lr.json"],
@@ -646,9 +678,12 @@ COMMAND_CASES = [
      "dataset.test_path is required for csv training runs"),
     ("noise-asymmetric-without-mapping", ["noise", "--kind", "asymmetric", "--eta", "0.2"],
      "asymmetric noise needs a class mapping"),
-    ("noise-one-class", ["noise", "--kind", "none", "--classes", "1"], "need at least 2 classes"),
+    ("noise-one-class", ["noise", "--kind", "none", "--classes", "1"],
+     "--classes must be >= 2, got 1"),
     ("noise-moons-three-classes", ["noise", "--kind", "none", "--dataset", "moons",
-                                   "--classes", "3"], "moons supports exactly 2 classes"),
+                                   "--classes", "3"], "--dataset moons needs --classes 2, got 3"),
+    ("noise-n-below-classes", ["noise", "--kind", "none", "--n", "3", "--classes", "4"],
+     "--n must be >= --classes (4), got 3"),
     ("noise-csv-empty", ["noise", "--kind", "none", "--csv", "{tmp}/empty.csv"],
      "{tmp}/empty.csv: row 1: empty file"),
     ("noise-csv-header-only", ["noise", "--kind", "none", "--csv", "{tmp}/header-only.csv"],

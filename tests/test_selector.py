@@ -3,17 +3,24 @@ import warnings
 import numpy as np
 import pytest
 
-from longremix import selector
+from longremix import data, selector, trainer
 from longremix.errors import StateError
-from longremix.selector import (CleanSetMetrics, CoreSet, LossHistory, baseline_split,
-                                clean_set_metrics, guided_split, hct_split, select_core_set)
+from longremix.selector import (CleanSetMetrics, CoreSet, baseline_split, clean_set_metrics,
+                                guided_split, hct_split, select_core_set)
 
 
-def make_history(posterior_rows, zeta):
-    h = LossHistory(n_samples=len(posterior_rows[0]), zeta=zeta)
-    for row in posterior_rows:
-        h.push(np.asarray(row, dtype=float))
-    return h
+def make_window(posterior_rows, zeta):
+    """The confidence window after ``posterior_rows`` in turn: the last ``zeta``."""
+    return np.asarray(posterior_rows, dtype=float)[-zeta:]
+
+
+def choose_core_set(records, total_epochs):
+    """``select_core_set`` run over a stage of ``total_epochs`` epochs, each
+    given its ``(epoch, split)`` records in order."""
+    core = None
+    for epoch in range(1, total_epochs + 1):
+        core = select_core_set(core, epoch, [s for e, s in records if e == epoch], total_epochs)
+    return core
 
 
 def same_membership(a, b):
@@ -44,21 +51,21 @@ class TestBaselineSplit:
 class TestHctSplit:
     def test_clean_all_window_epochs(self):
         rows = [[0.9, 0.9], [0.8, 0.9], [0.9, 0.9], [0.7, 0.9], [0.6, 0.9]]
-        h = make_history(rows, zeta=5)
-        s = hct_split(h, 0.5, np.array([0, 1]))
+        w = make_window(rows, zeta=5)
+        s = hct_split(w, 0.5, np.array([0, 1]))
         np.testing.assert_array_equal(s.labeled_idx, [0, 1])
 
     def test_one_bad_epoch_excludes(self):
         rows = [[0.9], [0.9], [0.4], [0.9], [0.9]]
-        h = make_history(rows, zeta=5)
-        s = hct_split(h, 0.5, np.array([0]))
+        w = make_window(rows, zeta=5)
+        s = hct_split(w, 0.5, np.array([0]))
         assert s.x_size == 0
         assert s.u_size == 1
 
     def test_weights_are_current_posterior(self):
         rows = [[0.9, 0.2], [0.55, 0.8]]
-        h = make_history(rows, zeta=2)
-        s = hct_split(h, 0.5, np.array([0, 1]))
+        w = make_window(rows, zeta=2)
+        s = hct_split(w, 0.5, np.array([0, 1]))
         np.testing.assert_allclose(s.labeled_w, [0.55])
         np.testing.assert_array_equal(s.unlabeled_idx, [1])
 
@@ -66,19 +73,32 @@ class TestHctSplit:
         rng = np.random.default_rng(1)
         post = rng.random(30)
         labels = rng.integers(0, 3, 30)
-        h = LossHistory(30, zeta=1)
-        h.push(post)
-        assert same_membership(hct_split(h, 0.5, labels), baseline_split(post, 0.5, labels))
+        w = make_window([post], zeta=1)
+        assert same_membership(hct_split(w, 0.5, labels), baseline_split(post, 0.5, labels))
 
     def test_underfilled_window_is_state_error(self):
-        h = make_history([[0.9], [0.9]], zeta=5)
-        with pytest.raises(StateError, match="window"):
-            hct_split(h, 0.5, np.array([0]))
+        # a window of no epochs, or a posterior vector that is not a window
+        for window in (np.empty((0, 1)), np.array([0.9])):
+            with pytest.raises(StateError, match="window"):
+                hct_split(window, 0.5, np.array([0]))
 
-    def test_ring_buffer_depth(self):
-        h = make_history([[float(i) / 10] for i in range(9)], zeta=3)
-        assert len(h) == 3
-        np.testing.assert_allclose(h.window().ravel(), [0.6, 0.7, 0.8])
+    def test_ring_buffer_depth(self, monkeypatch):
+        # each net's window in a stage holds its last zeta posterior vectors:
+        # from one epoch's window to the next, the oldest row drops out
+        ds = data.apply_noise(data.make_synthetic_dataset("blobs", 120, 3, 0.15, seed=1),
+                              data.NoiseSpec(kind="symmetric", eta=0.4, seed=7))
+        test = data.make_synthetic_dataset("blobs", 60, 3, 0.15, seed=2)
+        cfg = trainer.TrainConfig(mode="retrain-only", epochs=6, warmup=1, zeta=3)
+        seen = []
+        monkeypatch.setattr(trainer, "hct_split",
+                            lambda window, *a: seen.append(window) or hct_split(window, *a))
+        stage = trainer.run_stage(cfg, ds, test, 1, *trainer.STAGE1_HCT)
+        model1 = seen[::2]  # one window per net and epoch, model 1's first
+        assert len(model1) == cfg.epochs - cfg.zeta + 1
+        assert all(w.shape == (cfg.zeta, ds.n) for w in seen)
+        for old, new in zip(model1, model1[1:]):
+            np.testing.assert_array_equal(new[:-1], old[1:])
+        np.testing.assert_array_equal(stage.window, model1[-1])
 
 
 class TestCoreSet:
@@ -91,34 +111,48 @@ class TestCoreSet:
     def test_argmax_with_latest_tie(self):
         sizes = {5: 100, 6: 150, 7: 140, 8: 150, 9: 130, 10: 120}
         records = [(e, self._snapshot(s)) for e, s in sizes.items()]
-        core = select_core_set(records, total_epochs=10)
+        core = choose_core_set(records, total_epochs=10)
         assert core.epoch == 8
         assert core.size == 150
 
     def test_first_half_ignored(self):
         records = [(1, self._snapshot(199)), (5, self._snapshot(10)), (10, self._snapshot(20))]
-        core = select_core_set(records, total_epochs=10)
+        core = choose_core_set(records, total_epochs=10)
         assert core.size == 20
 
     def test_single_record(self):
         records = [(7, self._snapshot(42))]
-        assert select_core_set(records, 10).size == 42
+        assert choose_core_set(records, 10).size == 42
 
     def test_all_empty_gives_empty_core_set(self):
         records = [(e, self._snapshot(0)) for e in range(5, 11)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            core = select_core_set(records, 10)
+            core = choose_core_set(records, 10)
         assert core.size == 0
 
     def test_no_records_is_state_error(self):
         with pytest.raises(StateError):
-            select_core_set([(1, self._snapshot(5))], total_epochs=10)
+            choose_core_set([(1, self._snapshot(5))], total_epochs=10)
+
+    def test_tie_within_epoch_goes_to_model2(self):
+        model1, model2 = self._snapshot(5), self._snapshot(5)
+        model2.labeled_labels = np.ones(5, dtype=int)
+        core = choose_core_set([(6, model1), (6, model2)], 10)
+        assert (core.epoch, core.size) == (6, 5)
+        np.testing.assert_array_equal(core.labels, model2.labeled_labels)
+
+    def test_only_windowed_splits_count(self):
+        # a confidence-window stage splits by single epochs until its window fills
+        single = self._snapshot(150)
+        single.kind = "baseline"
+        core = choose_core_set([(5, single), (5, self._snapshot(20))], 10)
+        assert core.size == 20
 
     def test_labels_frozen_at_capture(self):
         snap = self._snapshot(3)
         snap.labeled_labels = np.array([2, 0, 1])
-        core = select_core_set([(9, snap)], 10)
+        core = choose_core_set([(9, snap)], 10)
         np.testing.assert_array_equal(core.labels, [2, 0, 1])
 
 
@@ -240,7 +274,7 @@ class TestCleanSetMetrics:
 
 
 class TestRandomizedProperties:
-    """Spec invariants over seeded random histories."""
+    """Spec invariants over seeded random windows."""
 
     N_DRAWS = 300  # acceptance suite reruns these with >= 1000 draws
 
@@ -251,48 +285,45 @@ class TestRandomizedProperties:
         rows = rng.random((depth, n))
         tau = float(rng.uniform(0.05, 0.95))
         labels = rng.integers(0, 4, n)
-        # no split reads these soft labels; drawing them keeps the histories the same
+        # no split reads these soft labels; drawing them keeps the windows the same
         guessed = rng.random((n, 4))
         guessed /= guessed.sum(axis=1, keepdims=True)
-        h = LossHistory(n, zeta)
-        for row in rows:
-            h.push(row)
-        return h, tau, labels, n
+        return make_window(rows, zeta), tau, labels, n
 
     def test_partition_property(self):
         rng = np.random.default_rng(77)
         for _ in range(self.N_DRAWS):
-            h, tau, labels, n = self._draw(rng)
-            for s in (baseline_split(h.current(), tau, labels), hct_split(h, tau, labels)):
+            w, tau, labels, n = self._draw(rng)
+            for s in (baseline_split(w[-1], tau, labels), hct_split(w, tau, labels)):
                 joined = np.concatenate([s.labeled_idx, s.unlabeled_idx])
                 np.testing.assert_array_equal(np.sort(joined), np.arange(n))
 
     def test_window_subset_property(self):
         rng = np.random.default_rng(78)
         for _ in range(self.N_DRAWS):
-            h, tau, labels, _ = self._draw(rng)
-            hct = hct_split(h, tau, labels)
-            base = baseline_split(h.current(), tau, labels)
+            w, tau, labels, _ = self._draw(rng)
+            hct = hct_split(w, tau, labels)
+            base = baseline_split(w[-1], tau, labels)
             assert set(hct.labeled_idx) <= set(base.labeled_idx)
 
     def test_zeta_monotonicity(self):
         rng = np.random.default_rng(79)
         for _ in range(self.N_DRAWS):
-            h, tau, labels, _ = self._draw(rng)
-            if h.zeta < 2 or len(h) < h.zeta:
+            w, tau, labels, _ = self._draw(rng)
+            if len(w) < 2:
                 continue
-            wide = hct_split(h, tau, labels, zeta=h.zeta)
-            narrow = hct_split(h, tau, labels, zeta=h.zeta - 1)
+            wide = hct_split(w, tau, labels)
+            narrow = hct_split(w[1:], tau, labels)
             assert set(wide.labeled_idx) <= set(narrow.labeled_idx)
 
     def test_core_override_property(self):
         rng = np.random.default_rng(80)
         for _ in range(self.N_DRAWS):
-            h, tau, labels, n = self._draw(rng)
+            w, tau, labels, n = self._draw(rng)
             k = int(rng.integers(1, n + 1))
             members = rng.choice(n, size=k, replace=False)
             core = CoreSet(indices=members, labels=rng.integers(0, 4, k), epoch=1)
-            s = guided_split(h.current(), tau, core, labels)
+            s = guided_split(w[-1], tau, core, labels)
             member_set = set(members.tolist())
             assert member_set <= set(s.labeled_idx.tolist())
             assert not member_set & set(s.unlabeled_idx.tolist())

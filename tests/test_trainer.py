@@ -24,7 +24,7 @@ def run_warmup(nets, ds, test, cfg):
     parameters move into the pair's shared memory, so they end trained.
     Returns the metrics rows."""
     with contextlib.closing(trainer._Pair(nets, cfg, ds, test, 1, "warmup")) as pair:
-        return warmup(pair, test, cfg)
+        return warmup(pair, cfg)
 
 
 def outputs(nets, ds):
@@ -251,6 +251,23 @@ class TestStages:
         assert stages[0].core_set is not None
         assert stages[0].core_set.epoch >= (cfg.epochs + 1) // 2
 
+    def test_core_set_is_largest_second_half_split_of_both_nets(self):
+        # the largest windowed X of either net over epochs >= ceil(E/2), the
+        # latest on a tie, and model 2's within an epoch
+        ds, test = blob_pair(n=300, classes=3, noise=0.5)
+        cfg = small_cfg(mode="retrain-only", epochs=10, warmup=2)
+        stage1 = run_training(cfg, ds, test)[0]
+        best, model1_best = (-1, 0), -1
+        for row in stage1.record.epochs:
+            if row.phase == "train" and row.epoch >= (cfg.epochs + 1) // 2:
+                for stats in (row.model1, row.model2):
+                    assert stats.split_kind == "hct"
+                    best = max(best, (stats.x_size, row.epoch))
+                model1_best = max(model1_best, row.model1.x_size)
+        assert (stage1.core_set.size, stage1.core_set.epoch) == best
+        assert best[0] > model1_best  # in this setting model 2's split wins
+        assert stage1.window.shape == (cfg.zeta, ds.n)
+
     def test_core_members_always_labelled_in_stage2(self):
         ds, test = blob_pair(n=150, classes=3, noise=0.4)
         stages = run_training(small_cfg(mode="full-longremix"), ds, test)
@@ -289,9 +306,8 @@ class TestStages:
                               data_seed=seed, model1_seed=seed + 11,
                               model2_seed=seed + 22, plan_seed=seed + 33)
             stage1 = trainer.run_stage(cfg, noisy, test, 1, *trainer.STAGE1_HCT)
-            hist = stage1.histories[0]
-            windowed = selector.hct_split(hist, cfg.tau, noisy.labels)
-            base = selector.baseline_split(hist.current(), cfg.tau, noisy.labels)
+            windowed = selector.hct_split(stage1.window, cfg.tau, noisy.labels)
+            base = selector.baseline_split(stage1.window[-1], cfg.tau, noisy.labels)
             assert set(windowed.labeled_idx) <= set(base.labeled_idx)
             mw = selector.clean_set_metrics(windowed, noisy.mask)
             mb = selector.clean_set_metrics(base, noisy.mask)
