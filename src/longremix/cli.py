@@ -69,8 +69,6 @@ def _build_datasets(exp):
         if train.num_classes < 2:
             raise ConfigError(f"{d.path}: every training label is {train.class_names[0]!r}; "
                               "training needs at least 2 classes")
-        if not d.test_path:
-            raise ConfigError("dataset.test_path is required for csv training runs")
         test = data.load_csv_dataset(d.test_path, class_names=train.class_names)
         if test.dim != train.dim:
             raise ConfigError(f"{d.test_path} has {test.dim} feature columns, "
@@ -114,7 +112,7 @@ def cmd_train(args) -> int:
                   "clean-set snapshot of its second half was empty", file=sys.stderr)
     curve = None
     if exp.report.prcurve and stages[0].window is not None:
-        curve = report.pr_curve(stages[0].window, ds.mask, exp.report.tau_grid, ds.labels)
+        curve = report.pr_curve(stages[0].window, ds.mask, exp.report.tau_grid)
     bundle = report.emit_report(stages, exp, data.noise_sidecar(exp.noise, ds.mask.sum()),
                                 _dataset_info(exp, ds, test), prcurve_rows=curve)
     print(f"mode={exp.train.mode} best_acc={stages[-1].record.best_acc:.6g} "
@@ -127,7 +125,7 @@ def cmd_prcurve(args) -> int:
     ds, test = _build_datasets(exp)
     _require_mixture_rows(exp, ds)
     stage1 = run_stage(exp.train, ds, test, 1, *STAGE1_HCT)
-    curve = report.pr_curve(stage1.window, ds.mask, exp.report.tau_grid, ds.labels)
+    curve = report.pr_curve(stage1.window, ds.mask, exp.report.tau_grid)
     path, = report.write_files(exp.output.dir, {"prcurve.csv": report.prcurve_csv_text(curve)})
     print(f"wrote {path} ({len(curve)} thresholds)")
     return 0
@@ -152,19 +150,28 @@ def cmd_lemma(args) -> int:
 
 def cmd_noise(args) -> int:
     outdir = _output_dir(args.out, ".")
+    # the synthetic dataset's flags, None unless given, and the config fields they default to
+    flags = {"--dataset": DatasetSpec.kind, "--n": DatasetSpec.n, "--classes": DatasetSpec.classes,
+             "--spread": DatasetSpec.spread, "--data-seed": TrainConfig.data_seed}
+    values = (args.dataset, args.n, args.classes, args.spread, args.data_seed)
+    given = [flag for flag, value in zip(flags, values) if value is not None]
+    if args.csv and given:
+        raise ConfigError(f"{given[0]} does not apply to --csv, whose file is the dataset")
     if args.csv:
         ds = data.load_csv_dataset(args.csv)
     else:  # the rules of a config's DatasetSpec, named by flag
-        seed = _non_negative("--data-seed", args.data_seed)
-        if args.classes < 2:
-            raise ConfigError(f"--classes must be >= 2, got {args.classes}")
-        if args.dataset == "moons" and args.classes != 2:
-            raise ConfigError(f"--dataset moons needs --classes 2, got {args.classes}")
-        if not (math.isfinite(args.spread) and args.spread > 0):
-            raise ConfigError(f"--spread must be finite and positive, got {args.spread}")
-        if args.n < args.classes:
-            raise ConfigError(f"--n must be >= --classes ({args.classes}), got {args.n}")
-        ds = data.make_synthetic_dataset(args.dataset, args.n, args.classes, args.spread, seed)
+        kind, n, classes, spread, seed = (default if value is None else value
+                                          for default, value in zip(flags.values(), values))
+        _non_negative("--data-seed", seed)
+        if classes < 2:
+            raise ConfigError(f"--classes must be >= 2, got {classes}")
+        if kind == "moons" and classes != 2:
+            raise ConfigError(f"--dataset moons needs --classes 2, got {classes}")
+        if not (math.isfinite(spread) and spread > 0):
+            raise ConfigError(f"--spread must be finite and positive, got {spread}")
+        if n < classes:
+            raise ConfigError(f"--n must be >= --classes ({classes}), got {n}")
+        ds = data.make_synthetic_dataset(kind, n, classes, spread, seed)
     spec = data.NoiseSpec(kind=args.kind, eta=args.eta,
                           mapping=_to_mapping("--mapping", args.mapping),
                           seed=_non_negative("--seed", args.seed))
@@ -235,12 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.add_argument("--eta", type=float, default=data.NoiseSpec.eta)
     p_noise.add_argument("--mapping", help="asymmetric class mapping, e.g. 0:1,2:3")
     p_noise.add_argument("--seed", type=int, default=data.NoiseSpec.seed, help="noise draw seed")
-    p_noise.add_argument("--csv", help="noise an existing CSV dataset")
-    p_noise.add_argument("--dataset", choices=("blobs", "moons"), default=DatasetSpec.kind)
-    p_noise.add_argument("--n", type=int, default=DatasetSpec.n)
-    p_noise.add_argument("--classes", type=int, default=DatasetSpec.classes)
-    p_noise.add_argument("--spread", type=float, default=DatasetSpec.spread)
-    p_noise.add_argument("--data-seed", type=int, default=TrainConfig.data_seed)
+    p_noise.add_argument("--csv", help="noise an existing CSV dataset, instead of a synthetic one")
+    p_noise.add_argument("--dataset", choices=("blobs", "moons"))
+    p_noise.add_argument("--n", type=int)
+    p_noise.add_argument("--classes", type=int)
+    p_noise.add_argument("--spread", type=float)
+    p_noise.add_argument("--data-seed", type=int)
     p_noise.add_argument("--out")
     p_noise.set_defaults(func=cmd_noise)
 

@@ -36,6 +36,8 @@ class DatasetSpec:
         if self.kind == "csv":
             if not self.path:
                 raise ConfigError("dataset.path is required for csv datasets")
+            if not self.test_path:
+                raise ConfigError("dataset.test_path is required for csv training runs")
             return
         if self.classes < 2:
             raise ConfigError(f"dataset.classes must be >= 2, got {self.classes}")

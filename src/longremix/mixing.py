@@ -1,11 +1,12 @@
-"""MixUp sampling over the clean/noisy split: epoch plans and mixed batches.
+"""MixUp sampling over the clean/noisy split: epoch plans, targets and mixed batches.
 
 An epoch plan lists which anchor/partner pairs get mixed. In longmix mode
 both the labelled and the unlabelled plans hold one instruction per
 training sample (anchors resampled with replacement), decoupling the
 number of mix operations from the size of the predicted-clean set; the
-baseline-compat mode sizes both plans to the clean set instead. The
-vicinal loss the mixed batches train on is ``nn.TotalLoss``.
+baseline-compat mode sizes both plans to the clean set instead. A split
+carries no labels: X's targets are the one-hot observed labels, U's the
+epoch's guessed soft labels. The mixed batches train on ``nn.TotalLoss``.
 """
 
 from __future__ import annotations
@@ -67,12 +68,15 @@ def build_epoch_plan(labeled_idx, unlabeled_idx, dataset_size, seed,
                      u_anchor=u_anchor, u_partner=u_partner, seed=seed)
 
 
-def target_table(split: SplitSets, guessed, num_classes) -> np.ndarray:
-    """Per-sample training targets: one-hot labels for X members (core-set
-    overrides included), the epoch's guessed soft labels (an (n, C) table
-    over all samples) for U members."""
-    table = np.zeros((split.x_size + split.u_size, num_classes))
-    table[split.labeled_idx, split.labeled_labels] = 1.0
+def one_hot(labels, num_classes) -> np.ndarray:
+    return np.eye(num_classes)[labels]
+
+
+def target_table(split: SplitSets, labels, guessed) -> np.ndarray:
+    """Per-sample training targets: the one-hot observed ``labels`` for X
+    members, the epoch's guessed soft labels (an (n, C) table over all
+    samples) for U members."""
+    table = one_hot(labels, guessed.shape[1])
     table[split.unlabeled_idx] = guessed[split.unlabeled_idx]
     return table
 

@@ -64,13 +64,13 @@ def _stage_dict(outcome):
             "epochs": [_epoch_dict(r) for r in outcome.record.epochs]}
 
 
-def pr_curve(window, mask, taus, labels):
+def pr_curve(window, mask, taus):
     """Precision/recall of the single-epoch and windowed splits at each
     threshold, from a net's final ``(zeta, n)`` posterior window."""
     rows = []
     for tau in taus:
-        base = baseline_split(window[-1], tau, labels)
-        windowed = hct_split(window, tau, labels)
+        base = baseline_split(window[-1], tau)
+        windowed = hct_split(window, tau)
         mb = clean_set_metrics(base, mask)
         mh = clean_set_metrics(windowed, mask)
         rows.append({

@@ -10,11 +10,11 @@ unlabelled set U, all driven by the per-sample clean posterior:
 * ``select_core_set``   - keep the largest windowed clean set of the second
   half of a training stage, one epoch's splits at a time, as the stage runs.
 * ``guided_split``      - baseline thresholding with the core set pinned
-  into X at weight 1 and its captured labels.
+  into X at weight 1.
 
-A split is the index partition plus the weights and labels of X; the soft
-targets of U belong to the training epoch and ``mixing.target_table``
-looks them up by index.
+A split is the X/U index partition plus the weights of X; neither it nor
+the core set carries labels. ``mixing.target_table`` looks up X's observed
+labels and U's guessed soft labels by index.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class SplitSets:
 
     labeled_idx: np.ndarray      # sample indices in X
     labeled_w: np.ndarray        # per-member weight
-    labeled_labels: np.ndarray   # class index each X member trains with
     unlabeled_idx: np.ndarray    # sample indices in U
     kind: str                    # baseline | hct | guided
 
@@ -47,18 +46,15 @@ class SplitSets:
 
 @dataclass(frozen=True)
 class CoreSet:
-    """Immutable snapshot of a windowed clean set: indices plus the observed
-    labels they carried when captured."""
+    """Immutable snapshot of a windowed clean set's indices and the epoch it
+    was captured at."""
 
     indices: np.ndarray
-    labels: np.ndarray
     epoch: int
 
     def __post_init__(self):
         if len(np.unique(self.indices)) != len(self.indices):
             raise ValueError("core-set indices must be distinct")
-        if len(self.labels) != len(self.indices):
-            raise ValueError("core-set labels misaligned")
 
     @property
     def size(self) -> int:
@@ -66,7 +62,7 @@ class CoreSet:
 
     @classmethod
     def empty(cls) -> "CoreSet":
-        return cls(indices=np.empty(0, dtype=int), labels=np.empty(0, dtype=int), epoch=0)
+        return cls(indices=np.empty(0, dtype=int), epoch=0)
 
 
 @dataclass(frozen=True)
@@ -76,27 +72,26 @@ class CleanSetMetrics:
     precision_defaulted: bool = False
 
 
-def _assemble(in_x, weights, labels, kind) -> SplitSets:
+def _assemble(in_x, weights, kind) -> SplitSets:
     x_idx = np.flatnonzero(in_x)
     return SplitSets(labeled_idx=x_idx, labeled_w=weights[x_idx],
-                     labeled_labels=np.asarray(labels, dtype=int)[x_idx],
                      unlabeled_idx=np.flatnonzero(~in_x), kind=kind)
 
 
-def baseline_split(posteriors, tau, labels) -> SplitSets:
+def baseline_split(posteriors, tau) -> SplitSets:
     """Single-epoch split: X gets every sample with posterior >= tau."""
     posteriors = np.asarray(posteriors, dtype=float)
-    return _assemble(posteriors >= tau, posteriors, labels, "baseline")
+    return _assemble(posteriors >= tau, posteriors, "baseline")
 
 
-def hct_split(window, tau, labels) -> SplitSets:
+def hct_split(window, tau) -> SplitSets:
     """Windowed split: X keeps only samples classified clean at every epoch
     of the ``(zeta, n)`` confidence ``window``. Weights carry the current
     (last) epoch's posterior."""
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or not len(window):
         raise StateError(f"confidence window of shape {window.shape}; need (zeta, n), zeta >= 1")
-    return _assemble((window >= tau).all(axis=0), window[-1], labels, "hct")
+    return _assemble((window >= tau).all(axis=0), window[-1], "hct")
 
 
 def select_core_set(core, epoch, splits, total_epochs) -> CoreSet | None:
@@ -110,23 +105,20 @@ def select_core_set(core, epoch, splits, total_epochs) -> CoreSet | None:
     first = (total_epochs + 1) // 2
     for split in splits:
         if epoch >= first and split.kind == "hct" and (core is None or split.x_size >= core.size):
-            core = CoreSet(indices=split.labeled_idx.copy(), labels=split.labeled_labels.copy(),
-                           epoch=epoch) if split.x_size else CoreSet.empty()
+            core = CoreSet(split.labeled_idx.copy(), epoch) if split.x_size else CoreSet.empty()
     if core is None and epoch == total_epochs:
         raise StateError(f"no windowed split made in epochs {first}..{total_epochs}")
     return core
 
 
-def guided_split(posteriors, tau, core: CoreSet, labels) -> SplitSets:
+def guided_split(posteriors, tau, core: CoreSet) -> SplitSets:
     """Baseline thresholding with every core-set member pinned into X at
-    weight 1, carrying its captured label; core members never enter U."""
+    weight 1; core members never enter U."""
     weights = np.array(posteriors, dtype=float)
-    labels = np.array(labels, dtype=int)
     in_x = weights >= tau
     in_x[core.indices] = True
     weights[core.indices] = 1.0
-    labels[core.indices] = core.labels
-    return _assemble(in_x, weights, labels, "guided")
+    return _assemble(in_x, weights, "guided")
 
 
 def clean_set_metrics(split: SplitSets, mask) -> CleanSetMetrics:

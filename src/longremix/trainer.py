@@ -36,7 +36,7 @@ from . import BLAS_UNPINNED, nn
 from .data import NoisyDataset
 from .errors import ConfigError, StateError
 from .gmm import clean_posterior, fit_gmm_em, gmm_record, normalize_losses, per_sample_losses
-from .mixing import build_epoch_plan, mix_plan, plan_digest, target_table
+from .mixing import build_epoch_plan, mix_plan, one_hot, plan_digest, target_table
 from .seeding import MIX_LAMBDA, PLAN_DRAW, WARMUP_SHUFFLE, derive_rng
 from .selector import (CoreSet, baseline_split, clean_set_metrics, guided_split, hct_split,
                        select_core_set)
@@ -157,12 +157,6 @@ class StageOutcome:
     plan_rows: list = field(default_factory=list)
 
 
-def one_hot(labels, num_classes) -> np.ndarray:
-    out = np.zeros((len(labels), num_classes))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
-
-
 def evaluate(probs, test: NoisyDataset) -> float:
     """Ensemble accuracy from the pair's test-set outputs ``probs``: argmax of
     the mean softmax (argmax takes the lowest class index on ties). Finite
@@ -261,7 +255,7 @@ class _Member:
             plan = build_epoch_plan(split.labeled_idx, split.unlabeled_idx, ds.n,
                                     seed=(cfg.plan_seed, PLAN_DRAW, self.stage_no, epoch, m),
                                     longmix=self.longmix_plans)
-            targets = target_table(split, self.guessed, ds.num_classes)
+            targets = target_table(split, ds.labels, self.guessed)
             lam_rng = derive_rng(cfg.plan_seed, MIX_LAMBDA, self.stage_no, epoch, m)
             mixed = mix_plan(plan, ds.features, targets, cfg.alpha, lam_rng)
             spec = nn.TotalLoss(lambda_u=cfg.lambda_u, lambda_reg=cfg.lambda_reg)
@@ -389,17 +383,17 @@ def warmup(pair, cfg: TrainConfig) -> list:
     return [_supervised_epoch(pair, "warmup", e, cfg.lr) for e in range(1, cfg.warmup + 1)]
 
 
-def _next_split(split_mode, posteriors, window, core, ds: NoisyDataset, cfg: TrainConfig):
+def _next_split(split_mode, posteriors, window, core, cfg: TrainConfig):
     """A net's ``split_mode`` split (see ``run_stage``) for its next epoch
     from its clean ``posteriors``, which ``hct`` appends to its ``window``,
     the deque of its last ``cfg.zeta`` posterior vectors."""
     if split_mode == "guided":
-        return guided_split(posteriors, cfg.tau, core, ds.labels)
+        return guided_split(posteriors, cfg.tau, core)
     if split_mode == "hct":
         window.append(posteriors)
         if len(window) == cfg.zeta:
-            return hct_split(np.stack(window), cfg.tau, ds.labels)
-    return baseline_split(posteriors, cfg.tau, ds.labels)
+            return hct_split(np.stack(window), cfg.tau)
+    return baseline_split(posteriors, cfg.tau)
 
 
 def cotrain_epoch(pair, ds: NoisyDataset, cfg: TrainConfig, epoch, splits):
@@ -462,7 +456,7 @@ def run_stage(cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no, 
         else:
             fits, _ = pair.ask([("fit", 1)] * 2)
             for epoch in range(1, cfg.epochs + 1):
-                splits = [_next_split(split_mode, posteriors, window, core, ds, cfg)
+                splits = [_next_split(split_mode, posteriors, window, core, cfg)
                           for (posteriors, _), window in zip(fits, windows)]
                 gmm_rows += [gmm_record(fit[1], epoch, tag) for tag, fit in zip(TAGS, fits)]
                 if split_mode == "hct":

@@ -114,14 +114,13 @@ def test_criterion_4_selector_properties():
         zeta = int(rng.integers(1, 7))
         depth = zeta + int(rng.integers(0, 3))
         tau = float(rng.uniform(0.05, 0.95))
-        labels = rng.integers(0, 5, n)
-        # no split reads these soft labels; drawing them keeps the windows the same
-        guessed = rng.random((n, 5))
-        guessed /= guessed.sum(axis=1, keepdims=True)
+        # unused: drawn so that the windows stay fixed
+        rng.integers(0, 5, n)
+        rng.random((n, 5))
         window = rng.random((depth, n))[-zeta:]  # the last zeta of depth epochs
 
-        base = baseline_split(window[-1], tau, labels)
-        windowed = hct_split(window, tau, labels)
+        base = baseline_split(window[-1], tau)
+        windowed = hct_split(window, tau)
 
         # partition: X and U cover all indices exactly once
         for split in (base, windowed):
@@ -133,19 +132,20 @@ def test_criterion_4_selector_properties():
 
         # zeta monotonicity
         if zeta >= 2:
-            narrower = hct_split(window[1:], tau, labels)
+            narrower = hct_split(window[1:], tau)
             assert set(windowed.labeled_idx) <= set(narrower.labeled_idx)
 
         # guided with an empty core set reduces to the baseline split
-        empty = guided_split(window[-1], tau, CoreSet.empty(), labels)
+        empty = guided_split(window[-1], tau, CoreSet.empty())
         assert np.array_equal(empty.labeled_idx, base.labeled_idx)
         assert np.allclose(empty.labeled_w, base.labeled_w)
 
         # core-set override: members pinned into X with weight 1
         k = int(rng.integers(1, n + 1))
         members = rng.choice(n, size=k, replace=False)
-        core = CoreSet(indices=members, labels=rng.integers(0, 5, k), epoch=1)
-        guided = guided_split(window[-1], tau, core, labels)
+        rng.integers(0, 5, k)  # unused: drawn so that the later draws stay fixed
+        core = CoreSet(indices=members, epoch=1)
+        guided = guided_split(window[-1], tau, core)
         member_mask = np.isin(guided.labeled_idx, members)
         assert member_mask.sum() == k
         assert (guided.labeled_w[member_mask] == 1.0).all()
@@ -253,7 +253,7 @@ def test_criterion_7_asymmetric_pr_tradeoff():
             data_seed=seed, model1_seed=seed + 11, model2_seed=seed + 22,
             plan_seed=seed + 33)
         stage1 = trainer.run_stage(cfg, noisy, test, 1, *trainer.STAGE1_HCT)
-        rows = report.pr_curve(stage1.window, noisy.mask, [0.5], noisy.labels)
+        rows = report.pr_curve(stage1.window, noisy.mask, [0.5])
         row = rows[0]
         precision_wins += row["hct_precision"] >= row["baseline_precision"]
         recall_wins += row["hct_recall"] <= row["baseline_recall"]

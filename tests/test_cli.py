@@ -309,13 +309,17 @@ class TestLemmaCommand:
 
 
 class TestNoiseCommand:
-    def test_defaults_are_the_spec_fields(self):
+    def test_defaults_are_the_spec_fields(self, tmp_path):
         args = cli.build_parser().parse_args(["noise", "--kind", "none"])
         noise, dataset = data.NoiseSpec(), config.DatasetSpec()
         assert (args.eta, args.seed) == (noise.eta, noise.seed)
-        assert (args.dataset, args.n, args.classes, args.spread) == (
-            dataset.kind, dataset.n, dataset.classes, dataset.spread)
-        assert args.data_seed == trainer.TrainConfig().data_seed
+        # the synthetic dataset's flags stay unset unless given, so that --csv
+        # can reject them; unset, they take the config fields' values
+        assert (args.dataset, args.n, args.classes, args.spread, args.data_seed) == (None,) * 5
+        assert cli.main(["noise", "--kind", "none", "--out", str(tmp_path)]) == 0
+        ds = data.make_synthetic_dataset(dataset.kind, dataset.n, dataset.classes, dataset.spread,
+                                         seed=trainer.TrainConfig().data_seed)
+        assert (tmp_path / "dataset.csv").read_bytes() == data.dataset_csv_text(ds).encode()
 
     def test_sidecar_matches_csv(self, tmp_path):
         assert cli.main(["noise", "--kind", "symmetric", "--eta", "0.5", "--seed", "3",
@@ -623,6 +627,7 @@ INPUT_FILES = {"empty.conf": b"",
                "empty-key.conf": b"# a comment\n = 4\n",
                "two-class.csv": b"x0,label\n0.1,a\n0.2,b\n0.3,a\n0.4,b\n",
                "csv-no-test.conf": b"dataset.kind = csv\ndataset.path = two-class.csv\n",
+               "missing-csv-no-test.conf": b"dataset.kind = csv\ndataset.path = missing.csv\n",
                "empty.csv": b"",
                "header-only.csv": b"x0,label\n",
                "one-column.csv": b"label\na\n",
@@ -676,6 +681,9 @@ COMMAND_CASES = [
     ("train-config-empty-key", ["train", "--config", "{tmp}/empty-key.conf"], "line 2: empty key"),
     ("train-csv-without-test-path", ["train", "--config", "{tmp}/csv-no-test.conf"],
      "dataset.test_path is required for csv training runs"),
+    # a config without it fails at load, before its training CSV is read
+    ("train-csv-without-test-path-unread", ["train", "--config", "{tmp}/missing-csv-no-test.conf"],
+     "dataset.test_path is required for csv training runs"),
     ("noise-asymmetric-without-mapping", ["noise", "--kind", "asymmetric", "--eta", "0.2"],
      "asymmetric noise needs a class mapping"),
     ("noise-one-class", ["noise", "--kind", "none", "--classes", "1"],
@@ -695,6 +703,18 @@ COMMAND_CASES = [
      "{tmp}/no-label-column.csv: row 1: last column must be named 'label', got 'y'"),
     ("noise-csv-empty-label", ["noise", "--kind", "none", "--csv", "{tmp}/empty-label.csv"],
      "{tmp}/empty-label.csv: row 3: missing label"),
+    # a CSV file is the whole dataset: the synthetic dataset's flags do not apply to it
+    ("noise-csv-with-dataset", ["noise", "--kind", "none", "--csv", "{tmp}/two-class.csv",
+                                "--dataset", "moons"], "--dataset does not apply to --csv"),
+    ("noise-csv-with-n", ["noise", "--kind", "none", "--csv", "{tmp}/two-class.csv", "--n", "7"],
+     "--n does not apply to --csv"),
+    ("noise-csv-with-classes", ["noise", "--kind", "none", "--csv", "{tmp}/two-class.csv",
+                                "--classes", "1"], "--classes does not apply to --csv"),
+    ("noise-csv-with-spread", ["noise", "--kind", "none", "--csv", "{tmp}/two-class.csv",
+                               "--spread", "nan"], "--spread does not apply to --csv"),
+    # the flags are checked before the file is read
+    ("noise-csv-with-data-seed", ["noise", "--kind", "none", "--csv", "{tmp}/missing.csv",
+                                  "--data-seed", "1"], "--data-seed does not apply to --csv"),
 ]
 
 

@@ -11,10 +11,9 @@ from longremix.selector import CoreSet, SplitSets, baseline_split, guided_split
 from conftest import batch_loss, cross_entropy
 
 
-def split_of(labeled, unlabeled, labels):
+def split_of(labeled, unlabeled):
     labeled = np.asarray(labeled, dtype=int)
     return SplitSets(labeled_idx=labeled, labeled_w=np.ones(len(labeled)),
-                     labeled_labels=np.asarray(labels, dtype=int),
                      unlabeled_idx=np.asarray(unlabeled, dtype=int), kind="baseline")
 
 
@@ -144,8 +143,8 @@ class TestEpochPlan:
 class TestTargetTable:
     def test_one_hot_for_x_guessed_for_u(self):
         guessed = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1], [0.6, 0.4]])
-        split = split_of([0, 2], [1, 3], [1, 0])
-        table = target_table(split, guessed, 2)
+        split = split_of([0, 2], [1, 3])
+        table = target_table(split, np.array([1, 1, 0, 0]), guessed)
         assert table[[0, 2]].tobytes() == np.array([[0.0, 1.0], [1.0, 0.0]]).tobytes()
         assert table[[1, 3]].tobytes() == guessed[[1, 3]].tobytes()
 
@@ -156,16 +155,16 @@ class TestTargetTable:
         guessed = rng.random((n, c))
         guessed /= guessed.sum(axis=1, keepdims=True)
         labels = rng.integers(0, c, n)
-        core = CoreSet(indices=rng.choice(n, size=10, replace=False),
-                       labels=rng.integers(0, c, 10), epoch=1)
+        core = CoreSet(indices=rng.choice(n, size=10, replace=False), epoch=1)
+        rng.integers(0, c, 10)  # unused: drawn so that the later draws stay fixed
         post = rng.random(n)
-        for split in (baseline_split(post, tau, labels), guided_split(post, tau, core, labels)):
-            table = target_table(split, guessed, c)
+        for split in (baseline_split(post, tau), guided_split(post, tau, core)):
+            table = target_table(split, labels, guessed)
             assert table.shape == (n, c) and table.dtype == np.float64
             u = split.unlabeled_idx
             assert table[u].tobytes() == guessed[u].tobytes()
             x_rows = np.zeros((split.x_size, c))
-            x_rows[np.arange(split.x_size), split.labeled_labels] = 1.0
+            x_rows[np.arange(split.x_size), labels[split.labeled_idx]] = 1.0
             assert table[split.labeled_idx].tobytes() == x_rows.tobytes()
 
 

@@ -26,25 +26,23 @@ def choose_core_set(records, total_epochs):
 def same_membership(a, b):
     return (np.array_equal(a.labeled_idx, b.labeled_idx)
             and np.array_equal(a.unlabeled_idx, b.unlabeled_idx)
-            and np.allclose(a.labeled_w, b.labeled_w)
-            and np.array_equal(a.labeled_labels, b.labeled_labels))
+            and np.allclose(a.labeled_w, b.labeled_w))
 
 
 class TestBaselineSplit:
     def test_thresholding(self):
-        s = baseline_split(np.array([0.9, 0.4, 0.6]), 0.5, np.array([0, 1, 2]))
+        s = baseline_split(np.array([0.9, 0.4, 0.6]), 0.5)
         np.testing.assert_array_equal(s.labeled_idx, [0, 2])
         np.testing.assert_array_equal(s.unlabeled_idx, [1])
         np.testing.assert_allclose(s.labeled_w, [0.9, 0.6])
-        np.testing.assert_array_equal(s.labeled_labels, [0, 2])
 
     def test_tau_zero_takes_everything(self):
-        s = baseline_split(np.array([0.0, 0.3]), 0.0, np.array([1, 0]))
+        s = baseline_split(np.array([0.0, 0.3]), 0.0)
         assert s.x_size == 2
         assert s.u_size == 0
 
     def test_boundary_posterior_goes_to_x(self):
-        s = baseline_split(np.array([0.5]), 0.5, np.array([0]))
+        s = baseline_split(np.array([0.5]), 0.5)
         assert s.x_size == 1
 
 
@@ -52,35 +50,34 @@ class TestHctSplit:
     def test_clean_all_window_epochs(self):
         rows = [[0.9, 0.9], [0.8, 0.9], [0.9, 0.9], [0.7, 0.9], [0.6, 0.9]]
         w = make_window(rows, zeta=5)
-        s = hct_split(w, 0.5, np.array([0, 1]))
+        s = hct_split(w, 0.5)
         np.testing.assert_array_equal(s.labeled_idx, [0, 1])
 
     def test_one_bad_epoch_excludes(self):
         rows = [[0.9], [0.9], [0.4], [0.9], [0.9]]
         w = make_window(rows, zeta=5)
-        s = hct_split(w, 0.5, np.array([0]))
+        s = hct_split(w, 0.5)
         assert s.x_size == 0
         assert s.u_size == 1
 
     def test_weights_are_current_posterior(self):
         rows = [[0.9, 0.2], [0.55, 0.8]]
         w = make_window(rows, zeta=2)
-        s = hct_split(w, 0.5, np.array([0, 1]))
+        s = hct_split(w, 0.5)
         np.testing.assert_allclose(s.labeled_w, [0.55])
         np.testing.assert_array_equal(s.unlabeled_idx, [1])
 
     def test_zeta_one_equals_baseline(self):
         rng = np.random.default_rng(1)
         post = rng.random(30)
-        labels = rng.integers(0, 3, 30)
         w = make_window([post], zeta=1)
-        assert same_membership(hct_split(w, 0.5, labels), baseline_split(post, 0.5, labels))
+        assert same_membership(hct_split(w, 0.5), baseline_split(post, 0.5))
 
     def test_underfilled_window_is_state_error(self):
         # a window of no epochs, or a posterior vector that is not a window
         for window in (np.empty((0, 1)), np.array([0.9])):
             with pytest.raises(StateError, match="window"):
-                hct_split(window, 0.5, np.array([0]))
+                hct_split(window, 0.5)
 
     def test_ring_buffer_depth(self, monkeypatch):
         # each net's window in a stage holds its last zeta posterior vectors:
@@ -102,11 +99,11 @@ class TestHctSplit:
 
 
 class TestCoreSet:
-    def _snapshot(self, size, n=200):
-        idx = np.arange(size)
-        return selector.SplitSets(labeled_idx=idx, labeled_w=np.ones(size),
-                                  labeled_labels=np.zeros(size, dtype=int),
-                                  unlabeled_idx=np.arange(size, n), kind="hct")
+    def _snapshot(self, size, n=200, first=0):
+        in_x = np.zeros(n, dtype=bool)
+        in_x[first:first + size] = True
+        return selector.SplitSets(labeled_idx=np.flatnonzero(in_x), labeled_w=np.ones(size),
+                                  unlabeled_idx=np.flatnonzero(~in_x), kind="hct")
 
     def test_argmax_with_latest_tie(self):
         sizes = {5: 100, 6: 150, 7: 140, 8: 150, 9: 130, 10: 120}
@@ -136,11 +133,10 @@ class TestCoreSet:
             choose_core_set([(1, self._snapshot(5))], total_epochs=10)
 
     def test_tie_within_epoch_goes_to_model2(self):
-        model1, model2 = self._snapshot(5), self._snapshot(5)
-        model2.labeled_labels = np.ones(5, dtype=int)
+        model1, model2 = self._snapshot(5), self._snapshot(5, first=5)
         core = choose_core_set([(6, model1), (6, model2)], 10)
         assert (core.epoch, core.size) == (6, 5)
-        np.testing.assert_array_equal(core.labels, model2.labeled_labels)
+        np.testing.assert_array_equal(core.indices, model2.labeled_idx)
 
     def test_only_windowed_splits_count(self):
         # a confidence-window stage splits by single epochs until its window fills
@@ -149,41 +145,43 @@ class TestCoreSet:
         core = choose_core_set([(5, single), (5, self._snapshot(20))], 10)
         assert core.size == 20
 
-    def test_labels_frozen_at_capture(self):
+    def test_indices_copied_at_capture(self):
         snap = self._snapshot(3)
-        snap.labeled_labels = np.array([2, 0, 1])
         core = choose_core_set([(9, snap)], 10)
-        np.testing.assert_array_equal(core.labels, [2, 0, 1])
+        snap.labeled_idx[:] = [7, 8, 9]
+        np.testing.assert_array_equal(core.indices, [0, 1, 2])
+
+    def test_indices_must_be_distinct(self):
+        with pytest.raises(ValueError, match="distinct"):
+            CoreSet(indices=np.array([3, 1, 3]), epoch=2)
 
 
 class TestGuidedSplit:
     def test_core_overrides_low_posterior(self):
-        core = CoreSet(indices=np.array([1]), labels=np.array([2]), epoch=9)
-        s = guided_split(np.array([0.9, 0.1, 0.2]), 0.5, core, np.array([0, 1, 0]))
+        core = CoreSet(indices=np.array([1]), epoch=9)
+        s = guided_split(np.array([0.9, 0.1, 0.2]), 0.5, core)
         assert 1 in s.labeled_idx
         pos = list(s.labeled_idx).index(1)
         assert s.labeled_w[pos] == 1.0
-        assert s.labeled_labels[pos] == 2  # captured label, not the current one
         assert 1 not in s.unlabeled_idx
 
     def test_non_member_threshold_branch(self):
         core = CoreSet.empty()
-        s = guided_split(np.array([0.7, 0.3]), 0.5, core, np.array([0, 1]))
+        s = guided_split(np.array([0.7, 0.3]), 0.5, core)
         np.testing.assert_array_equal(s.labeled_idx, [0])
         np.testing.assert_allclose(s.labeled_w, [0.7])
 
     def test_empty_core_equals_baseline(self):
         rng = np.random.default_rng(2)
         post = rng.random(40)
-        labels = rng.integers(0, 4, 40)
-        assert same_membership(guided_split(post, 0.5, CoreSet.empty(), labels),
-                               baseline_split(post, 0.5, labels))
+        assert same_membership(guided_split(post, 0.5, CoreSet.empty()),
+                               baseline_split(post, 0.5))
 
 
-def override_reference(posteriors, tau, core, labels):
+def override_reference(posteriors, tau, core):
     """Threshold split with the core set pinned in afterwards: a boolean
-    gather per field, then weight 1 and the captured label written at each
-    member's position in X, found by ``searchsorted`` over the sorted core."""
+    gather per field, then weight 1 written at each member's position in X,
+    found by ``searchsorted`` over the sorted core."""
     posteriors = np.asarray(posteriors, dtype=float)
     in_x = posteriors >= tau
     if core.size:
@@ -192,13 +190,10 @@ def override_reference(posteriors, tau, core, labels):
     idx = np.arange(len(posteriors))
     x_idx = idx[in_x]
     x_w = posteriors[in_x].astype(float).copy()
-    x_labels = np.asarray(labels, dtype=int)[in_x].copy()
     if core.size:
-        order = np.argsort(core.indices)
-        pos = np.searchsorted(x_idx, core.indices[order])
+        pos = np.searchsorted(x_idx, np.sort(core.indices))
         x_w[pos] = 1.0
-        x_labels[pos] = core.labels[order]
-    return x_idx, x_w, x_labels, idx[~in_x]
+    return x_idx, x_w, idx[~in_x]
 
 
 class TestGuidedSplitMatchesReference:
@@ -209,7 +204,7 @@ class TestGuidedSplitMatchesReference:
 
     @staticmethod
     def _fields(split):
-        return (split.labeled_idx, split.labeled_w, split.labeled_labels, split.unlabeled_idx)
+        return (split.labeled_idx, split.labeled_w, split.unlabeled_idx)
 
     def _assert_same(self, split, want):
         for got, ref in zip(self._fields(split), want):
@@ -223,22 +218,23 @@ class TestGuidedSplitMatchesReference:
             # every other draw puts posteriors on the thresholds' grid, ties included
             post = rng.random(n) if draw % 2 else rng.integers(0, 5, n) / 4.0
             tau = float(rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform(0.05, 0.95)]))
-            labels = rng.integers(0, 5, n)
+            rng.integers(0, 5, n)  # unused: drawn so that the later draws stay fixed
             # empty, partial and full cores in turn
             k = (0, int(rng.integers(1, n + 1)), n)[draw % 3]
-            core = (CoreSet.empty() if k == 0 else
-                    CoreSet(indices=rng.choice(n, size=k, replace=False),
-                            labels=rng.integers(0, 5, k), epoch=1))
-            self._assert_same(guided_split(post, tau, core, labels),
-                              override_reference(post, tau, core, labels))
-            self._assert_same(baseline_split(post, tau, labels),
-                              override_reference(post, tau, CoreSet.empty(), labels))
+            if k:
+                core = CoreSet(indices=rng.choice(n, size=k, replace=False), epoch=1)
+                rng.integers(0, 5, k)  # likewise
+            else:
+                core = CoreSet.empty()
+            self._assert_same(guided_split(post, tau, core), override_reference(post, tau, core))
+            self._assert_same(baseline_split(post, tau),
+                              override_reference(post, tau, CoreSet.empty()))
 
     def test_inputs_left_unchanged(self):
-        post, labels = np.array([0.9, 0.1, 0.2]), np.array([0, 1, 0])
-        guided_split(post, 0.5, CoreSet(np.array([1]), np.array([2]), epoch=3), labels)
+        post, core = np.array([0.9, 0.1, 0.2]), CoreSet(np.array([1]), epoch=3)
+        guided_split(post, 0.5, core)
         np.testing.assert_array_equal(post, [0.9, 0.1, 0.2])
-        np.testing.assert_array_equal(labels, [0, 1, 0])
+        np.testing.assert_array_equal(core.indices, [1])
 
 
 class TestCleanSetMetrics:
@@ -246,7 +242,6 @@ class TestCleanSetMetrics:
         x_idx = np.asarray(x_idx, dtype=int)
         u_idx = np.asarray(u_idx, dtype=int)
         return selector.SplitSets(labeled_idx=x_idx, labeled_w=np.ones(len(x_idx)),
-                                  labeled_labels=np.zeros(len(x_idx), dtype=int),
                                   unlabeled_idx=u_idx, kind="baseline")
 
     def test_perfect_split(self):
@@ -284,46 +279,46 @@ class TestRandomizedProperties:
         depth = zeta + int(rng.integers(0, 3))
         rows = rng.random((depth, n))
         tau = float(rng.uniform(0.05, 0.95))
-        labels = rng.integers(0, 4, n)
-        # no split reads these soft labels; drawing them keeps the windows the same
-        guessed = rng.random((n, 4))
-        guessed /= guessed.sum(axis=1, keepdims=True)
-        return make_window(rows, zeta), tau, labels, n
+        # unused: drawn so that the windows stay fixed
+        rng.integers(0, 4, n)
+        rng.random((n, 4))
+        return make_window(rows, zeta), tau, n
 
     def test_partition_property(self):
         rng = np.random.default_rng(77)
         for _ in range(self.N_DRAWS):
-            w, tau, labels, n = self._draw(rng)
-            for s in (baseline_split(w[-1], tau, labels), hct_split(w, tau, labels)):
+            w, tau, n = self._draw(rng)
+            for s in (baseline_split(w[-1], tau), hct_split(w, tau)):
                 joined = np.concatenate([s.labeled_idx, s.unlabeled_idx])
                 np.testing.assert_array_equal(np.sort(joined), np.arange(n))
 
     def test_window_subset_property(self):
         rng = np.random.default_rng(78)
         for _ in range(self.N_DRAWS):
-            w, tau, labels, _ = self._draw(rng)
-            hct = hct_split(w, tau, labels)
-            base = baseline_split(w[-1], tau, labels)
+            w, tau, _ = self._draw(rng)
+            hct = hct_split(w, tau)
+            base = baseline_split(w[-1], tau)
             assert set(hct.labeled_idx) <= set(base.labeled_idx)
 
     def test_zeta_monotonicity(self):
         rng = np.random.default_rng(79)
         for _ in range(self.N_DRAWS):
-            w, tau, labels, _ = self._draw(rng)
+            w, tau, _ = self._draw(rng)
             if len(w) < 2:
                 continue
-            wide = hct_split(w, tau, labels)
-            narrow = hct_split(w[1:], tau, labels)
+            wide = hct_split(w, tau)
+            narrow = hct_split(w[1:], tau)
             assert set(wide.labeled_idx) <= set(narrow.labeled_idx)
 
     def test_core_override_property(self):
         rng = np.random.default_rng(80)
         for _ in range(self.N_DRAWS):
-            w, tau, labels, n = self._draw(rng)
+            w, tau, n = self._draw(rng)
             k = int(rng.integers(1, n + 1))
             members = rng.choice(n, size=k, replace=False)
-            core = CoreSet(indices=members, labels=rng.integers(0, 4, k), epoch=1)
-            s = guided_split(w[-1], tau, core, labels)
+            rng.integers(0, 4, k)  # unused: drawn so that the later draws stay fixed
+            core = CoreSet(indices=members, epoch=1)
+            s = guided_split(w[-1], tau, core)
             member_set = set(members.tolist())
             assert member_set <= set(s.labeled_idx.tolist())
             assert not member_set & set(s.unlabeled_idx.tolist())

@@ -6,6 +6,7 @@ import pytest
 
 from longremix import data, nn, trainer
 from longremix.errors import ConfigError, StateError
+from longremix.mixing import target_table
 from longremix.seeding import WARMUP_SHUFFLE, derive_rng
 from longremix.trainer import TrainConfig, evaluate, run_training, warmup
 
@@ -278,6 +279,35 @@ class TestStages:
                 assert row.model1.split_kind == "guided"
                 assert row.model1.x_size >= core.size
 
+    def test_x_trains_on_observed_labels_with_the_core_set_in_x(self, monkeypatch):
+        # neither a split nor the core set carries labels: every X row of a
+        # target table is the one-hot observed label, and each guided split's
+        # X holds the whole core set (model 2 runs here, so its calls are seen);
+        # at 80% noise X holds flipped labels, and some core members fall
+        # below tau in stage 2, so neither check passes by chance
+        ds, test = blob_pair(n=300, classes=4, noise=0.8)
+        cfg = small_cfg(mode="full-longremix")
+        seen = []
+
+        def recording_target_table(split, labels, guessed):
+            table = target_table(split, labels, guessed)
+            seen.append((split, table))
+            return table
+
+        monkeypatch.setattr(trainer, "_use_workers", lambda: False)
+        monkeypatch.setattr(trainer, "target_table", recording_target_table)
+        core = run_training(cfg, ds, test)[0].core_set
+        assert core.size > 0
+        assert any(ds.mask[split.labeled_idx].any() for split, _ in seen)
+        for split, table in seen:
+            want = np.zeros((split.x_size, ds.num_classes))
+            want[np.arange(split.x_size), ds.labels[split.labeled_idx]] = 1.0
+            assert table[split.labeled_idx].tobytes() == want.tobytes()
+        guided = [split for split, _ in seen if split.kind == "guided"]
+        assert len(guided) == 2 * cfg.epochs
+        for split in guided:
+            assert np.isin(core.indices, split.labeled_idx).all()
+
     def test_stage2_initialized_fresh(self):
         ds, test = blob_pair(n=120, classes=3, noise=0.4)
         cfg = small_cfg(mode="full-longremix")
@@ -306,8 +336,8 @@ class TestStages:
                               data_seed=seed, model1_seed=seed + 11,
                               model2_seed=seed + 22, plan_seed=seed + 33)
             stage1 = trainer.run_stage(cfg, noisy, test, 1, *trainer.STAGE1_HCT)
-            windowed = selector.hct_split(stage1.window, cfg.tau, noisy.labels)
-            base = selector.baseline_split(stage1.window[-1], cfg.tau, noisy.labels)
+            windowed = selector.hct_split(stage1.window, cfg.tau)
+            base = selector.baseline_split(stage1.window[-1], cfg.tau)
             assert set(windowed.labeled_idx) <= set(base.labeled_idx)
             mw = selector.clean_set_metrics(windowed, noisy.mask)
             mb = selector.clean_set_metrics(base, noisy.mask)
