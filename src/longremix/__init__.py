@@ -11,12 +11,12 @@ import sys
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # numpy loaded before this package with none of these set: BLAS has sized
 # its thread pool for the whole machine, and the pair keeps to one process
-# (trainer._use_workers) rather than fork that pool into each worker
+# (trainer._use_workers) rather than fork that pool into the stage's worker
 BLAS_UNPINNED = "numpy" in sys.modules and not any(n in os.environ for n in _BLAS_THREADS)
 
-# One BLAS thread unless the caller chose otherwise. The pair's two forked
-# workers would each inherit a thread pool sized for the whole machine, and
-# the pools' spinning threads crowd out the other worker. BLAS reads these
+# One BLAS thread unless the caller chose otherwise. The stage's forked
+# worker would inherit a thread pool sized for the whole machine, and each
+# process's spinning pool threads crowd out the other process. BLAS reads these
 # when numpy first loads, so they are set before any module here imports it.
 for _name in _BLAS_THREADS:
     os.environ.setdefault(_name, "1")

@@ -6,9 +6,10 @@ dataset, inject label noise, write CSV + provenance sidecar), ``prcurve``
 (threshold sweep of the selection precision/recall), ``report`` (re-emit
 plot CSVs from an existing metrics JSON).
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure. The
-``LONGREMIX_OUTDIR`` environment variable overrides the configured output
-directory; an explicit ``--out`` beats both (``_output_dir``).
+Exit codes: 0 success, 2 configuration error, 3 runtime failure. A command
+writes into ``--out``, else ``LONGREMIX_OUTDIR``, else its own default
+directory (``_output_dir``); a config does not name it, so a bundle's bytes
+do not depend on where it is written.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .gmm import MIN_FIT_SAMPLES
 from .trainer import STAGE1_HCT, TrainConfig, run_stage, run_training
 
 OUTDIR_ENV = "LONGREMIX_OUTDIR"
+RUN_OUTDIR = "runs/experiment"  # train's and prcurve's default
 
 
 def _non_negative(flag, value):
@@ -37,12 +39,9 @@ def _non_negative(flag, value):
 
 def _output_dir(out, default) -> str:
     """Where a command writes: ``--out``, else ``LONGREMIX_OUTDIR``, else
-    ``default`` (the configured or the command's own directory). A path
-    whose nearest existing ancestor, the path itself included, is not a
-    directory is rejected before any work."""
+    the command's own ``default``. A path whose nearest existing ancestor,
+    the path itself included, is not a directory is rejected before any work."""
     outdir = out or os.environ.get(OUTDIR_ENV) or default
-    if not outdir:
-        raise ConfigError("output.dir must not be empty")
     nearest = outdir
     while nearest and not os.path.lexists(nearest):
         nearest = os.path.dirname(nearest)
@@ -57,9 +56,7 @@ def _load_config(path, seed=None, out=None):
     mapping = parse_flat_config(data.read_text(path, "config"))
     if seed is not None:
         mapping = apply_seed_override(mapping, _non_negative("--seed", seed))
-    exp = build_experiment(mapping)
-    exp.output.dir = _output_dir(out, exp.output.dir)
-    return exp
+    return build_experiment(mapping), _output_dir(out, RUN_OUTDIR)
 
 
 def _build_datasets(exp):
@@ -96,7 +93,7 @@ def _dataset_info(exp, ds, test):
 
 
 def cmd_train(args) -> int:
-    exp = _load_config(args.config, args.seed, args.out)
+    exp, outdir = _load_config(args.config, args.seed, args.out)
     # a train rule only: prcurve writes prcurve.csv whatever these keys say
     spec = exp.report
     if not (spec.formats or spec.gmm_dump or spec.plan_digests or spec.checkpoints):
@@ -113,7 +110,7 @@ def cmd_train(args) -> int:
     curve = None
     if exp.report.prcurve and stages[0].window is not None:
         curve = report.pr_curve(stages[0].window, ds.mask, exp.report.tau_grid)
-    bundle = report.emit_report(stages, exp, data.noise_sidecar(exp.noise, ds.mask.sum()),
+    bundle = report.emit_report(outdir, stages, exp, data.noise_sidecar(exp.noise, ds.mask.sum()),
                                 _dataset_info(exp, ds, test), prcurve_rows=curve)
     print(f"mode={exp.train.mode} best_acc={stages[-1].record.best_acc:.6g} "
           f"bundle={bundle.manifest_path}")
@@ -121,19 +118,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_prcurve(args) -> int:
-    exp = _load_config(args.config, args.seed, args.out)
+    exp, outdir = _load_config(args.config, args.seed, args.out)
     ds, test = _build_datasets(exp)
     _require_mixture_rows(exp, ds)
     stage1 = run_stage(exp.train, ds, test, 1, *STAGE1_HCT)
     curve = report.pr_curve(stage1.window, ds.mask, exp.report.tau_grid)
-    path, = report.write_files(exp.output.dir, {"prcurve.csv": report.prcurve_csv_text(curve)})
+    path, = report.write_files(outdir, {"prcurve.csv": report.prcurve_csv_text(curve)})
     print(f"wrote {path} ({len(curve)} thresholds)")
     return 0
 
 
 def cmd_lemma(args) -> int:
     outdir = _output_dir(args.out, ".")
-    zetas = (_to_tuple(_to_int)("--zetas", args.zetas) if args.zetas
+    zetas = (_to_tuple(_to_int)("--zetas", args.zetas) if args.zetas is not None
              else range(1, args.zeta_max + 1))
     rows = lemma.sweep_zeta(args.pcc, args.pnn, args.pc, zetas,
                             mc_trials=_non_negative("--trials", args.trials),
@@ -211,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run a configured experiment end to end")
     p_train.add_argument("--config", required=True, help="flat key=value config file")
-    p_train.add_argument("--out", help="output directory (beats config and env)")
+    p_train.add_argument("--out", help="output directory (beats LONGREMIX_OUTDIR)")
     p_train.add_argument("--seed", type=int,
                          help="master seed override: data=N, model1=N+11, model2=N+22, "
                               "plan=N+33, noise=N+101")

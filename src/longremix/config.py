@@ -52,11 +52,6 @@ class DatasetSpec:
                                   f"({self.classes}), got {getattr(self, key)}")
 
 
-@dataclass
-class OutputSpec:
-    dir: str = "runs/experiment"  # --out and LONGREMIX_OUTDIR override it
-
-
 @dataclass(frozen=True)
 class ReportSpec:
     formats: tuple[str, ...] = ("json", "csv")
@@ -80,7 +75,6 @@ class ExperimentConfig:
     dataset: DatasetSpec
     noise: NoiseSpec
     train: TrainConfig
-    output: OutputSpec
     report: ReportSpec
 
 

@@ -8,6 +8,7 @@ epochs, which is exactly why this simulator lives apart from the pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,14 @@ class PrEstimate:
 
 
 def closed_form_pr(params: SelectionParams):
-    """Exact precision/recall of the windowed selection; recall reduces to p_cc^zeta."""
-    survive_clean = params.p_cc ** params.zeta
-    survive_noisy = (1.0 - params.p_nn) ** params.zeta
-    tp = survive_clean * params.p_c
-    fp = survive_noisy * params.p_n
-    fn = (1.0 - survive_clean) * params.p_c
-    return tp / (tp + fp), tp / (tp + fn)
+    """Exact precision/recall of the windowed selection; recall reduces to p_cc^zeta.
+    Precision is tp / (tp + fp) with both masses taken in logs and scaled by
+    the larger, so that it stays defined where both underflow (long windows)."""
+    log_tp = params.zeta * math.log(params.p_cc) + math.log(params.p_c)
+    log_fp = params.zeta * math.log1p(-params.p_nn) + math.log(params.p_n)
+    top = max(log_tp, log_fp)
+    tp, fp = math.exp(log_tp - top), math.exp(log_fp - top)
+    return tp / (tp + fp), params.p_cc ** params.zeta
 
 
 def monte_carlo_pr(params: SelectionParams, n_trials, seed) -> PrEstimate:

@@ -21,7 +21,7 @@ from .errors import ConfigError, StateError
 from .selector import baseline_split, clean_set_metrics, hct_split
 from .trainer import ModelEpochStats
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # the per-model columns of epochs.csv, in ModelEpochStats's field order; the
 # str-typed ones are written as they are, the others through fmt_sig
@@ -182,7 +182,7 @@ def _write_bundle(outdir, doc, formats, files, kept=None) -> ReportBundle:
                         manifest_path=write_files(outdir, texts)[-1])
 
 
-def emit_report(stages, exp: ExperimentConfig, noise_info, dataset_info,
+def emit_report(outdir, stages, exp: ExperimentConfig, noise_info, dataset_info,
                 prcurve_rows=None) -> ReportBundle:
     """Render the configured bundle of ``stages`` in full, then write it and its manifest."""
     doc = metrics_document(stages, exp, noise_info, dataset_info, prcurve_rows)
@@ -197,7 +197,7 @@ def emit_report(stages, exp: ExperimentConfig, noise_info, dataset_info,
     if exp.report.checkpoints:
         for net in stages[-1].nets:
             files[net.tag] = (f"{net.tag}.ckpt", nn.checkpoint_text(net))
-    return _write_bundle(exp.output.dir, doc, exp.report.formats, files)
+    return _write_bundle(outdir, doc, exp.report.formats, files)
 
 
 def _present_files(outdir) -> dict:

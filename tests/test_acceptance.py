@@ -290,10 +290,11 @@ def test_criterion_8_determinism(tmp_path):
     from longremix import cli
     t0 = time.time()
     conf = tmp_path / "exp.conf"
-    conf.write_text(DETERMINISM_CONF + f"output.dir = {tmp_path / 'out'}\n")
-    assert cli.main(["train", "--config", str(conf)]) == 0
+    conf.write_text(DETERMINISM_CONF)
+    args = ["train", "--config", str(conf), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 0
     first = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-    assert cli.main(["train", "--config", str(conf)]) == 0
+    assert cli.main(args) == 0
     second = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
     identical = first.keys() == second.keys() and all(
         first[k] == second[k] for k in first)

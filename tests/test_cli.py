@@ -31,7 +31,6 @@ train.mode = {mode}
 train.epochs = 6
 train.warmup = 2
 train.zeta = 3
-output.dir = {out}
 """
 
 
@@ -68,7 +67,6 @@ GOLDEN_DEFAULT_ECHO = (
     "train.model1_seed = 11",
     "train.model2_seed = 22",
     "train.plan_seed = 33",
-    "output.dir = runs/experiment",
     "report.formats = json,csv",
     "report.prcurve = true",
     "report.tau_grid = 0.0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1.0",
@@ -78,11 +76,11 @@ GOLDEN_DEFAULT_ECHO = (
 )
 
 
-def write_conf(tmp_path, mode="baseline", name="exp.conf", out=None, extra=""):
+def write_conf(tmp_path, mode="baseline", name="exp.conf", extra=""):
+    """The config file and the output directory that its runs pass as ``--out``."""
     path = tmp_path / name
-    out = out or str(tmp_path / "out")
-    path.write_text(BASE_CONF.format(mode=mode, out=out) + extra)
-    return path, out
+    path.write_text(BASE_CONF.format(mode=mode) + extra)
+    return path, str(tmp_path / "out")
 
 
 class TestConfigParsing:
@@ -142,9 +140,9 @@ class TestConfigParsing:
 class TestTrainCommand:
     def test_end_to_end_bundle(self, tmp_path):
         path, out = write_conf(tmp_path, mode="full-longremix")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         doc = json.loads((tmp_path / "out" / "metrics.json").read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["summary"]["mode"] == "full-longremix"
         assert set(doc["summary"]) >= {"best_acc", "last10_acc", "best_epoch"}
         assert len(doc["stages"]) == 2
@@ -163,7 +161,7 @@ class TestTrainCommand:
 
     def test_golden_bundle_layout(self, tmp_path):
         path, out = write_conf(tmp_path, mode="full-longremix")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         header = (tmp_path / "out" / "epochs.csv").read_text().splitlines()[0]
         assert header == (
             "stage,epoch,phase,lr,test_acc,"
@@ -190,9 +188,8 @@ class TestTrainCommand:
         path.write_text(
             "dataset.kind = blobs\ndataset.n = 400\ndataset.test_n = 200\n"
             "dataset.classes = 4\ndataset.spread = 0.15\nnoise.kind = none\n"
-            "train.mode = baseline\ntrain.epochs = 8\ntrain.warmup = 4\ntrain.zeta = 3\n"
-            f"output.dir = {tmp_path / 'out'}\n")
-        assert cli.main(["train", "--config", str(path)]) == 0
+            "train.mode = baseline\ntrain.epochs = 8\ntrain.warmup = 4\ntrain.zeta = 3\n")
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         doc = json.loads((tmp_path / "out" / "metrics.json").read_text())
         assert doc["summary"]["best_acc"] >= 0.95
         assert doc["noise"]["kind"] == "none"
@@ -200,18 +197,30 @@ class TestTrainCommand:
 
     def test_epochs_csv_row_count(self, tmp_path):
         path, out = write_conf(tmp_path, mode="baseline")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         lines = (tmp_path / "out" / "epochs.csv").read_text().strip().splitlines()
         # warmup 2 + train 6 epochs, single stage, plus header
         assert len(lines) == 1 + 8
 
     def test_determinism_byte_identical(self, tmp_path):
-        path, _ = write_conf(tmp_path, mode="full-longremix")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        path, out = write_conf(tmp_path, mode="full-longremix")
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         a = (tmp_path / "out" / "metrics.json").read_bytes()
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         b = (tmp_path / "out" / "metrics.json").read_bytes()
         assert a == b
+
+    def test_bundle_bytes_do_not_depend_on_the_output_path(self, tmp_path):
+        path, _ = write_conf(tmp_path, mode="full-longremix",
+                             extra="report.gmm_dump = true\nreport.plan_digests = true\n"
+                                   "report.checkpoints = true\n")
+        short, long = tmp_path / "a", tmp_path / "much" / "longer" / "b"
+        for out in (short, long):
+            assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
+        files = _tree_bytes(short)
+        assert sorted(files) == ["bundle.json", "epochs.csv", "gmm.jsonl", "metrics.json",
+                                 "model1.ckpt", "model2.ckpt", "plans.csv", "prcurve.csv"]
+        assert _tree_bytes(long) == files
 
     def test_seed_override_changes_metrics(self, tmp_path):
         path, _ = write_conf(tmp_path)
@@ -226,17 +235,19 @@ class TestTrainCommand:
     def test_env_var_overrides_outdir(self, tmp_path, monkeypatch):
         path, _ = write_conf(tmp_path)
         envdir = tmp_path / "from_env"
+        monkeypatch.chdir(tmp_path)  # the default directory is relative
         monkeypatch.setenv(cli.OUTDIR_ENV, str(envdir))
         assert cli.main(["train", "--config", str(path)]) == 0
         assert (envdir / "metrics.json").exists()
+        assert not (tmp_path / cli.RUN_OUTDIR).exists()
 
     def test_unknown_key_exits_2(self, tmp_path):
-        path, _ = write_conf(tmp_path, extra="future.flag = on\n")
-        assert cli.main(["train", "--config", str(path)]) == 2
+        path, out = write_conf(tmp_path, extra="future.flag = on\n")
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 2
 
     def test_ce_with_gmm_dump_exits_2_before_training(self, tmp_path, capsys):
         path, out = write_conf(tmp_path, mode="ce", extra="report.gmm_dump = true\n")
-        assert cli.main(["train", "--config", str(path)]) == 2
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "report.gmm_dump" in err and "ce" in err
         assert not (tmp_path / "out").exists()
@@ -245,8 +256,8 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(tmp_path / "nope.conf")]) == 2
 
     def test_all_metrics_finite(self, tmp_path):
-        path, _ = write_conf(tmp_path, mode="longmix")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        path, out = write_conf(tmp_path, mode="longmix")
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         doc = json.loads((tmp_path / "out" / "metrics.json").read_text())
 
         def walk(node):
@@ -262,7 +273,7 @@ class TestTrainCommand:
 
     def test_config_echo_matches_effective(self, tmp_path):
         path, out = write_conf(tmp_path)
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         doc = json.loads((tmp_path / "out" / "metrics.json").read_text())
         mapping = config.parse_flat_config(path.read_text())
         exp = config.build_experiment(mapping)
@@ -379,17 +390,29 @@ class TestNoiseCommand:
 class TestReportCommand:
     def test_reemission_reproduces_csv(self, tmp_path):
         path, out = write_conf(tmp_path, mode="baseline")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         original = (tmp_path / "out" / "epochs.csv").read_text()
         assert cli.main(["report", "--metrics", str(tmp_path / "out" / "metrics.json"),
                          "--out", str(tmp_path / "re")]) == 0
         assert (tmp_path / "re" / "epochs.csv").read_text() == original
 
+    def test_older_document_is_written_as_read(self, tmp_path):
+        # a version 1 document, which also echoed output.dir, keeps both
+        path, out = write_conf(tmp_path, mode="baseline")
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
+        metrics = Path(out, "metrics.json")
+        doc = json.loads(metrics.read_text())
+        doc["schema_version"], doc["config"]["output.dir"] = 1, out
+        metrics.write_text(report.json_text(doc))
+        assert cli.main(["report", "--metrics", str(metrics), "--out", str(tmp_path / "re")]) == 0
+        assert (tmp_path / "re" / "metrics.json").read_bytes() == metrics.read_bytes()
+        assert json.loads((tmp_path / "re" / "bundle.json").read_text())["schema_version"] == 1
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # as Windows editors save UTF-8 text: a config and a metrics file
         path, out = write_conf(tmp_path, mode="baseline")
         path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         metrics = Path(out, "metrics.json")
         metrics.write_bytes(codecs.BOM_UTF8 + metrics.read_bytes())
         assert cli.main(["report", "--metrics", str(metrics), "--out", str(tmp_path / "re")]) == 0
@@ -404,7 +427,7 @@ class TestReportCommand:
         path, out = write_conf(tmp_path, extra="report.gmm_dump = true\n"
                                                 "report.plan_digests = true\n"
                                                 "report.checkpoints = true\n")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         return Path(out)
 
     def test_in_place_manifest_lists_every_file(self, tmp_path):
@@ -436,7 +459,7 @@ class TestReportCommand:
 class TestOptionalDumps:
     def test_gmm_jsonl_rows(self, tmp_path):
         path, out = write_conf(tmp_path, extra="report.gmm_dump = true\n")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         lines = (tmp_path / "out" / "gmm.jsonl").read_text().strip().splitlines()
         rows = [json.loads(ln) for ln in lines]
         assert len(rows) == 6 * 2  # one per selection epoch per model
@@ -446,7 +469,7 @@ class TestOptionalDumps:
 
     def test_plan_digests_csv(self, tmp_path):
         path, out = write_conf(tmp_path, extra="report.plan_digests = true\n")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         lines = (tmp_path / "out" / "plans.csv").read_text().strip().splitlines()
         assert lines[0] == "stage,epoch,model,digest"
         assert len(lines) == 1 + 6 * 2
@@ -455,7 +478,7 @@ class TestOptionalDumps:
 
     def test_checkpoints_reloadable(self, tmp_path):
         path, out = write_conf(tmp_path, extra="report.checkpoints = true\n")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         net = load_checkpoint(tmp_path / "out" / "model1.ckpt")
         assert net.tag == "model1"
         assert net.input_dim == 2
@@ -464,7 +487,7 @@ class TestOptionalDumps:
         # with a dump on, an empty report.formats still writes results
         path, out = write_conf(tmp_path, extra="report.formats =\nreport.gmm_dump = true\n"
                                                 "report.checkpoints = true\n")
-        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
         assert sorted(p.name for p in Path(out).iterdir()) == [
             "bundle.json", "gmm.jsonl", "model1.ckpt", "model2.ckpt"]
 
@@ -527,8 +550,8 @@ def test_csv_contract(tmp_path, capsys, monkeypatch, case, train_rows, test_rows
     conf = tmp_path / "exp.conf"
     conf.write_text("dataset.kind = csv\ndataset.path = train.csv\ndataset.test_path = test.csv\n"
                     f"train.mode = {mode}\ntrain.epochs = 4\ntrain.warmup = 2\n"
-                    "train.zeta = 2\noutput.dir = out\n")
-    assert cli.main(["train", "--config", str(conf)]) == code
+                    "train.zeta = 2\n")
+    assert cli.main(["train", "--config", str(conf), "--out", "out"]) == code
     err = capsys.readouterr().err
     if code:
         assert err.startswith("config error: ") and err.count("\n") == 1
@@ -538,7 +561,7 @@ def test_csv_contract(tmp_path, capsys, monkeypatch, case, train_rows, test_rows
     # the same rows in first-appearance order score the same
     got = json.loads((tmp_path / "out" / "metrics.json").read_text())["summary"]["best_acc"]
     _write_csv(tmp_path / "test.csv", sorted(test_rows, key=lambda r: r[1] != "cat"), width)
-    assert cli.main(["train", "--config", str(conf)]) == 0
+    assert cli.main(["train", "--config", str(conf), "--out", "out"]) == 0
     want = json.loads((tmp_path / "out" / "metrics.json").read_text())["summary"]["best_acc"]
     assert got == want == 1.0
 
@@ -575,7 +598,7 @@ VALUE_CASES = [
      "a class mapping needs asymmetric noise, got kind 'symmetric'"),
     ("baseline", "noise.kind = none", 2,
      "a noise rate needs symmetric or asymmetric noise, got kind 'none'"),
-    ("baseline", "output.dir =", 2, "output.dir must not be empty"),
+    ("baseline", "output.dir =", 2, "unknown config key: output.dir"),
     ("baseline", "report.formats =", 2,
      "report.formats is empty and no dump is on: the run would write no results"),
     ("baseline", "dataset.n = 3", 2, "dataset.n must be >= dataset.classes (4), got 3"),
@@ -601,7 +624,7 @@ def test_value_contract(tmp_path, capsys, mode, line, code, message):
     path, out = write_conf(tmp_path, mode=mode)
     kept = [ln for ln in path.read_text().splitlines() if not ln.startswith(line.split("=")[0])]
     path.write_text("\n".join(kept + [line]) + "\n")
-    assert cli.main(["train", "--config", str(path)]) == code
+    assert cli.main(["train", "--config", str(path), "--out", out]) == code
     assert capsys.readouterr().err == {2: "config error: ", 3: "error: "}[code] + message + "\n"
     assert not Path(out, "metrics.json").exists()
 
@@ -641,6 +664,10 @@ LEMMA = ["lemma", "--pcc", "0.8", "--pnn", "0.7", "--pc", "0.5"]
 COMMAND_CASES = [
     ("lemma-zetas-not-int", LEMMA + ["--zetas", "1,a"], "--zetas: expected an integer, got 'a'"),
     ("lemma-negative-trials", LEMMA + ["--trials", "-1"], "--trials must be >= 0, got -1"),
+    ("lemma-zetas-empty", LEMMA + ["--zetas", ""], "zeta range must be non-empty"),
+    # both survival masses underflow at zeta 8000: its row is computed, then zeta 0 fails
+    ("lemma-long-window-then-zero", LEMMA + ["--zetas", "8000,0", "--trials", "0"],
+     "window length must be a positive integer, got 0"),
     ("noise-spread-nan", ["noise", "--kind", "none", "--spread", "nan"],
      "--spread must be finite and positive, got nan"),
     ("noise-spread-inf", ["noise", "--kind", "none", "--spread", "inf"],
@@ -735,7 +762,7 @@ def test_readme_config_example_builds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     exp = config.build_experiment(config.parse_flat_config(block))
-    assert (exp.noise.kind, exp.noise.eta, exp.output.dir) == ("symmetric", 0.8, "runs/exp")
+    assert (exp.noise.kind, exp.noise.eta) == ("symmetric", 0.8)
 
 
 def test_python_dash_m_entry_point():
@@ -824,7 +851,7 @@ def test_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
 
     # an OS error while writing the bundle surfaces as a runtime failure, not a crash
     monkeypatch.setattr(report, "write_files", disk_full)
-    assert cli.main(["train", "--config", str(path)]) == 3
+    assert cli.main(["train", "--config", str(path), "--out", out]) == 3
     assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
 
 
@@ -861,12 +888,6 @@ def test_outdir_env_names_a_file(tmp_path, capsys, monkeypatch):
     assert cli.main(LEMMA + ["--trials", "0"]) == 2
     assert capsys.readouterr().err.count("\n") == 1
     assert blocked.read_text() == ""
-
-
-def test_build_experiment_ignores_outdir_env(monkeypatch):
-    monkeypatch.setenv(cli.OUTDIR_ENV, "elsewhere")
-    assert config.build_experiment({}).output.dir == "runs/experiment"
-    assert config.build_experiment({"output.dir": "runs/x"}).output.dir == "runs/x"
 
 
 def test_fmt_sig_six_significant_digits():
@@ -921,9 +942,9 @@ class TestPairTransports:
     def test_same_bytes_and_failure_lines(self, tmp_path, monkeypatch, capsys, command, mode,
                                           setting):
         dumps = self.DUMPS + ("" if mode == "ce" else "report.gmm_dump = true\n") + setting
-        path, _ = write_conf(tmp_path, mode=mode, extra=dumps)
+        path, out = write_conf(tmp_path, mode=mode, extra=dumps)
         workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
-                                            [command, "--config", str(path)])
+                                            [command, "--config", str(path), "--out", out])
         assert workers[0] == 0 and workers[2]
         assert workers == in_process
         if setting:
@@ -935,9 +956,9 @@ class TestPairTransports:
             (line + "\n", f"error: {message}\n") for case_mode, line, code, message in VALUE_CASES
             if code == 3 and case_mode == mode and command == "train"]
         for extra, line in failures:
-            path, _ = write_conf(tmp_path, mode=mode, extra=dumps + extra)
+            path, out = write_conf(tmp_path, mode=mode, extra=dumps + extra)
             workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
-                                                [command, "--config", str(path)])
+                                                [command, "--config", str(path), "--out", out])
             assert workers[0] == 3 and workers[1].startswith(line)
             assert workers == in_process
 
@@ -959,9 +980,9 @@ class TestPairTransports:
 
         monkeypatch.setattr(trainer._Member, "train", nan_in_model2)
         monkeypatch.setattr(trainer._Member, "fit", overflow_in_model1)
-        path, _ = write_conf(tmp_path)
+        path, out = write_conf(tmp_path)
         workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
-                                            ["train", "--config", str(path)])
+                                            ["train", "--config", str(path), "--out", out])
         assert workers[0] == 3
         assert workers[1] == "error: non-finite parameters in model2 after baseline train epoch 2\n"
         assert workers == in_process
@@ -1001,14 +1022,14 @@ class TestPairTransports:
 
         monkeypatch.setattr(trainer, "_use_workers", lambda: True)
         monkeypatch.setattr(trainer._Member, "train", exit_in_model2)
-        assert cli.main(["train", "--config", str(path)]) == 3
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 3
         assert capsys.readouterr().err == "error: the model2 worker exited without replying\n"
         assert not multiprocessing.active_children()
         assert not Path(out).exists()
 
     def test_failed_start_runs_in_process(self, tmp_path, capsys, monkeypatch):
         # the stage's worker cannot start: the whole stage runs in this process
-        path, _ = write_conf(tmp_path, mode="ce")
+        path, out = write_conf(tmp_path, mode="ce")
         started = []
 
         def fails(proc):
@@ -1017,7 +1038,7 @@ class TestPairTransports:
 
         monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fails)
         workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
-                                            ["train", "--config", str(path)])
+                                            ["train", "--config", str(path), "--out", out])
         assert len(started) == 1
         assert workers[0] == 0 and workers == in_process
 
@@ -1057,7 +1078,7 @@ def test_pair_in_a_pool_worker_runs_in_process(tmp_path):
     path.write_text(path.read_text().replace("dataset.n = 300", "dataset.n = 200"))
     pool = multiprocessing.get_context("fork").Pool(1)
     try:
-        assert pool.apply(cli.main, (["train", "--config", str(path)],)) == 0
+        assert pool.apply(cli.main, (["train", "--config", str(path), "--out", out],)) == 0
     finally:
         pool.close()
         pool.join()

@@ -24,6 +24,12 @@ class TestClosedForm:
             assert p == pytest.approx(1.0, abs=1e-9)
             assert r == pytest.approx(1.0, abs=1e-9)
 
+    def test_long_window_where_both_masses_underflow(self):
+        # 0.9^8000 and 0.2^8000 are both below the smallest double
+        assert closed_form_pr(SelectionParams(0.9, 0.8, 0.5, zeta=8000)) == (1.0, 0.0)
+        # noisy samples outlast clean ones: the windowed set is all noise
+        assert closed_form_pr(SelectionParams(0.1, 0.1, 0.5, zeta=8000)) == (0.0, 0.0)
+
     def test_recall_identity(self):
         # the recall expression algebraically reduces to p_cc^zeta
         rng = np.random.default_rng(0)
