@@ -39,8 +39,11 @@ def _non_negative(flag, value):
 
 def _output_dir(out, default) -> str:
     """Where a command writes: ``--out``, else ``LONGREMIX_OUTDIR``, else
-    the command's own ``default``. A path whose nearest existing ancestor,
+    the command's own ``default``. An empty ``--out`` is rejected, an empty
+    ``LONGREMIX_OUTDIR`` is unset, and a path whose nearest existing ancestor,
     the path itself included, is not a directory is rejected before any work."""
+    if out == "":
+        raise ConfigError("--out must not be empty")
     outdir = out or os.environ.get(OUTDIR_ENV) or default
     nearest = outdir
     while nearest and not os.path.lexists(nearest):

@@ -319,6 +319,10 @@ class TestLemmaCommand:
                          "--out", str(tmp_path)]) == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 class TestNoiseCommand:
     def test_defaults_are_the_spec_fields(self, tmp_path):
         args = cli.build_parser().parse_args(["noise", "--kind", "none"])
@@ -333,15 +337,20 @@ class TestNoiseCommand:
         assert (tmp_path / "dataset.csv").read_bytes() == data.dataset_csv_text(ds).encode()
 
     def test_sidecar_matches_csv(self, tmp_path):
-        assert cli.main(["noise", "--kind", "symmetric", "--eta", "0.5", "--seed", "3",
-                         "--n", "100", "--classes", "4", "--out", str(tmp_path)]) == 0
-        side = json.loads((tmp_path / "dataset.noise.json").read_text())
-        assert side["kind"] == "symmetric"
-        assert side["eta"] == 0.5
-        assert side["seed"] == 3
-        assert 0 < side["flipped_count"] < 100
-        lines = (tmp_path / "dataset.csv").read_text().strip().splitlines()
-        assert len(lines) == 101
+        for kind, eta, flags, mapping in [
+                ("symmetric", 0.5, [], None),
+                ("asymmetric", 0.4, ["--mapping", "0:1,2:3"], {"0": 1, "2": 3})]:
+            out = tmp_path / kind
+            assert cli.main(["noise", "--kind", kind, "--eta", str(eta), "--seed", "3", *flags,
+                             "--n", "100", "--classes", "4", "--out", str(out)]) == 0
+            # strict JSON: a NaN or an Infinity fails the parse
+            side = json.loads((out / "dataset.noise.json").read_text(),
+                              parse_constant=_reject_constant)
+            assert side == {"kind": kind, "eta": eta, "mapping": mapping, "seed": 3,
+                            "flipped_count": side["flipped_count"]}
+            assert 0 < side["flipped_count"] < 100
+            lines = (out / "dataset.csv").read_text().strip().splitlines()
+            assert len(lines) == 101
 
     def test_dataset_csv_bytes_are_the_rendered_text(self, tmp_path):
         assert cli.main(["noise", "--kind", "symmetric", "--eta", "0.3", "--n", "40",
@@ -598,7 +607,7 @@ VALUE_CASES = [
      "a class mapping needs asymmetric noise, got kind 'symmetric'"),
     ("baseline", "noise.kind = none", 2,
      "a noise rate needs symmetric or asymmetric noise, got kind 'none'"),
-    ("baseline", "output.dir =", 2, "unknown config key: output.dir"),
+    ("baseline", "output.dir = x", 2, "unknown config key: output.dir"),
     ("baseline", "report.formats =", 2,
      "report.formats is empty and no dump is on: the run would write no results"),
     ("baseline", "dataset.n = 3", 2, "dataset.n must be >= dataset.classes (4), got 3"),
@@ -620,13 +629,15 @@ VALUE_CASES = [
 
 @pytest.mark.parametrize("mode,line,code,message", VALUE_CASES,
                          ids=[f"{mode}: {line}" for mode, line, _, _ in VALUE_CASES])
-def test_value_contract(tmp_path, capsys, mode, line, code, message):
+def test_value_contract(tmp_path, capsys, monkeypatch, mode, line, code, message):
+    monkeypatch.chdir(tmp_path)  # a relative path, such as output.dir's x, lands here
     path, out = write_conf(tmp_path, mode=mode)
     kept = [ln for ln in path.read_text().splitlines() if not ln.startswith(line.split("=")[0])]
     path.write_text("\n".join(kept + [line]) + "\n")
     assert cli.main(["train", "--config", str(path), "--out", out]) == code
     assert capsys.readouterr().err == {2: "config error: ", 3: "error: "}[code] + message + "\n"
-    assert not Path(out, "metrics.json").exists()
+    # a failed run writes nothing: no output directory, and no file in the working directory
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def _metrics_doc(lr):
@@ -742,6 +753,17 @@ COMMAND_CASES = [
     # the flags are checked before the file is read
     ("noise-csv-with-data-seed", ["noise", "--kind", "none", "--csv", "{tmp}/missing.csv",
                                   "--data-seed", "1"], "--data-seed does not apply to --csv"),
+    # an explicit empty --out names no directory; it does not fall back to the default
+    ("lemma-out-empty", LEMMA + ["--trials", "0", "--zetas", "1", "--out", ""],
+     "--out must not be empty"),
+    ("train-out-empty", ["train", "--config", "{tmp}/empty.conf", "--out", ""],
+     "--out must not be empty"),
+    ("prcurve-out-empty", ["prcurve", "--config", "{tmp}/empty.conf", "--out", ""],
+     "--out must not be empty"),
+    ("noise-out-empty", ["noise", "--kind", "none", "--n", "8", "--classes", "2", "--out", ""],
+     "--out must not be empty"),
+    ("report-out-empty", ["report", "--metrics", "{tmp}/text-lr.json", "--out", ""],
+     "--out must not be empty"),
 ]
 
 
@@ -751,11 +773,14 @@ def test_command_contract(tmp_path, capsys, monkeypatch, case, args, message):
     for name, content in INPUT_FILES.items():
         (tmp_path / name).write_bytes(content)
     args = [a.format(tmp=tmp_path) for a in args]
-    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: " + message.format(tmp=tmp_path))
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not (tmp_path / "out").exists()
+    # no output directory, and no file in the working directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(INPUT_FILES)
 
 
 def test_readme_config_example_builds():

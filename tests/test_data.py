@@ -215,4 +215,4 @@ def test_noise_sidecar_fields():
     side = data.noise_sidecar(spec, flipped_count=123)
     assert side == {"kind": "asymmetric", "eta": 0.4, "mapping": {"0": 1},
                     "seed": 7, "flipped_count": 123}
-    json.dumps(side)  # must serialize cleanly
+    json.dumps(side, allow_nan=False)  # must serialize as strict JSON
