@@ -65,6 +65,8 @@ class ReportSpec:
         for f in self.formats:
             if f not in ("json", "csv"):
                 raise ConfigError(f"unknown report format: {f!r}")
+        if not self.tau_grid:
+            raise ConfigError("report.tau_grid must list at least one threshold")
         for tau in self.tau_grid:
             if not 0.0 <= tau <= 1.0:
                 raise ConfigError(f"tau_grid values must be in [0, 1], got {tau}")
@@ -141,7 +143,12 @@ def _to_mapping(key, value):
 
 def _to_tuple(item):
     def parse(key, value):
-        return tuple(item(key, v.strip()) for v in value.split(",") if v.strip())
+        if not value.strip():
+            return ()
+        items = [v.strip() for v in value.split(",")]
+        if "" in items:
+            raise ConfigError(f"{key}: blank item in {value!r}")
+        return tuple(item(key, v) for v in items)
     return parse
 
 

@@ -90,28 +90,22 @@ def monte_carlo_pr(params: SelectionParams, n_trials, seed) -> PrEstimate:
 
 
 def sweep_zeta(p_cc, p_nn, p_c, zetas, mc_trials=0, seed=0):
-    """Closed-form rows per window length, with monotonicity verdicts and
-    optional Monte-Carlo columns.
+    """Closed-form rows per window length, with optional Monte-Carlo columns.
 
-    Returns a list of dicts with keys: zeta, precision_cf, recall_cf,
-    precision_increasing, recall_decreasing, and when ``mc_trials`` > 0 also
-    precision_mc, recall_mc, se_p, se_r.
+    Returns a list of dicts with keys: zeta, precision_cf, recall_cf, and
+    when ``mc_trials`` > 0 also precision_mc, recall_mc, se_p, se_r.
     """
     zetas = list(zetas)
     if not zetas:
         raise ConfigError("zeta range must be non-empty")
     rows = []
-    prev = None
     for k, zeta in enumerate(zetas):
         params = SelectionParams(p_cc=p_cc, p_nn=p_nn, p_c=p_c, zeta=int(zeta))
         precision, recall = closed_form_pr(params)
-        row = {"zeta": int(zeta), "precision_cf": precision, "recall_cf": recall,
-               "precision_increasing": None if prev is None else precision > prev[0],
-               "recall_decreasing": None if prev is None else recall < prev[1]}
+        row = {"zeta": int(zeta), "precision_cf": precision, "recall_cf": recall}
         if mc_trials > 0:
             est = monte_carlo_pr(params, mc_trials, seed=(seed, k))
             row.update(precision_mc=est.precision, recall_mc=est.recall,
                        se_p=est.se_precision, se_r=est.se_recall)
         rows.append(row)
-        prev = (precision, recall)
     return rows

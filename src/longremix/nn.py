@@ -72,9 +72,10 @@ class Network:
 
 @dataclass(frozen=True)
 class TotalLoss:
-    """Composite loss: mean CE on the labelled half, weighted mean squared
-    error on the unlabelled half, plus a uniform-prior KL penalty on the
-    mean prediction of both halves."""
+    """The one training loss: mean CE on the labelled half, weighted mean
+    squared error on the unlabelled half, plus a uniform-prior KL penalty on
+    the mean prediction of both halves. Plain cross-entropy is
+    ``TotalLoss(0, 0)`` over an empty unlabelled half."""
 
     lambda_u: float
     lambda_reg: float
@@ -154,31 +155,21 @@ def _backprop(net: Network, acts, dz) -> np.ndarray:
     return net.grads
 
 
-def backward(net: Network, batch, loss) -> np.ndarray:
-    """Gradients of the mean batch loss for every parameter from 2-D float
-    features and targets, in ``net.grads``: the net's own buffer, returned
-    and valid until the next ``backward`` on that net."""
-    if isinstance(loss, TotalLoss):
-        return _backward_total(net, batch, loss)
-    feats, targets = batch
-    acts = _forward_cached(net, feats)
-    p = acts[-1]
-    if loss == "cross_entropy":
-        dz = _mean_ce_grad(p, targets)  # in place: _backprop reads no class probabilities
-    elif loss == "squared_error":
-        dz = _softmax_vjp(p, 2.0 * (p - targets) / len(feats))
-    else:
-        raise ValueError(f"unknown loss spec: {loss!r}")
-    return _backprop(net, acts, dz)
-
-
-def _backward_total(net: Network, batch, loss: TotalLoss) -> np.ndarray:
+def backward(net: Network, batch, loss: TotalLoss) -> np.ndarray:
+    """Gradients of the mean ``loss`` over ``batch``, a ``((X features, X
+    targets), (U features, U targets))`` pair of 2-D float arrays whose U
+    half may be empty, for every parameter, in ``net.grads``: the net's own
+    buffer, returned and valid until the next ``backward`` on that net."""
     (xf, xt), (uf, ut) = batch
     n_x, n_u = len(xf), len(uf)
     if n_x == 0:
-        raise ValueError("composite loss needs a non-empty labelled batch")
+        raise ValueError("the loss needs a non-empty labelled batch")
     acts = _forward_cached(net, np.vstack([xf, uf]) if n_u else xf)
     p = acts[-1]
+    if not n_u and loss.lambda_reg == 0.0:
+        # cross-entropy alone, whose other terms would all be zero; in place,
+        # as below: _backprop reads no class probabilities
+        return _backprop(net, acts, _mean_ce_grad(p, xt))
 
     # dL/dp: weighted mean squared error on the unlabelled rows ...
     g = np.zeros_like(p)

@@ -2,7 +2,9 @@
 two-stage schedule (confidence-window selection, then guided retraining
 from scratch with the captured core set pinned into the labelled set).
 
-Mode ``ce`` is plain cross-entropy on the observed labels. Every mode is
+Every training pass minimises ``nn.TotalLoss`` over an (X, U) batch pair;
+a warmup or ``ce`` pass is its cross-entropy case, ``TotalLoss(0, 0)``
+over the observed labels with an empty U half. Every mode is
 the sequence of stages that ``MODE_STAGES`` lists for it: ``run_stage``
 runs one stage and ``run_training`` runs a mode's stages in order.
 
@@ -181,18 +183,6 @@ def _require_finite(net, stage_tag, phase, epoch):
                          f"{phase} epoch {epoch}")
 
 
-def _supervised_pass(net, opt, ds: NoisyDataset, cfg: TrainConfig, m, stage_no, pass_no):
-    """Cross-entropy pass of model ``m`` over all observed labels, shuffled by
-    the model's seed and the stage-wide pass number (warmup epochs first,
-    then selection epochs); each batch is a row slice of one gather per pass."""
-    rng = derive_rng((cfg.model1_seed, cfg.model2_seed)[m], WARMUP_SHUFFLE, stage_no, pass_no)
-    order = rng.permutation(ds.n)
-    feats, targets = ds.features[order], one_hot(ds.labels[order], ds.num_classes)
-    for start in range(0, ds.n, cfg.batch_size):
-        batch = (feats[start:start + cfg.batch_size], targets[start:start + cfg.batch_size])
-        nn.sgd_step(net, nn.backward(net, batch, "cross_entropy"), opt)
-
-
 class _Member:
     """Net ``m`` of a stage's ``pair`` and its optimiser. A step runs this
     net's half of an epoch, writing row ``m`` of the pair's ``train_out`` and
@@ -215,16 +205,33 @@ class _Member:
         except Exception as exc:  # raised by the main process, in run order
             return exc
 
-    def supervised(self, phase, epoch, lr):
-        """A cross-entropy pass (a warmup or ``ce`` epoch), then the test-set
-        outputs; the epochs after warmup start from fresh momentum."""
+    def _pass(self, lr, loss, halves):
+        """One pass at ``lr`` over ``halves``, the ``((X features, X targets),
+        (U features, U targets))`` of the epoch, in batches of row slices of
+        both, then the test-set outputs."""
         self.opt.lr = lr
-        _supervised_pass(self.net, self.opt, self.ds, self.cfg, self.m, self.stage_no,
-                         epoch if phase == "warmup" else self.cfg.warmup + epoch)
-        if phase == "warmup" and epoch == self.cfg.warmup:
-            self.opt = nn.init_optimizer(self.net, lr, self.cfg.momentum, self.cfg.weight_decay)
+        (feats, _), _ = halves
+        for start in range(0, len(feats), self.cfg.batch_size):
+            stop = start + self.cfg.batch_size
+            batch = tuple((f[start:stop], t[start:stop]) for f, t in halves)
+            nn.sgd_step(self.net, nn.backward(self.net, batch, loss), self.opt)
         self.test_probs = nn.forward(self.net, self.test.features)
         self.test_out[:] = self.test_probs
+
+    def supervised(self, phase, epoch, lr):
+        """A cross-entropy pass (a warmup or ``ce`` epoch) over all observed
+        labels, shuffled by the model's seed and the stage-wide pass number
+        (warmup epochs first, then selection epochs), with an empty U half;
+        the epochs after warmup start from fresh momentum."""
+        ds, cfg = self.ds, self.cfg
+        pass_no = epoch if phase == "warmup" else cfg.warmup + epoch
+        order = derive_rng((cfg.model1_seed, cfg.model2_seed)[self.m], WARMUP_SHUFFLE,
+                           self.stage_no, pass_no).permutation(ds.n)
+        feats, targets = ds.features[order], one_hot(ds.labels[order], ds.num_classes)
+        self._pass(lr, nn.TotalLoss(lambda_u=0.0, lambda_reg=0.0),
+                   ((feats, targets), (feats[:0], targets[:0])))
+        if phase == "warmup" and epoch == cfg.warmup:
+            self.opt = nn.init_optimizer(self.net, lr, cfg.momentum, cfg.weight_decay)
 
     def fit(self, epoch):
         """Fit half: the outputs at the start of ``epoch`` (checked finite),
@@ -246,26 +253,19 @@ class _Member:
         """Train half: a pass over the plan built from the other net's
         ``split`` (supervised, without a digest, if X is empty), the test-set
         outputs, then the next epoch's fit (None after the last)."""
-        net, ds, cfg, m = self.net, self.ds, self.cfg, self.m
+        ds, cfg, m = self.ds, self.cfg, self.m
         if split.x_size == 0:
             self.supervised("train", epoch, lr)
             counts = ds.n, 0, None
         else:
-            self.opt.lr = lr
             plan = build_epoch_plan(split.labeled_idx, split.unlabeled_idx, ds.n,
                                     seed=(cfg.plan_seed, PLAN_DRAW, self.stage_no, epoch, m),
                                     longmix=self.longmix_plans)
             targets = target_table(split, ds.labels, self.guessed)
             lam_rng = derive_rng(cfg.plan_seed, MIX_LAMBDA, self.stage_no, epoch, m)
-            mixed = mix_plan(plan, ds.features, targets, cfg.alpha, lam_rng)
-            spec = nn.TotalLoss(lambda_u=cfg.lambda_u, lambda_reg=cfg.lambda_reg)
-            for start in range(0, plan.x_ops, cfg.batch_size):
-                stop = start + cfg.batch_size
-                batch = tuple((f[start:stop], t[start:stop]) for f, t in mixed)
-                nn.sgd_step(net, nn.backward(net, batch, spec), self.opt)
+            self._pass(lr, nn.TotalLoss(lambda_u=cfg.lambda_u, lambda_reg=cfg.lambda_reg),
+                       mix_plan(plan, ds.features, targets, cfg.alpha, lam_rng))
             counts = plan.x_ops, plan.u_ops, plan_digest(plan)
-            self.test_probs = nn.forward(net, self.test.features)
-            self.test_out[:] = self.test_probs
         return (*counts, self.fit(epoch + 1) if epoch < cfg.epochs else None)
 
 

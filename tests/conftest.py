@@ -48,29 +48,20 @@ def uniform_kl(mean_pred):
 def batch_loss(net, batch, loss) -> float:
     """Scalar mean loss over a batch: the value nn.backward() differentiates.
 
-    ``loss`` is "cross_entropy", "squared_error", or an ``nn.TotalLoss``.
-    Simple losses take ``batch = (features, targets)``; the composite takes
-    ``((x_feat, x_tgt), (u_feat, u_tgt))`` where the unlabelled pair may be
+    ``loss`` is an ``nn.TotalLoss`` and ``batch`` is
+    ``((x_feat, x_tgt), (u_feat, u_tgt))``, where the unlabelled pair may be
     empty.
     """
-    if isinstance(loss, nn.TotalLoss):
-        (xf, xt), (uf, ut) = batch
-        px = nn.forward(net, xf)
-        value = float(np.mean(cross_entropy(px, xt)))
-        preds = px
-        if len(uf):
-            pu = nn.forward(net, uf)
-            value += loss.lambda_u * float(np.mean(squared_error(pu, ut)))
-            preds = np.vstack([px, pu])
-        value += loss.lambda_reg * uniform_kl(preds.mean(axis=0))
-        return value
-    feats, targets = batch
-    p = nn.forward(net, feats)
-    if loss == "cross_entropy":
-        return float(np.mean(cross_entropy(p, targets)))
-    if loss == "squared_error":
-        return float(np.mean(squared_error(p, targets)))
-    raise ValueError(f"unknown loss spec: {loss!r}")
+    (xf, xt), (uf, ut) = batch
+    px = nn.forward(net, xf)
+    value = float(np.mean(cross_entropy(px, xt)))
+    preds = px
+    if len(uf):
+        pu = nn.forward(net, uf)
+        value += loss.lambda_u * float(np.mean(squared_error(pu, ut)))
+        preds = np.vstack([px, pu])
+    value += loss.lambda_reg * uniform_kl(preds.mean(axis=0))
+    return value
 
 
 # -- checkpoint reader -----------------------------------------------------------

@@ -43,8 +43,8 @@ def test_criterion_1_lemma_monte_carlo_grid():
     mono_ok = True
     for pcc, pnn, pc in itertools.product(grid_p, grid_p, grid_pc):
         rows = lemma.sweep_zeta(pcc, pnn, pc, range(1, 11))
-        mono_ok &= all(r["precision_increasing"] for r in rows[1:])
-        mono_ok &= all(r["recall_decreasing"] for r in rows[1:])
+        mono_ok &= all(b["precision_cf"] > a["precision_cf"] for a, b in zip(rows, rows[1:]))
+        mono_ok &= all(b["recall_cf"] < a["recall_cf"] for a, b in zip(rows, rows[1:]))
     elapsed = time.time() - t0
     ok = worst <= 4.0 and mono_ok and elapsed < 120
     _report("criterion-1 lemma-validation", ok, elapsed,
@@ -60,20 +60,16 @@ def test_criterion_2_gradient_finite_differences():
     worst = 0.0
     for trial in range(100):
         net = random_net(rng)
-        kind = ("cross_entropy", "squared_error", "total")[trial % 3]
-        if kind == "total":
-            xf = rng.normal(size=(3, net.input_dim))
-            xt = random_soft_labels(rng, 3, net.layer_sizes[-1])
-            uf = rng.normal(size=(4, net.input_dim))
-            ut = random_soft_labels(rng, 4, net.layer_sizes[-1])
-            batch = ((xf, xt), (uf, ut))
-            spec = nn.TotalLoss(lambda_u=float(rng.uniform(0.5, 25.0)),
-                                lambda_reg=float(rng.uniform(0.0, 1.5)))
-        else:
-            x = rng.normal(size=(5, net.input_dim))
-            y = random_soft_labels(rng, 5, net.layer_sizes[-1])
-            batch = (x, y)
-            spec = kind
+        # cross-entropy alone; with the squared error on a U half; every term
+        kind = trial % 3
+        n_x, n_u = (5, 0) if kind == 0 else (3, 4)
+        xf = rng.normal(size=(n_x, net.input_dim))
+        xt = random_soft_labels(rng, n_x, net.layer_sizes[-1])
+        uf = rng.normal(size=(n_u, net.input_dim))
+        ut = random_soft_labels(rng, n_u, net.layer_sizes[-1])
+        batch = ((xf, xt), (uf, ut))
+        spec = nn.TotalLoss(lambda_u=0.0 if kind == 0 else float(rng.uniform(0.5, 25.0)),
+                            lambda_reg=float(rng.uniform(0.0, 1.5)) if kind == 2 else 0.0)
         got = flatten_grads(nn.backward(net, batch, spec))
         want = fd_gradient(net, batch, spec, h=1e-5)
         worst = max(worst, max_rel_err(got, want))

@@ -595,6 +595,8 @@ VALUE_CASES = [
     ("baseline", "train.momentum = 1", 2, "momentum must be in [0, 1), got 1.0"),
     ("baseline", "report.tau_grid = 0.5,1.5", 2, "tau_grid values must be in [0, 1], got 1.5"),
     ("baseline", "report.tau_grid = -0.1,0.5", 2, "tau_grid values must be in [0, 1], got -0.1"),
+    ("baseline", "report.tau_grid =", 2, "report.tau_grid must list at least one threshold"),
+    ("baseline", "train.hidden = 64,,64", 2, "train.hidden: blank item in '64,,64'"),
     ("baseline", "train.lr = 1e3", 3, "non-finite parameters in model1 after baseline warmup epoch 2"),
     ("baseline", "train.lr = 30", 3, "non-finite parameters in model2 after baseline train epoch 6"),
     ("longmix", "train.lr = 20", 3,
@@ -676,6 +678,7 @@ COMMAND_CASES = [
     ("lemma-zetas-not-int", LEMMA + ["--zetas", "1,a"], "--zetas: expected an integer, got 'a'"),
     ("lemma-negative-trials", LEMMA + ["--trials", "-1"], "--trials must be >= 0, got -1"),
     ("lemma-zetas-empty", LEMMA + ["--zetas", ""], "zeta range must be non-empty"),
+    ("lemma-zetas-blank-item", LEMMA + ["--zetas", "1,,3"], "--zetas: blank item in '1,,3'"),
     # both survival masses underflow at zeta 8000: its row is computed, then zeta 0 fails
     ("lemma-long-window-then-zero", LEMMA + ["--zetas", "8000,0", "--trials", "0"],
      "window length must be a positive integer, got 0"),

@@ -85,8 +85,8 @@ class TestMonteCarlo:
 class TestSweep:
     def test_monotone_verdicts_in_lemma_regime(self):
         rows = sweep_zeta(0.8, 0.7, 0.5, range(1, 11))
-        assert all(r["precision_increasing"] for r in rows[1:])
-        assert all(r["recall_decreasing"] for r in rows[1:])
+        assert all(b["precision_cf"] > a["precision_cf"] for a, b in zip(rows, rows[1:]))
+        assert all(b["recall_cf"] < a["recall_cf"] for a, b in zip(rows, rows[1:]))
 
     def test_precision_saturates(self):
         rows = sweep_zeta(0.8, 0.7, 0.5, [200])
@@ -97,7 +97,7 @@ class TestSweep:
         p, r = closed_form_pr(SelectionParams(0.8, 0.7, 0.5, zeta=1))
         assert rows[0]["precision_cf"] == p
         assert rows[0]["recall_cf"] == r
-        assert rows[0]["precision_increasing"] is None
+        assert set(rows[0]) == {"zeta", "precision_cf", "recall_cf"}
 
     def test_mc_columns_when_requested(self):
         rows = sweep_zeta(0.8, 0.7, 0.5, [1, 3], mc_trials=20_000, seed=5)

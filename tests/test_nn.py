@@ -16,6 +16,14 @@ def one_hot(idx, c):
     return y
 
 
+CROSS_ENTROPY = nn.TotalLoss(lambda_u=0.0, lambda_reg=0.0)
+
+
+def labelled(x, y):
+    """A batch of ``x`` and its targets ``y`` with an empty U half."""
+    return (x, y), (x[:0], y[:0])
+
+
 class TestForward:
     def test_zero_weight_net_is_uniform(self):
         net = nn.Network([np.zeros((3, 4))], [np.zeros(4)])
@@ -95,20 +103,23 @@ class TestLosses:
 
 class TestBackward:
     def test_zero_gradient_at_exact_fit(self):
-        # squared error is minimized when the output equals the target
+        # every term is minimized when the outputs equal the targets and
+        # their mean is uniform
         net = nn.Network([np.zeros((2, 3))], [np.zeros(3)])
         x = np.array([[0.5, -0.5], [1.0, 2.0]])
         y = np.full((2, 3), 1.0 / 3.0)
-        grads = nn.backward(net, (x, y), "squared_error")
+        spec = nn.TotalLoss(lambda_u=25.0, lambda_reg=1.0)
+        grads = nn.backward(net, ((x, y), (x[::-1], y)), spec)
         np.testing.assert_allclose(grads, 0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("loss", ["cross_entropy", "squared_error"])
-    def test_matches_finite_differences(self, loss, rng):
+    @pytest.mark.parametrize("case", ["cross_entropy"])
+    def test_matches_finite_differences(self, case, rng):
+        loss, _ = LOSS_CASES[case]
         for _ in range(10):
             net = random_net(rng)
             x = rng.normal(size=(5, net.input_dim))
             y = random_soft_labels(rng, 5, net.layer_sizes[-1])
-            batch = (x, y)
+            batch = labelled(x, y)
             got = flatten_grads(nn.backward(net, batch, loss))
             want = fd_gradient(net, batch, loss)
             assert max_rel_err(got, want) < 1e-5
@@ -137,18 +148,16 @@ class TestBackward:
         assert max_rel_err(got, want) < 1e-5
 
     def test_duplicated_batch_same_gradient(self, rng):
+        # the loss is a mean over each half: both halves twice give the same gradient
         net = random_net(rng)
         x = rng.normal(size=(3, net.input_dim))
         y = random_soft_labels(rng, 3, net.layer_sizes[-1])
-        g1 = flatten_grads(nn.backward(net, (x, y), "cross_entropy"))
-        g2 = flatten_grads(nn.backward(net, (np.vstack([x, x]), np.vstack([y, y])), "cross_entropy"))
-        np.testing.assert_allclose(g1, g2, atol=1e-12)
-
-    def test_unknown_loss_rejected(self, rng):
-        net = random_net(rng)
-        with pytest.raises(ValueError, match="loss"):
-            nn.backward(net, (np.zeros((1, net.input_dim)), np.zeros((1, net.layer_sizes[-1]))),
-                        "huber")
+        for loss, n_u in [(CROSS_ENTROPY, 0), (nn.TotalLoss(lambda_u=10.0, lambda_reg=1.0), 2)]:
+            halves = ((x, y), (x[:n_u] + 1.0, y[::-1][:n_u]))
+            twice = tuple((np.vstack([f, f]), np.vstack([t, t])) for f, t in halves)
+            g1 = flatten_grads(nn.backward(net, halves, loss))
+            g2 = flatten_grads(nn.backward(net, twice, loss))
+            np.testing.assert_allclose(g1, g2, atol=1e-12)
 
 
 class TestSgdStep:
@@ -269,7 +278,7 @@ class TestParameterBuffer:
         y = random_soft_labels(rng, 6, net.layer_sizes[-1])
         spec = nn.TotalLoss(lambda_u=10.0, lambda_reg=1.0)
         assert nn.backward(net, ((x, y), (x[:2], y[:2])), spec) is net.grads
-        grads = nn.backward(net, (x, y), "cross_entropy")
+        grads = nn.backward(net, labelled(x, y), CROSS_ENTROPY)
         assert grads is net.grads
         assert all(np.shares_memory(g, grads) for g in net.d_weights + net.d_biases)
         assert not np.shares_memory(grads, net.params)
@@ -277,7 +286,7 @@ class TestParameterBuffer:
         nn.sgd_step(net, grads, nn.init_optimizer(net, lr=0.1, momentum=0.8, weight_decay=5e-4))
         assert grads.tobytes() == kept
         for peer in (twin, other):
-            peer_grads = nn.backward(peer, (x[1:], y[1:]), "cross_entropy")
+            peer_grads = nn.backward(peer, labelled(x[1:], y[1:]), CROSS_ENTROPY)
             assert peer_grads is peer.grads and peer_grads.tobytes() != kept
             assert not np.shares_memory(peer_grads, grads)
         assert grads.tobytes() == kept
@@ -288,8 +297,8 @@ class TestParameterBuffer:
         x = rng.normal(size=(5, net.input_dim))
         y = random_soft_labels(rng, 5, net.layer_sizes[-1])
         net.grads[:] = np.nan
-        got = nn.backward(net, (x, y), "cross_entropy")
-        assert got.tobytes() == nn.backward(twin, (x, y), "cross_entropy").tobytes()
+        got = nn.backward(net, labelled(x, y), CROSS_ENTROPY)
+        assert got.tobytes() == nn.backward(twin, labelled(x, y), CROSS_ENTROPY).tobytes()
 
     def test_nan_in_last_bias_is_caught(self):
         net = nn.init_network([3, 5, 2], seed=(1,))
@@ -321,29 +330,21 @@ def reference_step(weights, biases, velocity, batch, loss, lr, momentum, weight_
     def softmax_vjp(p, g):
         return p * (g - (g * p).sum(axis=1, keepdims=True))
 
-    if isinstance(loss, nn.TotalLoss):
-        (xf, xt), (uf, ut) = batch
-        n_x, n_u = len(xf), len(uf)
-        acts, pres, p = forward(np.vstack([xf, uf]) if n_u else xf)
-        px, pu = p[:n_x], p[n_x:]
-        dz = np.empty_like(p)
-        dz[:n_x] = (px * xt.sum(axis=1, keepdims=True) - xt) / n_x
-        g = np.zeros_like(p)
-        if n_u:
-            g[n_x:] = (2.0 * loss.lambda_u / n_u) * (pu - ut)
-            dz[n_x:] = 0.0
-        if loss.lambda_reg != 0.0:
-            m = p.mean(axis=0)
-            g += np.where(m > nn.LOG_EPS, -loss.lambda_reg / (
-                p.shape[1] * p.shape[0] * np.maximum(m, nn.LOG_EPS)), 0.0)
-        dz += softmax_vjp(p, g)
-    else:
-        x, y = batch
-        acts, pres, p = forward(x)
-        if loss == "cross_entropy":
-            dz = (p * y.sum(axis=1, keepdims=True) - y) / len(x)
-        else:
-            dz = softmax_vjp(p, 2.0 * (p - y) / len(x))
+    (xf, xt), (uf, ut) = batch
+    n_x, n_u = len(xf), len(uf)
+    acts, pres, p = forward(np.vstack([xf, uf]) if n_u else xf)
+    px, pu = p[:n_x], p[n_x:]
+    dz = np.empty_like(p)
+    dz[:n_x] = (px * xt.sum(axis=1, keepdims=True) - xt) / n_x
+    g = np.zeros_like(p)
+    if n_u:
+        g[n_x:] = (2.0 * loss.lambda_u / n_u) * (pu - ut)
+        dz[n_x:] = 0.0
+    if loss.lambda_reg != 0.0:
+        m = p.mean(axis=0)
+        g += np.where(m > nn.LOG_EPS, -loss.lambda_reg / (
+            p.shape[1] * p.shape[0] * np.maximum(m, nn.LOG_EPS)), 0.0)
+    dz += softmax_vjp(p, g)
 
     d_w, d_b = [None] * len(weights), [None] * len(weights)
     g = dz
@@ -376,12 +377,12 @@ def flat_bytes(arrays):
     return np.concatenate([a.ravel() for a in arrays]).tobytes()
 
 
+# case -> (loss, whether its batches have a U half)
 LOSS_CASES = {
-    "cross_entropy": "cross_entropy",
-    "squared_error": "squared_error",
-    "total_no_reg": nn.TotalLoss(lambda_u=25.0, lambda_reg=0.0),
-    "total_reg": nn.TotalLoss(lambda_u=10.0, lambda_reg=1.0),
-    "total_empty_u": nn.TotalLoss(lambda_u=10.0, lambda_reg=1.0),
+    "cross_entropy": (CROSS_ENTROPY, False),
+    "total_no_reg": (nn.TotalLoss(lambda_u=25.0, lambda_reg=0.0), True),
+    "total_reg": (nn.TotalLoss(lambda_u=10.0, lambda_reg=1.0), True),
+    "total_empty_u": (nn.TotalLoss(lambda_u=10.0, lambda_reg=1.0), False),
 }
 
 
@@ -403,7 +404,7 @@ class TestTrainingStepMatchesReference:
         self._fifty_steps(case, seed, sliced=True)
 
     def _fifty_steps(self, case, seed, sliced):
-        loss = LOSS_CASES[case]
+        loss, has_u = LOSS_CASES[case]
         rng = np.random.default_rng([seed, len(case)])
         n_hidden = seed + 1
         sizes = ([int(rng.integers(2, 6))] + [int(rng.integers(3, 65)) for _ in range(n_hidden)]
@@ -421,17 +422,11 @@ class TestTrainingStepMatchesReference:
             n = int(rng.integers(1, 129))
             x = rng.normal(size=(n, sizes[0]))
             y = random_soft_labels(rng, n, c)
-            if isinstance(loss, nn.TotalLoss):
-                n_u = 0 if case == "total_empty_u" else int(rng.integers(1, 129))
-                batch = ((x, y), (rng.normal(size=(n_u, sizes[0])),
-                                  random_soft_labels(rng, n_u, c)))
-            else:
-                batch = (x, y)
+            n_u = int(rng.integers(1, 129)) if has_u else 0
+            batch = ((x, y), (rng.normal(size=(n_u, sizes[0])), random_soft_labels(rng, n_u, c)))
             want = reference_step(ref_w, ref_b, ref_v, batch, loss, lr, momentum, wd)
             if sliced:
-                batch = (tuple(tuple(row_slice(rng, a) for a in pair) for pair in batch)
-                         if isinstance(loss, nn.TotalLoss)
-                         else tuple(row_slice(rng, a) for a in batch))
+                batch = tuple(tuple(row_slice(rng, a) for a in pair) for pair in batch)
             grads = nn.backward(net, batch, loss)
             nn.sgd_step(net, grads, state)
             assert grads.tobytes() == flat_bytes(want)

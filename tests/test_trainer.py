@@ -134,30 +134,37 @@ def reference_supervised_pass(net, opt, ds, cfg, m, stage_no, pass_no):
     order = rng.permutation(ds.n)
     for start in range(0, ds.n, cfg.batch_size):
         sel = order[start:start + cfg.batch_size]
-        grads = nn.backward(net, (ds.features[sel], targets[sel]), "cross_entropy")
+        batch = (ds.features[sel], targets[sel]), (ds.features[:0], targets[:0])
+        grads = nn.backward(net, batch, nn.TotalLoss(lambda_u=0.0, lambda_reg=0.0))
         nn.sgd_step(net, grads, opt)
 
 
 class TestSupervisedPassMatchesReference:
-    """Batches sliced from one shuffled gather per pass must train both nets
-    to the same bytes as batches gathered one at a time."""
+    """A member's supervised passes, batches sliced from one shuffled gather
+    per pass, must train both nets to the same bytes as batches gathered one
+    at a time, and end with the test-set outputs of those parameters."""
 
     @pytest.mark.parametrize("n,batch_size", [(150, 64), (150, 1), (130, 7), (128, 64)])
-    def test_passes_byte_identical(self, n, batch_size):
-        ds, _ = blob_pair(n=n, classes=3, noise=0.3)
+    def test_passes_byte_identical(self, n, batch_size, monkeypatch):
+        monkeypatch.setattr(trainer, "_use_workers", lambda: False)
+        ds, test = blob_pair(n=n, classes=3, noise=0.3)
         cfg = small_cfg(batch_size=batch_size)
         sizes = (ds.dim, *cfg.hidden, ds.num_classes)
-        for m, seed in enumerate((cfg.model1_seed, cfg.model2_seed)):
-            net = nn.init_network(sizes, seed=(seed, 1))
-            ref = nn.Network(net.weights, net.biases, net.tag)
-            opt, ref_opt = (nn.init_optimizer(x, cfg.lr, cfg.momentum, cfg.weight_decay)
-                            for x in (net, ref))
-            for pass_no in range(1, 4):
-                trainer._supervised_pass(net, opt, ds, cfg, m, 1, pass_no)
-                reference_supervised_pass(ref, ref_opt, ds, cfg, m, 1, pass_no)
-                assert net.params.tobytes() == ref.params.tobytes()
-                assert opt.velocity.tobytes() == ref_opt.velocity.tobytes()
-            assert net.params.tobytes() != nn.init_network(sizes, seed=(seed, 1)).params.tobytes()
+        seeds = (cfg.model1_seed, cfg.model2_seed)
+        nets = [nn.init_network(sizes, seed=(seed, 1), tag=tag)
+                for seed, tag in zip(seeds, trainer.TAGS)]
+        refs = [nn.Network(net.weights, net.biases, net.tag) for net in nets]
+        with contextlib.closing(trainer._Pair(nets, cfg, ds, test, 1, "ce")) as pair:
+            for m, (member, ref, seed) in enumerate(zip(pair.members, refs, seeds)):
+                ref_opt = nn.init_optimizer(ref, cfg.lr, cfg.momentum, cfg.weight_decay)
+                for epoch in range(1, 4):
+                    member.supervised("train", epoch, cfg.lr)
+                    reference_supervised_pass(ref, ref_opt, ds, cfg, m, 1, cfg.warmup + epoch)
+                    assert member.net.params.tobytes() == ref.params.tobytes()
+                    assert member.opt.velocity.tobytes() == ref_opt.velocity.tobytes()
+                    assert pair.test_out[m].tobytes() == nn.forward(ref, test.features).tobytes()
+                fresh = nn.init_network(sizes, seed=(seed, 1))
+                assert ref.params.tobytes() != fresh.params.tobytes()
 
 
 class TestCotrainPlumbing:
