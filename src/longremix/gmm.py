@@ -4,6 +4,9 @@ The posterior responsibility of the smaller-mean component is the
 probability that a training sample is clean. EM is initialized from the
 10th/90th loss percentiles so the component identities stay stable from
 epoch to epoch (no label switching), which makes the fit deterministic.
+``percentiles_10_90`` takes them from one partition, bit for bit what
+``np.percentile`` returns: that calls ``np.ma.is_masked``, and loading
+``numpy.ma`` on a run's first fit cost about 13 ms and 1.3 MB.
 
 The fit is also byte-stable. Each EM iteration evaluates the component
 log-densities once, in working arrays allocated once per fit, and the
@@ -81,10 +84,30 @@ def _collapsed(values) -> GmmParams:
                      variances=np.array([VAR_FLOOR, VAR_FLOOR]), collapsed=True)
 
 
+def percentiles_10_90(x) -> np.ndarray:
+    """``np.percentile(x, [10, 90])`` of a finite 1-D float array, bit for
+    bit: numpy's linear interpolation between the order statistics at
+    floor((n - 1) q) and the next. One ``np.partition`` places them, on the
+    ranks numpy partitions on (the ends too), so that of equal values such
+    as 0.0 and -0.0 the same one lands at each rank."""
+    pos = [(len(x) - 1) * q for q in (0.1, 0.9)]
+    below = [int(p) for p in pos]
+    ranks = np.partition(x, sorted({0, -1, *below, *(b + 1 for b in below)}))
+    out = []
+    for p, b in zip(pos, below):
+        lo, hi, t = ranks[b], ranks[b + 1], p - b
+        diff = hi - lo
+        out.append(hi - diff * (1 - t) if t >= 0.5 else lo + diff * t)
+    return np.array(out)
+
+
 def fit_gmm_em(losses) -> GmmParams:
     """EM fit of a 2-component 1-D mixture to the loss values.
 
-    The percentile-anchored initialization makes the fit deterministic.
+    The fit starts from the 10th and 90th percentiles of the losses
+    (``percentiles_10_90``) as the means, or from their minimum and maximum
+    where those coincide, equal weights and the losses' variance; this
+    percentile-anchored initialization makes the fit deterministic.
     Steps that would lower the mean log-likelihood (possible only via the
     variance floor) are rejected, so the recorded likelihood path is
     non-decreasing.
@@ -95,7 +118,7 @@ def fit_gmm_em(losses) -> GmmParams:
     if float(x.max() - x.min()) <= 1e-12:
         return _collapsed(x)
 
-    means = np.percentile(x, [10.0, 90.0]).astype(float)
+    means = percentiles_10_90(x)
     if means[1] - means[0] <= 1e-12:
         means = np.array([float(x.min()), float(x.max())])
     weights = np.array([0.5, 0.5])

@@ -53,7 +53,9 @@ class CoreSet:
     epoch: int
 
     def __post_init__(self):
-        if len(np.unique(self.indices)) != len(self.indices):
+        # sorted, not np.unique: that loads numpy.ma, which a run otherwise never needs
+        ordered = np.sort(self.indices)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("core-set indices must be distinct")
 
     @property

@@ -12,8 +12,10 @@ Each epoch, model 1's losses produce the split that trains model 2 and
 vice versa; evaluation averages the two softmax outputs. Each net runs its
 numeric half of every epoch (passes, forwards, loss-mixture fit) as a
 ``_Member``. A stage's ``_Pair`` builds both and owns what they share in
-shared memory; where two CPUs are usable, model 2's member runs in a forked
-worker, one per stage, while model 1's runs in the main process meanwhile.
+shared memory; where two CPUs are usable, model 2's member runs in a worker
+that one ``os.fork`` starts per stage, while model 1's runs in the main
+process meanwhile. Two pipes carry pickled requests to the worker and its
+replies back, so a run loads no ``multiprocessing``.
 The main process owns selection (each net's confidence window and split,
 and the core set, chosen as the stage runs) and checks every step in run
 order: after each training pass both nets' parameters, model 1's first,
@@ -28,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import mmap
 import os
+import pickle
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -269,15 +272,17 @@ class _Member:
         return (*counts, self.fit(epoch + 1) if epoch < cfg.epochs else None)
 
 
-def _serve(conn, member, main_end):
-    """The worker's loop: answer ``member``'s steps until the main process's
-    end of the pipe closes; an inherited copy of that end would keep it open."""
+def _serve(requests, replies, member):
+    """The worker's loop: answer ``member``'s steps, each a pickle read from
+    the ``requests`` pipe, with a pickle written to the ``replies`` pipe,
+    until the main process closes its end of either."""
     import signal  # here: only a worker needs it, and its import costs a run's set-up 1 ms
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops the pair
-    main_end.close()
-    with contextlib.suppress(EOFError, OSError):
-        while True:
-            conn.send(member(*conn.recv()))
+    with open(requests, "rb") as reader, open(replies, "wb") as writer:
+        with contextlib.suppress(EOFError, OSError):
+            while True:
+                pickle.dump(member(*pickle.load(reader)), writer)
+                writer.flush()
 
 
 def _use_workers() -> bool:
@@ -303,7 +308,8 @@ class _Pair:
     scores the pair on its ``test`` set after each training pass. If
     ``_use_workers`` and its worker starts, model 2 runs in a forked worker
     and model 1 here, between sending model 2 its request and receiving the
-    reply; else both run here, model 1 first."""
+    reply, each a pickle on a pipe of its own; else both run here, model 1
+    first."""
 
     def __init__(self, nets, cfg: TrainConfig, ds: NoisyDataset, test: NoisyDataset, stage_no,
                  stage_tag, longmix_plans=False):
@@ -319,21 +325,32 @@ class _Pair:
         self.test = test
         self.members = [_Member(m, net, self, cfg, ds, stage_no, stage_tag, longmix_plans)
                         for m, net in enumerate(nets)]
-        self.conn = self.proc = None
+        self.pid = None
         if not _use_workers():
             return
-        import multiprocessing  # here, not at module import: a run's set-up would pay for it
-        ctx = multiprocessing.get_context("fork")
-        conn, child = ctx.Pipe()
-        proc = ctx.Process(target=_serve, args=(child, self.members[1], conn), daemon=True)
+        fds = []
         try:
-            proc.start()
+            fds += os.pipe()  # requests: main process -> worker
+            fds += os.pipe()  # replies: worker -> main process
+            pid = os.fork()
         except OSError:  # the worker did not start: run in this process
-            conn.close()
-        else:
-            self.conn, self.proc = conn, proc
-        finally:
-            child.close()
+            for fd in fds:
+                os.close(fd)
+            return
+        request_r, request_w, reply_r, reply_w = fds
+        if pid == 0:  # the worker, which never returns from here
+            try:
+                # inherited copies of the main process's ends would keep the
+                # pipes open after it closes them
+                os.close(request_w)
+                os.close(reply_r)
+                _serve(request_r, reply_w, self.members[1])
+            finally:
+                os._exit(0)  # not the main process's exit handlers or buffer flushes
+        os.close(request_r)
+        os.close(reply_w)
+        self.pid = pid
+        self.requests, self.replies = open(request_w, "wb"), open(reply_r, "rb")
 
     def ask(self, requests, trained=None):
         """Both members' replies to ``requests`` and, after a training pass
@@ -343,15 +360,16 @@ class _Pair:
         parameters, then each member's own failure, then the test-set
         outputs, model1's first."""
         model1, model2 = self.members
-        if self.proc is None:
+        if self.pid is None:
             replies = [model1(*requests[0]), model2(*requests[1])]
         else:
-            with contextlib.suppress(OSError):  # a dead worker fails its recv below
-                self.conn.send(requests[1])
+            with contextlib.suppress(OSError):  # a dead worker fails its load below
+                pickle.dump(requests[1], self.requests)
+                self.requests.flush()
             replies = [model1(*requests[0])]
             try:
-                replies.append(self.conn.recv())
-            except (EOFError, OSError):
+                replies.append(pickle.load(self.replies))
+            except (EOFError, OSError, pickle.UnpicklingError):  # none, or part of a reply
                 raise StateError("the model2 worker exited without replying") from None
         if trained is not None:
             for member in self.members:
@@ -362,12 +380,14 @@ class _Pair:
         return replies, None if trained is None else evaluate(self.test_out, self.test)
 
     def close(self):
-        if self.proc is not None:
-            self.conn.close()
-            self.proc.terminate()
-            self.proc.join()
-            self.proc.close()
-            self.conn = self.proc = None
+        """Close both pipes, which ends the worker once its step is done,
+        and reap it."""
+        if self.pid is not None:
+            with contextlib.suppress(OSError):  # a request left unsent to a dead worker
+                self.requests.close()
+            self.replies.close()
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def _supervised_epoch(pair, phase, epoch, lr) -> EpochMetrics:

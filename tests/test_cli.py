@@ -3,7 +3,6 @@ import collections
 import hashlib
 import json
 import multiprocessing
-import multiprocessing.context
 import os
 import re
 import shutil
@@ -934,12 +933,24 @@ def _tree_bytes(root):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pair's workers are forked")
 
 
+def _assert_no_children():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds():
+    """This process's open file descriptors, where the platform lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 @needs_fork
 class TestPairTransports:
     """The pair runs with model 2 in a forked worker and model 1 in this
     process, or wholly in this process (``trainer._use_workers`` decides);
-    the outputs, the failure lines and the processes left afterwards (none)
-    must not tell them apart."""
+    the outputs, the failure lines, the processes left afterwards (none) and
+    the file descriptors left open (those open before) must not tell them
+    apart."""
 
     DUMPS = "report.plan_digests = true\nreport.checkpoints = true\n"
     # fails in a train epoch after warmup, in every mode
@@ -948,11 +959,12 @@ class TestPairTransports:
     def run_both(self, tmp_path, monkeypatch, capsys, args):
         """(exit code, stderr, output files) of ``args`` on each path, into
         the same directory, which is emptied between the runs."""
-        results = []
+        results, fds = [], _open_fds()
         for workers in (True, False):
             monkeypatch.setattr(trainer, "_use_workers", lambda: workers)
             code = cli.main(args)
-            assert not multiprocessing.active_children()
+            _assert_no_children()
+            assert _open_fds() == fds
             out = tmp_path / "out"
             files = _tree_bytes(out) if out.exists() else {}
             results.append((code, capsys.readouterr().err, files))
@@ -1052,50 +1064,61 @@ class TestPairTransports:
         monkeypatch.setattr(trainer._Member, "train", exit_in_model2)
         assert cli.main(["train", "--config", str(path), "--out", out]) == 3
         assert capsys.readouterr().err == "error: the model2 worker exited without replying\n"
-        assert not multiprocessing.active_children()
+        _assert_no_children()
         assert not Path(out).exists()
 
     def test_failed_start_runs_in_process(self, tmp_path, capsys, monkeypatch):
-        # the stage's worker cannot start: the whole stage runs in this process
-        path, out = write_conf(tmp_path, mode="ce")
-        started = []
+        # stage 1's worker cannot start, so that whole stage runs in this
+        # process, model 2's steps too; stage 2 forks its worker as usual
+        path, out = write_conf(tmp_path, mode="full-longremix")
+        fork, call, pid = os.fork, trainer._Member.__call__, os.getpid()
+        forks, steps = [], set()
 
-        def fails(proc):
-            started.append(proc)
-            raise OSError(11, "Resource temporarily unavailable")
+        def fails_once():
+            forks.append(None)
+            if len(forks) == 1:
+                raise OSError(11, "Resource temporarily unavailable")
+            return fork()
 
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fails)
+        def noted_step(member, *args):
+            if os.getpid() == pid and trainer._use_workers():  # the run with workers
+                steps.add((member.stage_no, member.m))
+            return call(member, *args)
+
+        monkeypatch.setattr(os, "fork", fails_once)
+        monkeypatch.setattr(trainer._Member, "__call__", noted_step)
         workers, in_process = self.run_both(tmp_path, monkeypatch, capsys,
                                             ["train", "--config", str(path), "--out", out])
-        assert len(started) == 1
+        assert len(forks) == 2
+        assert steps == {(1, 0), (1, 1), (2, 0)}
         assert workers[0] == 0 and workers == in_process
 
     def test_one_worker_per_stage(self, tmp_path, monkeypatch):
         # model 2 trains in the stage's one forked worker and model 1 in
-        # this process: CI's tiny.conf setting starts two processes, one per
-        # stage, and this process runs model 1's steps, never model 2's
+        # this process: CI's tiny.conf setting forks twice, once per stage,
+        # and this process runs model 1's steps, never model 2's
         path = tmp_path / "tiny.conf"
         path.write_text("dataset.n = 200\ndataset.test_n = 100\ndataset.classes = 4\n"
                         "noise.kind = symmetric\nnoise.eta = 0.5\ntrain.mode = full-longremix\n"
                         "train.epochs = 6\ntrain.warmup = 2\n")
-        start, call = multiprocessing.context.ForkProcess.start, trainer._Member.__call__
-        started, steps, pid = [], collections.Counter(), os.getpid()
+        fork, call = os.fork, trainer._Member.__call__
+        forks, steps, pid = [], collections.Counter(), os.getpid()
 
-        def counted_start(proc):
-            started.append(proc)
-            start(proc)
+        def counted_fork():
+            forks.append(None)
+            return fork()
 
         def counted_step(member, *args):
             if os.getpid() == pid:
                 steps[member.m] += 1
             return call(member, *args)
 
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted_start)
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(trainer._Member, "__call__", counted_step)
         monkeypatch.setattr(trainer, "_use_workers", lambda: True)
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert not multiprocessing.active_children()
-        assert len(started) == 2
+        _assert_no_children()
+        assert len(forks) == 2
         assert steps[0] > 0 and steps[1] == 0
 
 
@@ -1110,8 +1133,23 @@ def test_pair_in_a_pool_worker_runs_in_process(tmp_path):
     finally:
         pool.close()
         pool.join()
-    assert not multiprocessing.active_children()
+    _assert_no_children()
     assert Path(out, "bundle.json").exists()
+
+
+@needs_fork
+def test_a_run_loads_neither_multiprocessing_nor_numpy_ma(tmp_path):
+    # the worker is one os.fork, and the mixture's start and the core set's
+    # check avoid np.percentile and np.unique, which load numpy.ma
+    path, out = write_conf(tmp_path, mode="full-longremix")
+    proc = _python_without_blas_threads(
+        "import sys; from longremix import cli, trainer; trainer._use_workers = lambda: True; "
+        f"code = cli.main(['train', '--config', {str(path)!r}, '--out', {out!r}]); "
+        "print(code, *(name in sys.modules for name in ('multiprocessing', 'numpy.ma')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+    summary = json.loads(Path(out, "metrics.json").read_text())["summary"]
+    assert summary["core_set_size"] > 0
 
 
 @pytest.mark.parametrize("cpus,workers", [({0}, False), ({0, 1}, hasattr(os, "fork"))])

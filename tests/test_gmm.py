@@ -237,6 +237,39 @@ class TestEmMatchesReference:
         assert got.variances[0] == gmm.VAR_FLOOR
 
 
+def start_vectors():
+    """2,000 seeded vectors, n from MIN_FIT_SAMPLES to 5,000: normal, rounded
+    to one decimal (ties; at small scales the percentiles fall among 0.0
+    and -0.0, which compare equal but differ in their bytes), min-max normalised
+    exponential (exact 0 and 1) and normalised rounded; every fifth has a
+    length at which (n - 1) * 0.1 is a whole number, so numpy's 10th
+    percentile is an order statistic."""
+    rng = np.random.default_rng(29)
+    whole = [n for n in range(gmm.MIN_FIT_SAMPLES, 5001) if ((n - 1) * 0.1).is_integer()]
+    for i in range(2000):
+        n = int(rng.choice(whole) if i % 5 == 0 else rng.integers(gmm.MIN_FIT_SAMPLES, 5001))
+        kind = i % 4
+        if kind == 0:
+            x = rng.normal(0.0, rng.uniform(0.01, 10.0), n)
+        elif kind == 1:
+            x = np.round(rng.normal(0.0, 10 ** rng.uniform(-2.5, 0.5), n), 1)
+        elif kind == 2:
+            x = gmm.normalize_losses(rng.exponential(rng.uniform(0.1, 3.0), n))
+        else:
+            x = gmm.normalize_losses(np.round(rng.exponential(1.0, n), 1))
+        yield x
+
+
+def test_start_means_are_np_percentile_bit_for_bit():
+    count = 0
+    for x in start_vectors():
+        before = x.copy()
+        assert gmm.percentiles_10_90(x).tobytes() == np.percentile(x, [10.0, 90.0]).tobytes()
+        assert x.tobytes() == before.tobytes()  # the losses are not reordered
+        count += 1
+    assert count == 2000
+
+
 class TestCleanPosterior:
     def _sym_params(self, var=0.04):
         return gmm.GmmParams(weights=np.array([0.5, 0.5]), means=np.array([0.1, 0.9]),
