@@ -157,9 +157,7 @@ def cmd_noise(args) -> int:
     given = [flag for flag, value in zip(flags, values) if value is not None]
     if args.csv and given:
         raise ConfigError(f"{given[0]} does not apply to --csv, whose file is the dataset")
-    if args.csv:
-        ds = data.load_csv_dataset(args.csv)
-    else:  # the rules of a config's DatasetSpec, named by flag
+    if not args.csv:  # the rules of a config's DatasetSpec, named by flag
         kind, n, classes, spread, seed = (default if value is None else value
                                           for default, value in zip(flags.values(), values))
         _non_negative("--data-seed", seed)
@@ -171,10 +169,12 @@ def cmd_noise(args) -> int:
             raise ConfigError(f"--spread must be finite and positive, got {spread}")
         if n < classes:
             raise ConfigError(f"--n must be >= --classes ({classes}), got {n}")
-        ds = data.make_synthetic_dataset(kind, n, classes, spread, seed)
+    # every flag is checked before the dataset is read or built
     spec = data.NoiseSpec(kind=args.kind, eta=args.eta,
                           mapping=_to_mapping("--mapping", args.mapping),
                           seed=_non_negative("--seed", args.seed))
+    ds = (data.load_csv_dataset(args.csv) if args.csv
+          else data.make_synthetic_dataset(kind, n, classes, spread, seed))
     if spec.kind != "none" and ds.num_classes < 2:
         raise ConfigError(f"{args.csv}: every label is {ds.class_names[0]!r}; "
                           f"{spec.kind} noise needs at least 2 classes")

@@ -31,12 +31,11 @@ def test_criterion_1_lemma_monte_carlo_grid():
     worst = 0.0
     count = 0
     for i, (pcc, pnn, pc, z) in enumerate(itertools.product(grid_p, grid_p, grid_pc, zetas)):
-        params = lemma.SelectionParams(p_cc=pcc, p_nn=pnn, p_c=pc, zeta=z)
-        cf_p, cf_r = lemma.closed_form_pr(params)
-        est = lemma.monte_carlo_pr(params, n, seed=(4000, i))
-        assert est.defined
-        dev_p = abs(est.precision - cf_p) / est.se_precision if est.se_precision > 0 else 0.0
-        dev_r = abs(est.recall - cf_r) / est.se_recall if est.se_recall > 0 else 0.0
+        cf_p, cf_r = lemma.closed_form_pr(pcc, pnn, pc, z)
+        precision, recall, se_p, se_r = lemma.monte_carlo_pr(pcc, pnn, pc, z, n, seed=(4000, i))
+        assert not np.isnan([precision, recall, se_p, se_r]).any()
+        dev_p = abs(precision - cf_p) / se_p if se_p > 0 else 0.0
+        dev_r = abs(recall - cf_r) / se_r if se_r > 0 else 0.0
         worst = max(worst, dev_p, dev_r)
         count += 1
     assert count == 108

@@ -678,7 +678,8 @@ COMMAND_CASES = [
     ("lemma-negative-trials", LEMMA + ["--trials", "-1"], "--trials must be >= 0, got -1"),
     ("lemma-zetas-empty", LEMMA + ["--zetas", ""], "zeta range must be non-empty"),
     ("lemma-zetas-blank-item", LEMMA + ["--zetas", "1,,3"], "--zetas: blank item in '1,,3'"),
-    # both survival masses underflow at zeta 8000: its row is computed, then zeta 0 fails
+    # every zeta is checked before the first row: zeta 0 fails before the row of
+    # zeta 8000, where both survival masses underflow, is computed
     ("lemma-long-window-then-zero", LEMMA + ["--zetas", "8000,0", "--trials", "0"],
      "window length must be a positive integer, got 0"),
     ("noise-spread-nan", ["noise", "--kind", "none", "--spread", "nan"],
@@ -755,6 +756,11 @@ COMMAND_CASES = [
     # the flags are checked before the file is read
     ("noise-csv-with-data-seed", ["noise", "--kind", "none", "--csv", "{tmp}/missing.csv",
                                   "--data-seed", "1"], "--data-seed does not apply to --csv"),
+    ("noise-csv-rate-unread", ["noise", "--csv", "{tmp}/missing.csv", "--kind", "symmetric",
+                               "--eta", "1.5"], "symmetric noise rate must be in [0, 1), got 1.5"),
+    ("noise-csv-mapping-unread", ["noise", "--csv", "{tmp}/missing.csv", "--kind", "symmetric",
+                                  "--eta", "0.2", "--mapping", "0:1"],
+     "a class mapping needs asymmetric noise, got kind 'symmetric'"),
     # an explicit empty --out names no directory; it does not fall back to the default
     ("lemma-out-empty", LEMMA + ["--trials", "0", "--zetas", "1", "--out", ""],
      "--out must not be empty"),
@@ -783,6 +789,57 @@ def test_command_contract(tmp_path, capsys, monkeypatch, case, args, message):
     assert err.count("\n") == 1 and err.endswith("\n")
     # no output directory, and no file in the working directory
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(INPUT_FILES)
+
+
+# lemma.csv's sha256 and every stdout line but the last, which names the file:
+# any change to a formula, a seed stream or the formatting shows here
+LEMMA_BYTES = [
+    ("monte-carlo", LEMMA + ["--zetas", "1,3,5,10", "--trials", "20000", "--seed", "4"],
+     "c0007f3de676d39a59139acabc695a44cac22ef835349dd2bcec3eb4615933cb",
+     ["zeta=  1 precision=0.727273 recall=0.800000 mc=(0.7271, 0.8012)",
+      "zeta=  3 precision=0.949907 recall=0.512000 mc=(0.9507, 0.5029)",
+      "zeta=  5 precision=0.992639 recall=0.327680 mc=(0.9916, 0.3311)",
+      "zeta= 10 precision=0.999945 recall=0.107374 mc=(1.0000, 0.1045)"]),
+    ("underflow", LEMMA + ["--zetas", "8000", "--trials", "0"],
+     "c14e9b72c7481dcb1ab1e79afa6a8eebdfa8785e5703a0032df6397426f1da56",
+     ["zeta=8000 precision=1.000000 recall=0.000000"]),
+    ("default-trials", LEMMA + ["--zetas", "1,2"],
+     "ce2056d090db8f9428da1d48f4d24005fa33274640fa1d5880b0b47351d9ef26",
+     ["zeta=  1 precision=0.727273 recall=0.800000 mc=(0.7276, 0.8013)",
+      "zeta=  2 precision=0.876712 recall=0.640000 mc=(0.8747, 0.6390)"]),
+    ("default-zetas", ["lemma", "--pcc", "0.9", "--pnn", "0.8", "--pc", "0.5", "--trials", "0"],
+     "2ca4158b0e06dfdf9da8add12af15420fd3b0485200934ad7a6e5edd118752f9",
+     ["zeta=  1 precision=0.818182 recall=0.900000", "zeta=  2 precision=0.952941 recall=0.810000",
+      "zeta=  3 precision=0.989145 recall=0.729000", "zeta=  4 precision=0.997567 recall=0.656100",
+      "zeta=  5 precision=0.999458 recall=0.590490", "zeta=  6 precision=0.999880 recall=0.531441",
+      "zeta=  7 precision=0.999973 recall=0.478297", "zeta=  8 precision=0.999994 recall=0.430467",
+      "zeta=  9 precision=0.999999 recall=0.387420", "zeta= 10 precision=1.000000 recall=0.348678"]),
+    # five draws through ten harsh rounds select nothing: the Monte-Carlo cells are nan
+    ("nothing-selected", ["lemma", "--pcc", "0.05", "--pnn", "0.95", "--pc", "0.5",
+                          "--zetas", "10", "--trials", "5", "--seed", "3"],
+     "53d8dc0a08c2a6524aca653e800d3cee7990e13511f49a3aa352e9f0d5370d2c",
+     ["zeta= 10 precision=0.500000 recall=0.000000 mc=(nan, nan)"]),
+]
+
+
+@pytest.mark.parametrize("case,args,sha256,lines", LEMMA_BYTES, ids=[c[0] for c in LEMMA_BYTES])
+def test_lemma_output_bytes(tmp_path, capsys, case, args, sha256, lines):
+    out = tmp_path / "out"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256((out / "lemma.csv").read_bytes()).hexdigest() == sha256
+    assert capsys.readouterr().out.splitlines() == lines + [f"wrote {out / 'lemma.csv'}"]
+
+
+def test_lemma_checks_every_zeta_before_any_row(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli.lemma, "closed_form_pr", no_work)
+    monkeypatch.setattr(cli.lemma, "monte_carlo_pr", no_work)
+    assert cli.main(LEMMA + ["--zetas", "10,0", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("config error: window length must be a positive "
+                                       "integer, got 0\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_config_example_builds():
