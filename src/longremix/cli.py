@@ -16,19 +16,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
+import re
 import sys
 
 from . import __version__, data, lemma, report
-from .config import (DatasetSpec, _to_int, _to_mapping, _to_tuple, apply_seed_override,
-                     build_experiment, parse_flat_config)
+from .config import (_to_int, _to_mapping, _to_tuple, apply_seed_override, build_experiment,
+                     parse_flat_config)
 from .errors import ConfigError, LongRemixError, ParseError
-from .gmm import MIN_FIT_SAMPLES
 from .trainer import STAGE1_HCT, TrainConfig, run_stage, run_training
 
 OUTDIR_ENV = "LONGREMIX_OUTDIR"
 RUN_OUTDIR = "runs/experiment"  # train's and prcurve's default
+# noise's flag for each config key whose rules it applies: in a spec's
+# message, "key" reads as "flag" and "key = value" as "flag value"
+NOISE_FLAGS = {"dataset.kind": "--dataset", "dataset.n": "--n", "dataset.classes": "--classes",
+               "dataset.spread": "--spread", "noise.seed": "--seed"}
+_NOISE_KEY = re.compile(r"\b(" + "|".join(map(re.escape, NOISE_FLAGS)) + r")\b( = )?")
 
 
 def _non_negative(flag, value):
@@ -62,34 +66,6 @@ def _load_config(path, seed=None, out=None):
     return build_experiment(mapping), _output_dir(out, RUN_OUTDIR)
 
 
-def _build_datasets(exp):
-    d = exp.dataset
-    if d.kind == "csv":
-        train = data.load_csv_dataset(d.path)
-        if train.num_classes < 2:
-            raise ConfigError(f"{d.path}: every training label is {train.class_names[0]!r}; "
-                              "training needs at least 2 classes")
-        test = data.load_csv_dataset(d.test_path, class_names=train.class_names)
-        if test.dim != train.dim:
-            raise ConfigError(f"{d.test_path} has {test.dim} feature columns, "
-                              f"but the training set {d.path} has {train.dim}")
-    else:
-        train = data.make_synthetic_dataset(d.kind, d.n, d.classes, d.spread,
-                                            seed=exp.train.data_seed)
-        test = data.make_synthetic_dataset(d.kind, d.test_n, d.classes, d.spread,
-                                           seed=exp.train.data_seed + 1000003)
-    noisy = data.apply_noise(train, exp.noise)
-    return noisy, test
-
-
-def _require_mixture_rows(exp, ds):
-    """Reject a training set too small for the per-epoch loss mixture."""
-    if ds.n < MIN_FIT_SAMPLES:
-        source = exp.dataset.path if exp.dataset.kind == "csv" else "dataset.n"
-        raise ConfigError(f"{source}: {ds.n} training rows; the loss mixture needs "
-                          f"at least {MIN_FIT_SAMPLES}")
-
-
 def _dataset_info(exp, ds, test):
     return {"kind": exp.dataset.kind, "n": ds.n, "test_n": test.n,
             "classes": ds.num_classes, "features": ds.dim}
@@ -102,9 +78,7 @@ def cmd_train(args) -> int:
     if not (spec.formats or spec.gmm_dump or spec.plan_digests or spec.checkpoints):
         raise ConfigError("report.formats is empty and no dump is on: "
                           "the run would write no results")
-    ds, test = _build_datasets(exp)
-    if exp.train.mode != "ce":
-        _require_mixture_rows(exp, ds)
+    ds, test = data.training_sets(exp, fits_mixture=exp.train.mode != "ce")
     stages = run_training(exp.train, ds, test)
     for stage in stages:
         if stage.core_set is not None and stage.core_set.size == 0:
@@ -122,8 +96,7 @@ def cmd_train(args) -> int:
 
 def cmd_prcurve(args) -> int:
     exp, outdir = _load_config(args.config, args.seed, args.out)
-    ds, test = _build_datasets(exp)
-    _require_mixture_rows(exp, ds)
+    ds, test = data.training_sets(exp, fits_mixture=True)  # stage 1 always fits
     stage1 = run_stage(exp.train, ds, test, 1, *STAGE1_HCT)
     curve = report.pr_curve(stage1.window, ds.mask, exp.report.tau_grid)
     path, = report.write_files(outdir, {"prcurve.csv": report.prcurve_csv_text(curve)})
@@ -150,31 +123,29 @@ def cmd_lemma(args) -> int:
 
 def cmd_noise(args) -> int:
     outdir = _output_dir(args.out, ".")
-    # the synthetic dataset's flags, None unless given, and the config fields they default to
-    flags = {"--dataset": DatasetSpec.kind, "--n": DatasetSpec.n, "--classes": DatasetSpec.classes,
-             "--spread": DatasetSpec.spread, "--data-seed": TrainConfig.data_seed}
-    values = (args.dataset, args.n, args.classes, args.spread, args.data_seed)
-    given = [flag for flag, value in zip(flags, values) if value is not None]
+    # the synthetic dataset's flags, None unless given
+    synthetic = {"--dataset": args.dataset, "--n": args.n, "--classes": args.classes,
+                 "--spread": args.spread, "--data-seed": args.data_seed}
+    given = [flag for flag, value in synthetic.items() if value is not None]
     if args.csv and given:
         raise ConfigError(f"{given[0]} does not apply to --csv, whose file is the dataset")
-    if not args.csv:  # the rules of a config's DatasetSpec, named by flag
-        kind, n, classes, spread, seed = (default if value is None else value
-                                          for default, value in zip(flags.values(), values))
-        _non_negative("--data-seed", seed)
-        if classes < 2:
-            raise ConfigError(f"--classes must be >= 2, got {classes}")
-        if kind == "moons" and classes != 2:
-            raise ConfigError(f"--dataset moons needs --classes 2, got {classes}")
-        if not (math.isfinite(spread) and spread > 0):
-            raise ConfigError(f"--spread must be finite and positive, got {spread}")
-        if n < classes:
-            raise ConfigError(f"--n must be >= --classes ({classes}), got {n}")
     # every flag is checked before the dataset is read or built
-    spec = data.NoiseSpec(kind=args.kind, eta=args.eta,
-                          mapping=_to_mapping("--mapping", args.mapping),
-                          seed=_non_negative("--seed", args.seed))
+    try:
+        if not args.csv:
+            seed = _non_negative("--data-seed", TrainConfig.data_seed if args.data_seed is None
+                                 else args.data_seed)
+            fields = {key.partition(".")[2]: synthetic[flag] for key, flag in NOISE_FLAGS.items()
+                      if key.startswith("dataset.") and synthetic[flag] is not None}
+            # no test set: test_n = n leaves test_n's rules to n's, checked first
+            dataset = data.DatasetSpec(**fields, test_n=fields.get("n", data.DatasetSpec.n))
+        spec = data.NoiseSpec(kind=args.kind, eta=args.eta,
+                              mapping=_to_mapping("--mapping", args.mapping), seed=args.seed)
+    except ConfigError as exc:
+        raise ConfigError(_NOISE_KEY.sub(lambda m: NOISE_FLAGS[m[1]] + (" " if m[2] else ""),
+                                         str(exc))) from None
     ds = (data.load_csv_dataset(args.csv) if args.csv
-          else data.make_synthetic_dataset(kind, n, classes, spread, seed))
+          else data.make_synthetic_dataset(dataset.kind, dataset.n, dataset.classes,
+                                           dataset.spread, seed))
     if spec.kind != "none" and ds.num_classes < 2:
         raise ConfigError(f"{args.csv}: every label is {ds.class_names[0]!r}; "
                           f"{spec.kind} noise needs at least 2 classes")

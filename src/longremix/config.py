@@ -1,10 +1,11 @@
 """Flat key-value experiment configuration.
 
 The format is plain text, one ``section.key = value`` per line, ``#``
-comments allowed. Each key is a field of one of the spec dataclasses below,
-which gives its name, type and default; the effective (fully materialized)
-config is echoed into the metrics JSON so a run can be reproduced from its
-own output.
+comments allowed. Each key is a field of one of the spec dataclasses
+(``DatasetSpec`` and ``NoiseSpec`` from ``data``, ``TrainConfig`` from
+``trainer``, ``ReportSpec`` below), which gives its name, type, default and
+rules; the effective (fully materialized) config is echoed into the metrics
+JSON so a run can be reproduced from its own output.
 """
 
 from __future__ import annotations
@@ -13,43 +14,11 @@ import math
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
-from .data import NoiseSpec
+from .data import DatasetSpec, NoiseSpec
 from .errors import ConfigError
 from .trainer import TrainConfig
 
 DEFAULT_TAU_GRID = tuple(round(0.05 * i, 2) for i in range(21))
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    kind: str = "blobs"      # blobs | moons | csv
-    n: int = 2000
-    test_n: int = 1000
-    classes: int = 16
-    spread: float = 0.15
-    path: str = ""           # csv only
-    test_path: str = ""      # csv only
-
-    def __post_init__(self):
-        if self.kind not in ("blobs", "moons", "csv"):
-            raise ConfigError(f"unknown dataset kind: {self.kind!r}")
-        if self.kind == "csv":
-            if not self.path:
-                raise ConfigError("dataset.path is required for csv datasets")
-            if not self.test_path:
-                raise ConfigError("dataset.test_path is required for csv training runs")
-            return
-        if self.classes < 2:
-            raise ConfigError(f"dataset.classes must be >= 2, got {self.classes}")
-        if self.kind == "moons" and self.classes != 2:
-            raise ConfigError(f"dataset.kind = moons needs dataset.classes = 2, "
-                              f"got {self.classes}")
-        if not (math.isfinite(self.spread) and self.spread > 0):
-            raise ConfigError(f"dataset.spread must be finite and positive, got {self.spread}")
-        for key in ("n", "test_n"):
-            if getattr(self, key) < self.classes:
-                raise ConfigError(f"dataset.{key} must be >= dataset.classes "
-                                  f"({self.classes}), got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Datasets carry the observed labels next to the hidden true labels, whose
 difference is the per-sample noise mask, so selection precision/recall can
 be measured against ground truth. ``apply_noise`` is the one noise injector:
-it returns a new dataset and never mutates its input.
+it returns a new dataset and never mutates its input. The input rules live
+here too: ``DatasetSpec`` and ``NoiseSpec`` hold the rules of a dataset and
+of its noise, and ``training_sets`` those of a run's training and test sets.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ParseError, StateError
+from .gmm import MIN_FIT_SAMPLES
 
 BLOB_RADIUS = 2.0
+# The largest count an input may give: dataset rows, a hidden layer's width,
+# Monte-Carlo trials. numpy can size an array of that many rows of 64 float64
+# values, so a count too large for memory fails as MemoryError (exit 3); far
+# past it numpy raises a ValueError of its own instead.
+MAX_COUNT = 2**53
 
 
 @dataclass
@@ -49,6 +57,41 @@ class NoisyDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    kind: str = "blobs"      # blobs | moons | csv
+    n: int = 2000
+    test_n: int = 1000
+    classes: int = 16
+    spread: float = 0.15
+    path: str = ""           # csv only
+    test_path: str = ""      # csv only
+
+    def __post_init__(self):
+        if self.kind not in ("blobs", "moons", "csv"):
+            raise ConfigError(f"unknown dataset kind: {self.kind!r}")
+        if self.kind == "csv":
+            if not self.path:
+                raise ConfigError("dataset.path is required for csv datasets")
+            if not self.test_path:
+                raise ConfigError("dataset.test_path is required for csv training runs")
+            return
+        if self.classes < 2:
+            raise ConfigError(f"dataset.classes must be >= 2, got {self.classes}")
+        if self.kind == "moons" and self.classes != 2:
+            raise ConfigError(f"dataset.kind = moons needs dataset.classes = 2, "
+                              f"got {self.classes}")
+        if not (math.isfinite(self.spread) and self.spread > 0):
+            raise ConfigError(f"dataset.spread must be finite and positive, got {self.spread}")
+        for key in ("n", "test_n"):
+            value = getattr(self, key)
+            if value < self.classes:
+                raise ConfigError(f"dataset.{key} must be >= dataset.classes "
+                                  f"({self.classes}), got {value}")
+            if value > MAX_COUNT:
+                raise ConfigError(f"dataset.{key} must be <= {MAX_COUNT}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +133,9 @@ def _clean(features, labels, num_classes, class_names=None) -> NoisyDataset:
 
 def make_synthetic_dataset(kind, n, classes, spread, seed) -> NoisyDataset:
     """Balanced 2-D toy dataset; ``blobs`` puts class centers on a circle,
-    ``moons`` is the usual pair of interleaved half circles. The caller
-    checks the sizes: a config's ``DatasetSpec``, or the ``noise`` command."""
+    ``moons`` is the usual pair of interleaved half circles. ``DatasetSpec``
+    checks the sizes first, for a config file and the ``noise`` command's
+    flags alike."""
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % classes
     if kind == "blobs":
@@ -107,6 +151,37 @@ def make_synthetic_dataset(kind, n, classes, spread, seed) -> NoisyDataset:
     else:
         raise ConfigError(f"unknown synthetic dataset kind: {kind!r}")
     return _clean(feats, labels, classes)
+
+
+def training_sets(exp, fits_mixture) -> tuple[NoisyDataset, NoisyDataset]:
+    """The noised training set and the test set of experiment config ``exp``.
+
+    A CSV training set needs at least 2 classes, and its test file as many
+    feature columns. A synthetic test set is drawn from the data seed plus
+    1000003. When the run fits the per-epoch loss mixture
+    (``fits_mixture``), the training set needs ``MIN_FIT_SAMPLES`` rows.
+    """
+    d = exp.dataset
+    if d.kind == "csv":
+        train = load_csv_dataset(d.path)
+        if train.num_classes < 2:
+            raise ConfigError(f"{d.path}: every training label is {train.class_names[0]!r}; "
+                              "training needs at least 2 classes")
+        test = load_csv_dataset(d.test_path, class_names=train.class_names)
+        if test.dim != train.dim:
+            raise ConfigError(f"{d.test_path} has {test.dim} feature columns, "
+                              f"but the training set {d.path} has {train.dim}")
+    else:
+        seed = exp.train.data_seed
+        train = make_synthetic_dataset(d.kind, d.n, d.classes, d.spread, seed=seed)
+        test = make_synthetic_dataset(d.kind, d.test_n, d.classes, d.spread,
+                                      seed=seed + 1000003)
+    noisy = apply_noise(train, exp.noise)
+    if fits_mixture and noisy.n < MIN_FIT_SAMPLES:
+        source = d.path if d.kind == "csv" else "dataset.n"
+        raise ConfigError(f"{source}: {noisy.n} training rows; the loss mixture needs "
+                          f"at least {MIN_FIT_SAMPLES}")
+    return noisy, test
 
 
 def read_text(path, what) -> str:

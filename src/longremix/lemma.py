@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .data import MAX_COUNT
 from .errors import ConfigError
 
 
@@ -35,9 +36,10 @@ def monte_carlo_pr(p_cc, p_nn, p_c, zeta, n_trials, seed):
 
     Each of ``n_trials`` samples is clean with probability p_c and passes
     zeta independent classification rounds; it enters the clean set only if
-    every round calls it clean. Returns ``(precision, recall, se_p, se_r)``
-    with binomial standard errors; all four are NaN when the window selects
-    nothing or the draw holds no clean sample.
+    every round calls it clean, so the rounds stop once none is left.
+    Returns ``(precision, recall, se_p, se_r)`` with binomial standard
+    errors; all four are NaN when the window selects nothing or the draw
+    holds no clean sample.
     """
     if n_trials < 1:
         raise ConfigError("need at least one trial")
@@ -47,6 +49,8 @@ def monte_carlo_pr(p_cc, p_nn, p_c, zeta, n_trials, seed):
     selected = np.ones(n_trials, dtype=bool)
     for _ in range(zeta):
         selected &= rng.random(n_trials) < pass_prob
+        if not selected.any():  # no later round can select a sample again
+            break
     n_sel = int(selected.sum())
     n_clean = int(clean.sum())
     if n_sel == 0 or n_clean == 0:
@@ -73,6 +77,8 @@ def sweep_zeta(p_cc, p_nn, p_c, zetas, mc_trials=0, seed=0):
     for zeta in zetas:
         if zeta < 1:
             raise ConfigError(f"window length must be a positive integer, got {zeta}")
+    if mc_trials > MAX_COUNT:
+        raise ConfigError(f"Monte-Carlo trials must be <= {MAX_COUNT}, got {mc_trials}")
     rows = []
     for k, zeta in enumerate(zetas):
         precision, recall = closed_form_pr(p_cc, p_nn, p_c, zeta)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import BLAS_UNPINNED, nn
-from .data import NoisyDataset
+from .data import MAX_COUNT, NoisyDataset
 from .errors import ConfigError, StateError
 from .gmm import clean_posterior, fit_gmm_em, gmm_record, normalize_losses, per_sample_losses
 from .mixing import build_epoch_plan, mix_plan, one_hot, plan_digest, target_table
@@ -108,6 +108,8 @@ class TrainConfig:
             raise ConfigError("batch size must be >= 1")
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden}")
+        if any(width > MAX_COUNT for width in self.hidden):
+            raise ConfigError(f"hidden layer widths must be <= {MAX_COUNT}, got {self.hidden}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not self.weight_decay >= 0:

@@ -373,6 +373,11 @@ class TestNoiseCommand:
                          "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "dataset.csv").read_bytes()).hexdigest() == digest
 
+    def test_no_test_set_rule(self, tmp_path):
+        # noise builds no test set: DatasetSpec's test_n rule does not apply
+        assert cli.main(["noise", "--kind", "none", "--n", "1200", "--classes", "1200",
+                         "--out", str(tmp_path)]) == 0
+
     def test_asymmetric_limit_exit_2(self, tmp_path):
         assert cli.main(["noise", "--kind", "asymmetric", "--eta", "0.6",
                          "--mapping", "0:1", "--out", str(tmp_path)]) == 2
@@ -615,6 +620,13 @@ VALUE_CASES = [
     ("baseline", "dataset.test_n = 0", 2, "dataset.test_n must be >= dataset.classes (4), got 0"),
     ("baseline", "dataset.classes = 1", 2, "dataset.classes must be >= 2, got 1"),
     ("baseline", "dataset.spread = 0", 2, "dataset.spread must be finite and positive, got 0.0"),
+    # a count past data.MAX_COUNT is a config error, not numpy's size ValueError
+    ("baseline", "dataset.n = 99999999999999999999999", 2,
+     "dataset.n must be <= 9007199254740992, got 99999999999999999999999"),
+    ("baseline", "dataset.test_n = 99999999999999999999999", 2,
+     "dataset.test_n must be <= 9007199254740992, got 99999999999999999999999"),
+    ("baseline", "train.hidden = 99999999999999999999999", 2,
+     "hidden layer widths must be <= 9007199254740992, got (99999999999999999999999,)"),
     ("baseline", "dataset.kind = moons", 2,
      "dataset.kind = moons needs dataset.classes = 2, got 4"),
     ("baseline", "report.prcurve = maybe", 2, "report.prcurve: expected a boolean, got 'maybe'"),
@@ -639,6 +651,30 @@ def test_value_contract(tmp_path, capsys, monkeypatch, mode, line, code, message
     assert capsys.readouterr().err == {2: "config error: ", 3: "error: "}[code] + message + "\n"
     # a failed run writes nothing: no output directory, and no file in the working directory
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+# BASE_CONF's dataset, as noise flags
+BASE_DATASET = {"dataset.kind": "blobs", "dataset.n": "300", "dataset.classes": "4",
+                "dataset.spread": "0.15"}
+
+
+# VALUE_CASES rows of a spec rule about a key that has a noise flag; a parse
+# error such as "dataset.spread: expected a finite number" is the config reader's own
+NOISE_RULE_CASES = [(line, message) for _, line, _, message in VALUE_CASES
+                    if line.split(" = ")[0] in cli.NOISE_FLAGS
+                    and message.startswith(line.split(" = ")[0] + " ")]
+
+
+@pytest.mark.parametrize("line,message", NOISE_RULE_CASES, ids=[c[0] for c in NOISE_RULE_CASES])
+def test_noise_flag_rules_are_the_config_rules(tmp_path, capsys, line, message):
+    key, _, value = line.partition(" = ")
+    flags = {**BASE_DATASET, key: value}
+    args = [arg for k, v in flags.items() for arg in (cli.NOISE_FLAGS[k], v)]
+    assert cli.main(["noise", "--kind", "none", *args, "--out", str(tmp_path / "out")]) == 2
+    for k, flag in cli.NOISE_FLAGS.items():
+        message = message.replace(f"{k} = ", f"{flag} ").replace(k, flag)
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _metrics_doc(lr):
@@ -686,6 +722,8 @@ COMMAND_CASES = [
      "--spread must be finite and positive, got nan"),
     ("noise-spread-inf", ["noise", "--kind", "none", "--spread", "inf"],
      "--spread must be finite and positive, got inf"),
+    ("noise-spread-zero", ["noise", "--kind", "none", "--spread", "0"],
+     "--spread must be finite and positive, got 0.0"),
     ("noise-rate-without-kind", ["noise", "--kind", "none", "--eta", "nan"],
      "a noise rate needs symmetric or asymmetric noise, got kind 'none'"),
     ("report-text-cell", ["report", "--metrics", "{tmp}/text-lr.json"],
@@ -733,6 +771,11 @@ COMMAND_CASES = [
                                    "--classes", "3"], "--dataset moons needs --classes 2, got 3"),
     ("noise-n-below-classes", ["noise", "--kind", "none", "--n", "3", "--classes", "4"],
      "--n must be >= --classes (4), got 3"),
+    # counts past data.MAX_COUNT are config errors, not numpy's size ValueError
+    ("noise-n-past-max-count", ["noise", "--kind", "none", "--n", "99999999999999999999999"],
+     "--n must be <= 9007199254740992, got 99999999999999999999999"),
+    ("lemma-trials-past-max-count", LEMMA + ["--zetas", "1", "--trials", "99999999999999999999999"],
+     "Monte-Carlo trials must be <= 9007199254740992, got 99999999999999999999999"),
     ("noise-csv-empty", ["noise", "--kind", "none", "--csv", "{tmp}/empty.csv"],
      "{tmp}/empty.csv: row 1: empty file"),
     ("noise-csv-header-only", ["noise", "--kind", "none", "--csv", "{tmp}/header-only.csv"],
@@ -814,6 +857,12 @@ LEMMA_BYTES = [
       "zeta=  5 precision=0.999458 recall=0.590490", "zeta=  6 precision=0.999880 recall=0.531441",
       "zeta=  7 precision=0.999973 recall=0.478297", "zeta=  8 precision=0.999994 recall=0.430467",
       "zeta=  9 precision=0.999999 recall=0.387420", "zeta= 10 precision=1.000000 recall=0.348678"]),
+    # the long window selects nothing after a few rounds and draws no more; each
+    # row draws from its own stream, so the next row's cells are unchanged
+    ("long-window-first", LEMMA + ["--zetas", "8000,20", "--trials", "20000"],
+     "81dd7588da503b994e51fdf3b5ddfac751e3bf4be5aaa0a506aff773f17b84a5",
+     ["zeta=8000 precision=1.000000 recall=0.000000 mc=(nan, nan)",
+      "zeta= 20 precision=1.000000 recall=0.011529 mc=(1.0000, 0.0101)"]),
     # five draws through ten harsh rounds select nothing: the Monte-Carlo cells are nan
     ("nothing-selected", ["lemma", "--pcc", "0.05", "--pnn", "0.95", "--pc", "0.5",
                           "--zetas", "10", "--trials", "5", "--seed", "3"],

@@ -3,15 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from longremix import cli, data
+from longremix import data
 from longremix.errors import ConfigError, ParseError, StateError
-
-
-def noise_command(tmp_path, *flags):
-    """``noise`` on a synthetic dataset that ``flags`` describe; the command
-    checks the dataset's sizes at its boundary, before it builds the data."""
-    cli.cmd_noise(cli.build_parser().parse_args(
-        ["noise", "--kind", "none", "--out", str(tmp_path), *flags]))
 
 
 def lstsq_accuracy(ds):
@@ -49,18 +42,13 @@ class TestSynthetic:
         ds = data.make_synthetic_dataset("blobs", n=400, classes=2, spread=0.1, seed=3)
         assert lstsq_accuracy(ds) >= 0.99
 
-    def test_moons_two_classes_only(self, tmp_path):
-        with pytest.raises(ConfigError, match="--classes 2"):
-            noise_command(tmp_path, "--dataset", "moons", "--n", "100", "--classes", "3")
+    def test_moons_two_classes_only(self):
         ds = data.make_synthetic_dataset("moons", n=100, classes=2, spread=0.05, seed=0)
         assert ds.num_classes == 2
         assert ds.n == 100
 
-    def test_preconditions(self, tmp_path):
-        with pytest.raises(ConfigError):
-            noise_command(tmp_path, "--n", "3", "--classes", "4")
-        with pytest.raises(ConfigError):
-            noise_command(tmp_path, "--n", "10", "--classes", "2", "--spread", "0.0")
+    def test_preconditions(self):
+        # the size rules are DatasetSpec's, pinned by test_cli's noise and config rows
         with pytest.raises(ConfigError):
             data.make_synthetic_dataset("rings", n=10, classes=2, spread=0.1, seed=0)
 

@@ -77,6 +77,25 @@ class TestMonteCarlo:
         est = monte_carlo_pr(0.05, 0.95, 0.5, 10, n_trials=5, seed=3)
         assert len(est) == 4 and np.isnan(est).all()
 
+    def test_rounds_stop_once_nothing_is_selected(self, monkeypatch):
+        # twenty fair-coin samples: none is left after round 7, so the draws
+        # are the clean flags and seven rounds, not a thousand
+        draws = []
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, size):
+                draws.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        est = monte_carlo_pr(0.5, 0.5, 0.5, 1000, n_trials=20, seed=0)
+        assert np.isnan(est).all()
+        assert draws == [20] * 8
+
     def test_trial_validation(self):
         with pytest.raises(ConfigError, match="need at least one trial"):
             monte_carlo_pr(0.8, 0.7, 0.5, 1, 0, seed=0)
