@@ -97,7 +97,10 @@ def init_network(layer_sizes, seed, tag="model1") -> Network:
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        try:
+            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        except ValueError as exc:  # numpy's size error: more bytes than an array may hold
+            raise MemoryError(exc) from None
         biases.append(np.zeros(fan_out))
     return Network(weights, biases, tag)
 

@@ -31,7 +31,6 @@ import contextlib
 import mmap
 import os
 import pickle
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -289,13 +288,9 @@ def _serve(requests, replies, member):
 
 def _use_workers() -> bool:
     """Fork a worker for model 2 where this process may use two CPUs or more,
-    unless it is daemonic (a pool worker, which may not start children) or
-    BLAS is unpinned (``BLAS_UNPINNED``). Without ``multiprocessing`` loaded
-    this process cannot be a pool worker, so a command pays nothing to check."""
+    unless BLAS is unpinned (``BLAS_UNPINNED``). A caller that runs cells in
+    parallel gives each cell one CPU, so that cell's pair runs in-process."""
     if BLAS_UNPINNED or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return False
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.current_process().daemon:
         return False
     return len(os.sched_getaffinity(0)) >= 2
 

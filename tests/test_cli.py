@@ -627,6 +627,10 @@ VALUE_CASES = [
      "dataset.test_n must be <= 9007199254740992, got 99999999999999999999999"),
     ("baseline", "train.hidden = 99999999999999999999999", 2,
      "hidden layer widths must be <= 9007199254740992, got (99999999999999999999999,)"),
+    # each width is a count, but one weight matrix holds more bytes than an array may
+    ("baseline", "train.hidden = 1000,9007199254740992", 3,
+     "out of memory: array is too big; `arr.size * arr.dtype.itemsize` is larger than the "
+     "maximum possible size."),
     ("baseline", "dataset.kind = moons", 2,
      "dataset.kind = moons needs dataset.classes = 2, got 4"),
     ("baseline", "report.prcurve = maybe", 2, "report.prcurve: expected a boolean, got 'maybe'"),
@@ -1228,19 +1232,48 @@ class TestPairTransports:
         assert steps[0] > 0 and steps[1] == 0
 
 
+def _main_counting_forks(args):
+    """``cli.main(args)`` in this process: its exit code, the forks it made,
+    and whether it left a child. A pool worker runs it, so it asserts
+    nothing: pytest's failure is no ``Exception``, and would end the worker
+    without a reply."""
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    os.fork = counted
+    try:
+        code = cli.main(args)
+    finally:
+        os.fork = fork
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return code, len(forks), False
+    return code, len(forks), True
+
+
 @needs_fork
-def test_pair_in_a_pool_worker_runs_in_process(tmp_path):
-    # a pool worker is daemonic, so it may not start the pair's workers
-    path, out = write_conf(tmp_path)
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the pair forks only where two CPUs are usable")
+def test_pair_in_a_pool_worker_forks_its_worker(tmp_path):
+    # a daemonic pool worker may not start a multiprocessing child, but the
+    # pair's worker is a bare os.fork: one per stage, and the same bytes
+    path, _ = write_conf(tmp_path, mode="full-longremix", extra=TestPairTransports.DUMPS)
     path.write_text(path.read_text().replace("dataset.n = 300", "dataset.n = 200"))
     pool = multiprocessing.get_context("fork").Pool(1)
     try:
-        assert pool.apply(cli.main, (["train", "--config", str(path), "--out", out],)) == 0
+        in_pool = pool.apply(_main_counting_forks,
+                             (["train", "--config", str(path), "--out", str(tmp_path / "pool")],))
     finally:
         pool.close()
         pool.join()
     _assert_no_children()
-    assert Path(out, "bundle.json").exists()
+    assert in_pool == (0, 2, False)
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "direct")]) == 0
+    assert _tree_bytes(tmp_path / "pool") == _tree_bytes(tmp_path / "direct")
 
 
 @needs_fork
