@@ -106,6 +106,8 @@ def cmd_prcurve(args) -> int:
 
 def cmd_lemma(args) -> int:
     outdir = _output_dir(args.out, ".")
+    if args.zeta_max > data.MAX_COUNT:
+        raise ConfigError(f"--zeta-max must be <= {data.MAX_COUNT}, got {args.zeta_max}")
     zetas = (_to_tuple(_to_int)("--zetas", args.zetas) if args.zetas is not None
              else range(1, args.zeta_max + 1))
     rows = lemma.sweep_zeta(args.pcc, args.pnn, args.pc, zetas,

@@ -134,22 +134,20 @@ def _clean(features, labels, num_classes, class_names=None) -> NoisyDataset:
 def make_synthetic_dataset(kind, n, classes, spread, seed) -> NoisyDataset:
     """Balanced 2-D toy dataset; ``blobs`` puts class centers on a circle,
     ``moons`` is the usual pair of interleaved half circles. ``DatasetSpec``
-    checks the sizes first, for a config file and the ``noise`` command's
-    flags alike."""
+    checks the kind and the sizes first, for a config file and the ``noise``
+    command's flags alike."""
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % classes
     if kind == "blobs":
         angles = 2.0 * np.pi * np.arange(classes) / classes
         centers = BLOB_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         feats = centers[labels] + rng.normal(scale=spread, size=(n, 2))
-    elif kind == "moons":
+    else:  # moons
         t = rng.uniform(0.0, np.pi, size=n)
         upper = np.stack([np.cos(t), np.sin(t)], axis=1)
         lower = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)
         feats = np.where((labels == 0)[:, None], upper, lower)
         feats = feats + rng.normal(scale=spread, size=(n, 2))
-    else:
-        raise ConfigError(f"unknown synthetic dataset kind: {kind!r}")
     return _clean(feats, labels, classes)
 
 

@@ -28,7 +28,7 @@ from .nn import Network, forward
 VAR_FLOOR = 1e-6
 EM_TOL = 1e-6       # EM stops once a step raises the mean log-likelihood by less
 EM_MAX_ITER = 100   # ... or after this many accepted steps
-MIN_FIT_SAMPLES = 4  # fewest losses fit_gmm_em accepts
+MIN_FIT_SAMPLES = 4  # fewest training rows of a run that fits the mixture, per data.training_sets
 WEIGHT_FLOOR = 1e-8
 
 
@@ -64,9 +64,7 @@ def per_sample_losses(net: Network, ds, probs=None) -> np.ndarray:
 
 
 def normalize_losses(losses) -> np.ndarray:
-    """Min-max rescale to [0, 1]; a constant vector maps to all 0.5."""
-    if len(losses) == 0:
-        raise ValueError("empty loss vector")
+    """Min-max rescale of a non-empty vector to [0, 1]; a constant one maps to all 0.5."""
     lo, hi = float(losses.min()), float(losses.max())
     if hi - lo <= 1e-12:
         return np.full_like(losses, 0.5)
@@ -102,7 +100,7 @@ def percentiles_10_90(x) -> np.ndarray:
 
 
 def fit_gmm_em(losses) -> GmmParams:
-    """EM fit of a 2-component 1-D mixture to the loss values.
+    """EM fit of a 2-component 1-D mixture to ``MIN_FIT_SAMPLES`` or more losses.
 
     The fit starts from the 10th and 90th percentiles of the losses
     (``percentiles_10_90``) as the means, or from their minimum and maximum
@@ -113,8 +111,6 @@ def fit_gmm_em(losses) -> GmmParams:
     non-decreasing.
     """
     x = np.asarray(losses, dtype=float)
-    if len(x) < MIN_FIT_SAMPLES:
-        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit the mixture")
     if float(x.max() - x.min()) <= 1e-12:
         return _collapsed(x)
 

@@ -34,15 +34,14 @@ def closed_form_pr(p_cc, p_nn, p_c, zeta):
 def monte_carlo_pr(p_cc, p_nn, p_c, zeta, n_trials, seed):
     """Simulate the selection sample by sample, round by round.
 
-    Each of ``n_trials`` samples is clean with probability p_c and passes
-    zeta independent classification rounds; it enters the clean set only if
-    every round calls it clean, so the rounds stop once none is left.
+    Each of ``n_trials`` samples (``sweep_zeta`` asks for at least one) is
+    clean with probability p_c and passes zeta independent classification
+    rounds; it enters the clean set only if every round calls it clean, so
+    the rounds stop once none is left.
     Returns ``(precision, recall, se_p, se_r)`` with binomial standard
     errors; all four are NaN when the window selects nothing or the draw
     holds no clean sample.
     """
-    if n_trials < 1:
-        raise ConfigError("need at least one trial")
     rng = np.random.default_rng(seed)
     clean = rng.random(n_trials) < p_c
     pass_prob = np.where(clean, p_cc, 1.0 - p_nn)

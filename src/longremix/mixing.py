@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateError
 from .seeding import derive_rng
 from .selector import SplitSets
 
@@ -50,8 +49,6 @@ def build_epoch_plan(labeled_idx, unlabeled_idx, dataset_size, seed,
     """
     labeled_idx = np.asarray(labeled_idx, dtype=int)
     unlabeled_idx = np.asarray(unlabeled_idx, dtype=int)
-    if len(labeled_idx) == 0:
-        raise StateError("cannot build an epoch plan without labelled anchors")
     rng = derive_rng(*seed)
     target = int(dataset_size) if longmix else len(labeled_idx)
     pool = np.concatenate([labeled_idx, unlabeled_idx])

@@ -160,13 +160,12 @@ def _backprop(net: Network, acts, dz) -> np.ndarray:
 
 def backward(net: Network, batch, loss: TotalLoss) -> np.ndarray:
     """Gradients of the mean ``loss`` over ``batch``, a ``((X features, X
-    targets), (U features, U targets))`` pair of 2-D float arrays whose U
-    half may be empty, for every parameter, in ``net.grads``: the net's own
-    buffer, returned and valid until the next ``backward`` on that net."""
+    targets), (U features, U targets))`` pair of 2-D float arrays whose X
+    half has rows and whose U half may be empty, for every parameter, in
+    ``net.grads``: the net's own buffer, returned and valid until the next
+    ``backward`` on that net."""
     (xf, xt), (uf, ut) = batch
     n_x, n_u = len(xf), len(uf)
-    if n_x == 0:
-        raise ValueError("the loss needs a non-empty labelled batch")
     acts = _forward_cached(net, np.vstack([xf, uf]) if n_u else xf)
     p = acts[-1]
     if not n_u and loss.lambda_reg == 0.0:

@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from .config import ExperimentConfig, effective_config
 from .data import read_text
-from .errors import ConfigError, StateError
+from .errors import ConfigError
 from .selector import baseline_split, clean_set_metrics, hct_split
 from .trainer import ModelEpochStats
 
@@ -165,16 +165,13 @@ def _write_bundle(outdir, doc, formats, files, kept=None) -> ReportBundle:
     """Add ``metrics.json`` and the CSVs that ``formats`` ask for to ``files``
     (name -> (relative path, text)), render the manifest over them and the
     ``kept`` files already in ``outdir`` (name -> relative path), then write
-    them; an empty file stops the bundle before its first byte."""
+    them."""
     if "json" in formats:
         files["metrics"] = ("metrics.json", json_text(doc))
     if "csv" in formats:
         files["epochs"] = ("epochs.csv", epochs_csv_text(doc["stages"]))
         if doc.get("prcurve"):
             files["prcurve"] = ("prcurve.csv", prcurve_csv_text(doc["prcurve"]))
-    for name, (rel, text) in files.items():
-        if not text:
-            raise StateError(f"bundle file {name} ({rel}) is empty")
     listing = {**(kept or {}), **{name: rel for name, (rel, _) in files.items()}}
     manifest = {"files": listing, "schema_version": doc.get("schema_version", SCHEMA_VERSION)}
     texts = {**dict(files.values()), "bundle.json": json_text(manifest)}

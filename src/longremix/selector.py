@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateError
-
 
 @dataclass
 class SplitSets:
@@ -91,8 +89,6 @@ def hct_split(window, tau) -> SplitSets:
     of the ``(zeta, n)`` confidence ``window``. Weights carry the current
     (last) epoch's posterior."""
     window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or not len(window):
-        raise StateError(f"confidence window of shape {window.shape}; need (zeta, n), zeta >= 1")
     return _assemble((window >= tau).all(axis=0), window[-1], "hct")
 
 
@@ -102,14 +98,12 @@ def select_core_set(core, epoch, splits, total_epochs) -> CoreSet | None:
     ``splits`` in model order. Only windowed splits of epochs >=
     ceil(total_epochs / 2) count; the largest X wins and ties go to the
     latest, so model 2's beats model 1's within an epoch. A choice whose X
-    is empty is ``CoreSet.empty()``; a stage whose last epoch leaves no
-    choice is a ``StateError``."""
+    is empty is ``CoreSet.empty()``. ``TrainConfig`` keeps ``zeta`` within
+    ``total_epochs``, so the last epoch's splits are windowed and choose."""
     first = (total_epochs + 1) // 2
     for split in splits:
         if epoch >= first and split.kind == "hct" and (core is None or split.x_size >= core.size):
             core = CoreSet(split.labeled_idx.copy(), epoch) if split.x_size else CoreSet.empty()
-    if core is None and epoch == total_epochs:
-        raise StateError(f"no windowed split made in epochs {first}..{total_epochs}")
     return core
 
 

@@ -95,6 +95,8 @@ class TrainConfig:
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
         if self.zeta < 1:
             raise ConfigError(f"zeta must be >= 1, got {self.zeta}")
+        if self.zeta > MAX_COUNT:
+            raise ConfigError(f"zeta must be <= {MAX_COUNT}, got {self.zeta}")
         if self.epochs < self.zeta:
             raise ConfigError(f"epochs ({self.epochs}) must be >= zeta ({self.zeta})")
         if self.warmup < 1:

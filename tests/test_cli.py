@@ -579,7 +579,7 @@ def test_csv_contract(tmp_path, capsys, monkeypatch, case, train_rows, test_rows
     assert got == want == 1.0
 
 
-# (mode, config line, exit code, stderr after its prefix): a config error
+# (mode, config lines, exit code, stderr after its prefix): a config error
 # before training, or a run stopped where a parameter or an output became NaN or inf
 VALUE_CASES = [
     ("baseline", "train.alpha = nan", 2, "train.alpha: expected a finite number, got 'nan'"),
@@ -620,6 +620,9 @@ VALUE_CASES = [
     ("baseline", "dataset.test_n = 0", 2, "dataset.test_n must be >= dataset.classes (4), got 0"),
     ("baseline", "dataset.classes = 1", 2, "dataset.classes must be >= 2, got 1"),
     ("baseline", "dataset.spread = 0", 2, "dataset.spread must be finite and positive, got 0.0"),
+    # too few rows for the loss mixture, the one guard before its fit
+    ("baseline", "dataset.classes = 2\ndataset.n = 3", 2,
+     "dataset.n: 3 training rows; the loss mixture needs at least 4"),
     # a count past data.MAX_COUNT is a config error, not numpy's size ValueError
     ("baseline", "dataset.n = 99999999999999999999999", 2,
      "dataset.n must be <= 9007199254740992, got 99999999999999999999999"),
@@ -627,6 +630,9 @@ VALUE_CASES = [
      "dataset.test_n must be <= 9007199254740992, got 99999999999999999999999"),
     ("baseline", "train.hidden = 99999999999999999999999", 2,
      "hidden layer widths must be <= 9007199254740992, got (99999999999999999999999,)"),
+    # a window length is a count too: past 2**63 - 1 no deque can hold it
+    ("baseline", "train.zeta = 9223372036854775808\ntrain.epochs = 9223372036854775808", 2,
+     "zeta must be <= 9007199254740992, got 9223372036854775808"),
     # each width is a count, but one weight matrix holds more bytes than an array may
     ("baseline", "train.hidden = 1000,9007199254740992", 3,
      "out of memory: array is too big; `arr.size * arr.dtype.itemsize` is larger than the "
@@ -645,16 +651,28 @@ VALUE_CASES = [
 
 
 @pytest.mark.parametrize("mode,line,code,message", VALUE_CASES,
-                         ids=[f"{mode}: {line}" for mode, line, _, _ in VALUE_CASES])
+                         ids=[f"{mode}: {line}".replace("\n", "; ")
+                              for mode, line, _, _ in VALUE_CASES])
 def test_value_contract(tmp_path, capsys, monkeypatch, mode, line, code, message):
     monkeypatch.chdir(tmp_path)  # a relative path, such as output.dir's x, lands here
     path, out = write_conf(tmp_path, mode=mode)
-    kept = [ln for ln in path.read_text().splitlines() if not ln.startswith(line.split("=")[0])]
+    keys = tuple(ln.split("=")[0] for ln in line.splitlines())
+    kept = [ln for ln in path.read_text().splitlines() if not ln.startswith(keys)]
     path.write_text("\n".join(kept + [line]) + "\n")
     assert cli.main(["train", "--config", str(path), "--out", out]) == code
     assert capsys.readouterr().err == {2: "config error: ", 3: "error: "}[code] + message + "\n"
     # a failed run writes nothing: no output directory, and no file in the working directory
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_ce_trains_on_fewer_rows_than_the_mixture_needs(tmp_path, capsys):
+    # ce fits no mixture, so the rows rule of the other modes does not apply
+    path, out = write_conf(tmp_path, mode="ce")
+    path.write_text(path.read_text().replace("dataset.n = 300", "dataset.n = 3")
+                    .replace("dataset.classes = 4", "dataset.classes = 2"))
+    assert cli.main(["train", "--config", str(path), "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "out" / "metrics.json").read_text())["dataset"]["n"] == 3
 
 
 # BASE_CONF's dataset, as noise flags
@@ -707,7 +725,8 @@ INPUT_FILES = {"empty.conf": b"",
                "header-only.csv": b"x0,label\n",
                "one-column.csv": b"label\na\n",
                "no-label-column.csv": b"x0,y\n0.5,a\n",
-               "empty-label.csv": b"x0,label\n0.5,a\n0.6, \n"}
+               "empty-label.csv": b"x0,label\n0.5,a\n0.6, \n",
+               "three-rows-ce.conf": b"dataset.n = 3\ndataset.classes = 2\ntrain.mode = ce\n"}
 LEMMA = ["lemma", "--pcc", "0.8", "--pnn", "0.7", "--pc", "0.5"]
 
 # (case, arguments, start of the stderr line after "config error: ") for bad
@@ -780,6 +799,9 @@ COMMAND_CASES = [
      "--n must be <= 9007199254740992, got 99999999999999999999999"),
     ("lemma-trials-past-max-count", LEMMA + ["--zetas", "1", "--trials", "99999999999999999999999"],
      "Monte-Carlo trials must be <= 9007199254740992, got 99999999999999999999999"),
+    # checked before the window range is built
+    ("lemma-zeta-max-past-max-count", LEMMA + ["--trials", "0", "--zeta-max", "9007199254740993"],
+     "--zeta-max must be <= 9007199254740992, got 9007199254740993"),
     ("noise-csv-empty", ["noise", "--kind", "none", "--csv", "{tmp}/empty.csv"],
      "{tmp}/empty.csv: row 1: empty file"),
     ("noise-csv-header-only", ["noise", "--kind", "none", "--csv", "{tmp}/header-only.csv"],
@@ -808,6 +830,9 @@ COMMAND_CASES = [
     ("noise-csv-mapping-unread", ["noise", "--csv", "{tmp}/missing.csv", "--kind", "symmetric",
                                   "--eta", "0.2", "--mapping", "0:1"],
      "a class mapping needs asymmetric noise, got kind 'symmetric'"),
+    # prcurve fits the mixture whatever the mode
+    ("prcurve-three-rows-ce", ["prcurve", "--config", "{tmp}/three-rows-ce.conf"],
+     "dataset.n: 3 training rows; the loss mixture needs at least 4"),
     # an explicit empty --out names no directory; it does not fall back to the default
     ("lemma-out-empty", LEMMA + ["--trials", "0", "--zetas", "1", "--out", ""],
      "--out must not be empty"),

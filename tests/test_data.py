@@ -47,11 +47,6 @@ class TestSynthetic:
         assert ds.num_classes == 2
         assert ds.n == 100
 
-    def test_preconditions(self):
-        # the size rules are DatasetSpec's, pinned by test_cli's noise and config rows
-        with pytest.raises(ConfigError):
-            data.make_synthetic_dataset("rings", n=10, classes=2, spread=0.1, seed=0)
-
 
 class TestCsv:
     def test_small_file(self, tmp_path):

@@ -112,10 +112,6 @@ class TestEmFit:
         assert params.collapsed
         np.testing.assert_array_equal(gmm.clean_posterior(params, np.array([0.4])), [0.5])
 
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError, match="4 samples"):
-            gmm.fit_gmm_em(np.array([0.1, 0.9, 0.5]))
-
     def test_variance_floor_applied(self):
         # near-duplicate low cluster drives its variance to the floor, not below
         vals = np.concatenate([np.full(50, 0.1) + np.linspace(0, 1e-9, 50), np.linspace(0.8, 1.0, 50)])

@@ -96,10 +96,6 @@ class TestMonteCarlo:
         assert np.isnan(est).all()
         assert draws == [20] * 8
 
-    def test_trial_validation(self):
-        with pytest.raises(ConfigError, match="need at least one trial"):
-            monte_carlo_pr(0.8, 0.7, 0.5, 1, 0, seed=0)
-
 
 class TestSweep:
     def test_monotone_verdicts_in_lemma_regime(self):

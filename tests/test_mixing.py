@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from longremix import nn
-from longremix.errors import StateError
 from longremix.mixing import build_epoch_plan, mix_plan, plan_digest, target_table
 from longremix.selector import CoreSet, SplitSets, baseline_split, guided_split
 from conftest import batch_loss, cross_entropy
@@ -125,10 +124,6 @@ class TestEpochPlan:
         plan = build_epoch_plan(np.arange(8), np.empty(0, dtype=int), 100, seed=(1,))
         assert plan.u_ops == 0
         assert plan.x_ops == 100
-
-    def test_empty_x_rejected(self):
-        with pytest.raises(StateError, match="labelled"):
-            build_epoch_plan(np.empty(0, dtype=int), np.arange(5), 100, seed=(1,))
 
     def test_with_replacement_multiplicity(self):
         # |X| << |D|: each member's count is Binomial(D, 1/|X|); 4 sigma band

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from longremix import data, selector, trainer
-from longremix.errors import StateError
 from longremix.selector import (CleanSetMetrics, CoreSet, baseline_split, clean_set_metrics,
                                 guided_split, hct_split, select_core_set)
 
@@ -73,12 +72,6 @@ class TestHctSplit:
         w = make_window([post], zeta=1)
         assert same_membership(hct_split(w, 0.5), baseline_split(post, 0.5))
 
-    def test_underfilled_window_is_state_error(self):
-        # a window of no epochs, or a posterior vector that is not a window
-        for window in (np.empty((0, 1)), np.array([0.9])):
-            with pytest.raises(StateError, match="window"):
-                hct_split(window, 0.5)
-
     def test_ring_buffer_depth(self, monkeypatch):
         # each net's window in a stage holds its last zeta posterior vectors:
         # from one epoch's window to the next, the oldest row drops out
@@ -127,10 +120,6 @@ class TestCoreSet:
             warnings.simplefilter("error")
             core = choose_core_set(records, 10)
         assert core.size == 0
-
-    def test_no_records_is_state_error(self):
-        with pytest.raises(StateError):
-            choose_core_set([(1, self._snapshot(5))], total_epochs=10)
 
     def test_tie_within_epoch_goes_to_model2(self):
         model1, model2 = self._snapshot(5), self._snapshot(5, first=5)
