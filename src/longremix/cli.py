@@ -1,21 +1,20 @@
 """Command-line entry points.
 
-Subcommands: ``train`` (run a configured experiment end to end), ``lemma``
-(closed-form + Monte-Carlo window sweep), ``noise`` (generate or load a
-dataset, inject label noise, write CSV + provenance sidecar), ``prcurve``
-(threshold sweep of the selection precision/recall), ``report`` (re-emit
-plot CSVs from an existing metrics JSON).
+Subcommands: ``train`` (run a configured experiment end to end and write
+its bundle), ``lemma`` (closed-form + Monte-Carlo window sweep), ``noise``
+(generate or load a dataset, inject label noise, write CSV + provenance
+sidecar), ``prcurve`` (threshold sweep of the selection precision/recall).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure. A command
 writes into ``--out``, else ``LONGREMIX_OUTDIR``, else its own default
 directory (``_output_dir``); a config does not name it, so a bundle's bytes
-do not depend on where it is written.
+do not depend on where it is written, and ``train`` on the config that a
+bundle's ``metrics.json`` echoes writes that bundle again.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -159,21 +158,6 @@ def cmd_noise(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    outdir = _output_dir(args.out, os.path.dirname(args.metrics) or ".")
-    try:
-        doc = json.loads(data.read_text(args.metrics, "metrics"))
-    except (ValueError, RecursionError) as exc:  # malformed, too many digits, too deep
-        raise ConfigError(f"metrics file is not valid JSON: {exc}") from exc
-    try:
-        bundle = report.reemit_from_metrics(doc, outdir)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"metrics file {args.metrics} has a missing or non-numeric field: "
-                          f"{exc}") from exc
-    print(f"re-emitted into {outdir}; {bundle.manifest_path} lists {len(bundle.files)} files")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="longremix",
@@ -223,11 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.add_argument("--data-seed", type=int)
     p_noise.add_argument("--out")
     p_noise.set_defaults(func=cmd_noise)
-
-    p_report = sub.add_parser("report", help="re-emit CSVs from an existing metrics JSON")
-    p_report.add_argument("--metrics", required=True)
-    p_report.add_argument("--out")
-    p_report.set_defaults(func=cmd_report)
     return parser
 
 
@@ -242,8 +221,8 @@ def main(argv=None) -> int:
     except LongRemixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # one that Python itself raises has no message
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

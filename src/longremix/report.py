@@ -16,8 +16,6 @@ import numpy as np
 
 from . import nn
 from .config import ExperimentConfig, effective_config
-from .data import read_text
-from .errors import ConfigError
 from .selector import baseline_split, clean_set_metrics, hct_split
 from .trainer import ModelEpochStats
 
@@ -161,24 +159,6 @@ def write_files(outdir, texts) -> list:
     return paths
 
 
-def _write_bundle(outdir, doc, formats, files, kept=None) -> ReportBundle:
-    """Add ``metrics.json`` and the CSVs that ``formats`` ask for to ``files``
-    (name -> (relative path, text)), render the manifest over them and the
-    ``kept`` files already in ``outdir`` (name -> relative path), then write
-    them."""
-    if "json" in formats:
-        files["metrics"] = ("metrics.json", json_text(doc))
-    if "csv" in formats:
-        files["epochs"] = ("epochs.csv", epochs_csv_text(doc["stages"]))
-        if doc.get("prcurve"):
-            files["prcurve"] = ("prcurve.csv", prcurve_csv_text(doc["prcurve"]))
-    listing = {**(kept or {}), **{name: rel for name, (rel, _) in files.items()}}
-    manifest = {"files": listing, "schema_version": doc.get("schema_version", SCHEMA_VERSION)}
-    texts = {**dict(files.values()), "bundle.json": json_text(manifest)}
-    return ReportBundle(outdir=outdir, files=listing,
-                        manifest_path=write_files(outdir, texts)[-1])
-
-
 def emit_report(outdir, stages, exp: ExperimentConfig, noise_info, dataset_info,
                 prcurve_rows=None) -> ReportBundle:
     """Render the configured bundle of ``stages`` in full, then write it and its manifest."""
@@ -194,24 +174,14 @@ def emit_report(outdir, stages, exp: ExperimentConfig, noise_info, dataset_info,
     if exp.report.checkpoints:
         for net in stages[-1].nets:
             files[net.tag] = (f"{net.tag}.ckpt", nn.checkpoint_text(net))
-    return _write_bundle(outdir, doc, exp.report.formats, files)
-
-
-def _present_files(outdir) -> dict:
-    """name -> relative path of each file that ``outdir``'s manifest lists
-    and that is still there; empty without a manifest."""
-    path = os.path.join(outdir, "bundle.json")
-    if not os.path.exists(path):
-        return {}
-    try:
-        listing = json.loads(read_text(path, "manifest"))["files"]
-        return {name: rel for name, rel in listing.items()
-                if os.path.isfile(os.path.join(outdir, rel))}
-    except (ValueError, RecursionError, LookupError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"manifest {path} is malformed: {exc}") from exc
-
-
-def reemit_from_metrics(doc, outdir) -> ReportBundle:
-    """Regenerate the CSV side of a bundle from an existing metrics document;
-    the manifest still lists every file of a bundle re-emitted in place."""
-    return _write_bundle(outdir, doc, ("json", "csv"), {}, _present_files(outdir))
+    if "json" in exp.report.formats:
+        files["metrics"] = ("metrics.json", json_text(doc))
+    if "csv" in exp.report.formats:
+        files["epochs"] = ("epochs.csv", epochs_csv_text(doc["stages"]))
+        if prcurve_rows:
+            files["prcurve"] = ("prcurve.csv", prcurve_csv_text(prcurve_rows))
+    listing = {name: rel for name, (rel, _) in files.items()}
+    manifest = {"files": listing, "schema_version": SCHEMA_VERSION}
+    texts = {**dict(files.values()), "bundle.json": json_text(manifest)}
+    return ReportBundle(outdir=outdir, files=listing,
+                        manifest_path=write_files(outdir, texts)[-1])

@@ -240,6 +240,15 @@ class TestTrainCommand:
         assert (envdir / "metrics.json").exists()
         assert not (tmp_path / cli.RUN_OUTDIR).exists()
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as Windows editors save UTF-8 text
+        path, out = write_conf(tmp_path, mode="baseline")
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
+        want = _tree_bytes(out)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "bom")]) == 0
+        assert _tree_bytes(tmp_path / "bom") == want
+
     def test_unknown_key_exits_2(self, tmp_path):
         path, out = write_conf(tmp_path, extra="future.flag = on\n")
         assert cli.main(["train", "--config", str(path), "--out", out]) == 2
@@ -363,14 +372,15 @@ class TestNoiseCommand:
     # the dataset.csv digests of these runs at an earlier commit: the noise
     # draws must not change
     @pytest.mark.parametrize("args,digest", [
-        (["--kind", "symmetric", "--eta", "0.5"],
+        (["--kind", "symmetric", "--eta", "0.5", "--classes", "4"],
          "5969175253b644535de9747d1325c6ad860ef188688a7a480e1c2a1301730fbb"),
-        (["--kind", "asymmetric", "--eta", "0.4", "--mapping", "0:1,2:3"],
+        (["--kind", "asymmetric", "--eta", "0.4", "--mapping", "0:1,2:3", "--classes", "4"],
          "38ce46864b7e126dba9e50a92863c8ef50913b4b66f244f446eb4c11fca717da"),
-    ], ids=["symmetric", "asymmetric"])
+        (["--kind", "symmetric", "--eta", "0.5", "--dataset", "moons", "--classes", "2"],
+         "615e10c404c2e7f0af33cfc35e0cf94335f12612f64025e44fab03f0e1058766"),
+    ], ids=["symmetric", "asymmetric", "moons"])
     def test_noised_csv_bytes_are_pinned(self, tmp_path, args, digest):
-        assert cli.main(["noise", *args, "--n", "300", "--classes", "4",
-                         "--out", str(tmp_path)]) == 0
+        assert cli.main(["noise", *args, "--n", "300", "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "dataset.csv").read_bytes()).hexdigest() == digest
 
     def test_no_test_set_rule(self, tmp_path):
@@ -398,75 +408,6 @@ class TestNoiseCommand:
                                            "symmetric noise needs at least 2 classes\n")
         assert not out.exists()
         assert cli.main(args + ["none"]) == 0
-
-
-class TestReportCommand:
-    def test_reemission_reproduces_csv(self, tmp_path):
-        path, out = write_conf(tmp_path, mode="baseline")
-        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
-        original = (tmp_path / "out" / "epochs.csv").read_text()
-        assert cli.main(["report", "--metrics", str(tmp_path / "out" / "metrics.json"),
-                         "--out", str(tmp_path / "re")]) == 0
-        assert (tmp_path / "re" / "epochs.csv").read_text() == original
-
-    def test_older_document_is_written_as_read(self, tmp_path):
-        # a version 1 document, which also echoed output.dir, keeps both
-        path, out = write_conf(tmp_path, mode="baseline")
-        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
-        metrics = Path(out, "metrics.json")
-        doc = json.loads(metrics.read_text())
-        doc["schema_version"], doc["config"]["output.dir"] = 1, out
-        metrics.write_text(report.json_text(doc))
-        assert cli.main(["report", "--metrics", str(metrics), "--out", str(tmp_path / "re")]) == 0
-        assert (tmp_path / "re" / "metrics.json").read_bytes() == metrics.read_bytes()
-        assert json.loads((tmp_path / "re" / "bundle.json").read_text())["schema_version"] == 1
-
-    def test_byte_order_mark_is_skipped(self, tmp_path):
-        # as Windows editors save UTF-8 text: a config and a metrics file
-        path, out = write_conf(tmp_path, mode="baseline")
-        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
-        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
-        metrics = Path(out, "metrics.json")
-        metrics.write_bytes(codecs.BOM_UTF8 + metrics.read_bytes())
-        assert cli.main(["report", "--metrics", str(metrics), "--out", str(tmp_path / "re")]) == 0
-        assert (tmp_path / "re" / "epochs.csv").read_bytes() == Path(out, "epochs.csv").read_bytes()
-
-    def test_invalid_json_exit_2(self, tmp_path):
-        bad = tmp_path / "m.json"
-        bad.write_text("{not json")
-        assert cli.main(["report", "--metrics", str(bad)]) == 2
-
-    def _dumped_run(self, tmp_path):
-        path, out = write_conf(tmp_path, extra="report.gmm_dump = true\n"
-                                                "report.plan_digests = true\n"
-                                                "report.checkpoints = true\n")
-        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
-        return Path(out)
-
-    def test_in_place_manifest_lists_every_file(self, tmp_path):
-        # report writes into the metrics file's own directory by default
-        out = self._dumped_run(tmp_path)
-        manifest = (out / "bundle.json").read_bytes()
-        assert cli.main(["report", "--metrics", str(out / "metrics.json")]) == 0
-        assert (out / "bundle.json").read_bytes() == manifest
-        # a listed file that is gone is no longer listed
-        (out / "model2.ckpt").unlink()
-        assert cli.main(["report", "--metrics", str(out / "metrics.json")]) == 0
-        files = json.loads((out / "bundle.json").read_text())["files"]
-        assert sorted(files) == ["epochs", "gmm", "metrics", "model1", "plans"]
-
-    @pytest.mark.parametrize("text", ["{not json", "[]", '{"files": 3}', '{"files": {"x": 5}}',
-                                      '{"schema_version": 1}'])
-    def test_malformed_manifest_exit_2(self, tmp_path, capsys, text):
-        out = self._dumped_run(tmp_path)
-        (out / "bundle.json").write_text(text)
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
-        capsys.readouterr()
-        assert cli.main(["report", "--metrics", str(out / "metrics.json")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: manifest {out / 'bundle.json'} is malformed: ")
-        assert err.count("\n") == 1
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestOptionalDumps:
@@ -699,21 +640,9 @@ def test_noise_flag_rules_are_the_config_rules(tmp_path, capsys, line, message):
     assert not (tmp_path / "out").exists()
 
 
-def _metrics_doc(lr):
-    return {"stages": [{"stage": "baseline", "epochs": [
-        {"epoch": 1, "phase": "train", "lr": lr, "test_acc": 0.5, "model1": None, "model2": None}]}]}
-
-
 # Input files, each written into the test's directory: an empty config,
-# malformed configs, metrics documents and CSV files, and files that are
-# not UTF-8.
+# malformed configs and CSV files, and files that are not UTF-8.
 INPUT_FILES = {"empty.conf": b"",
-               "text-lr.json": json.dumps(_metrics_doc("x")).encode(),
-               "list-lr.json": json.dumps(_metrics_doc([0.02])).encode(),
-               "no-stages.json": b"{}",
-               "nested.json": b"[" * 200_000,
-               "digits.json": b"1" * 5000,
-               "latin1.json": b'{"stages": "caf\xe9"}',
                "latin1.conf": b"dataset.n = 200\nnoise.kind = caf\xe9\n",
                "latin1.csv": b"x0,label\n0.5,caf\xe9\n",
                "no-equals.conf": b"dataset.n = 200\ndataset.classes 4\n",
@@ -749,13 +678,6 @@ COMMAND_CASES = [
      "--spread must be finite and positive, got 0.0"),
     ("noise-rate-without-kind", ["noise", "--kind", "none", "--eta", "nan"],
      "a noise rate needs symmetric or asymmetric noise, got kind 'none'"),
-    ("report-text-cell", ["report", "--metrics", "{tmp}/text-lr.json"],
-     "metrics file {tmp}/text-lr.json has a missing or non-numeric field: "
-     "could not convert string to float: 'x'"),
-    ("report-list-cell", ["report", "--metrics", "{tmp}/list-lr.json"],
-     "metrics file {tmp}/list-lr.json has a missing or non-numeric field: float() argument"),
-    ("report-missing-field", ["report", "--metrics", "{tmp}/no-stages.json"],
-     "metrics file {tmp}/no-stages.json has a missing or non-numeric field: 'stages'"),
     ("lemma-negative-seed", LEMMA + ["--seed", "-1"], "--seed must be >= 0, got -1"),
     ("noise-negative-seed", ["noise", "--kind", "symmetric", "--eta", "0.2", "--seed", "-3"],
      "--seed must be >= 0, got -3"),
@@ -772,12 +694,6 @@ COMMAND_CASES = [
      "cannot read config {tmp}/latin1.conf: 'utf-8' codec can't decode byte 0xe9 in position 32"),
     ("noise-csv-not-utf8", ["noise", "--kind", "none", "--csv", "{tmp}/latin1.csv"],
      "cannot read dataset {tmp}/latin1.csv: 'utf-8' codec can't decode byte 0xe9 in position 16"),
-    ("report-not-utf8", ["report", "--metrics", "{tmp}/latin1.json"],
-     "cannot read metrics {tmp}/latin1.json: 'utf-8' codec can't decode byte 0xe9 in position 15"),
-    ("report-nested-too-deep", ["report", "--metrics", "{tmp}/nested.json"],
-     "metrics file is not valid JSON: maximum recursion depth exceeded"),
-    ("report-too-many-digits", ["report", "--metrics", "{tmp}/digits.json"],
-     "metrics file is not valid JSON: Exceeds the limit (4300 digits)"),
     ("train-config-line-without-equals", ["train", "--config", "{tmp}/no-equals.conf"],
      "line 2: expected 'key = value', got 'dataset.classes 4'"),
     ("train-config-empty-key", ["train", "--config", "{tmp}/empty-key.conf"], "line 2: empty key"),
@@ -841,8 +757,6 @@ COMMAND_CASES = [
     ("prcurve-out-empty", ["prcurve", "--config", "{tmp}/empty.conf", "--out", ""],
      "--out must not be empty"),
     ("noise-out-empty", ["noise", "--kind", "none", "--n", "8", "--classes", "2", "--out", ""],
-     "--out must not be empty"),
-    ("report-out-empty", ["report", "--metrics", "{tmp}/text-lr.json", "--out", ""],
      "--out must not be empty"),
 ]
 
@@ -984,6 +898,18 @@ def test_empty_core_set_is_one_stderr_line(tmp_path):
     assert summary["core_set_size"] == 0
 
 
+def test_out_of_memory_without_a_message_gives_a_reason(tmp_path, capsys, monkeypatch):
+    # Python's own MemoryError carries no message, as a huge valid
+    # --zeta-max raises it; the line still says why the command stopped
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.lemma, "sweep_zeta", exhausted)
+    assert cli.main(LEMMA + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "error: out of memory: an allocation failed\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args", [LEMMA + ["--zetas", "1", "--trials", str(10**15)],
                                   ["train", "--config", "{tmp}/huge.conf"]],
                          ids=["lemma-trials", "train-dataset-n"])
@@ -1001,8 +927,7 @@ def test_out_of_memory_exits_3(tmp_path, capsys, args):
 def test_help_documents_subcommands():
     parser = cli.build_parser()
     help_text = parser.format_help()
-    for name in ("train", "lemma", "noise", "report", "prcurve"):
-        assert name in help_text
+    assert "{train,prcurve,lemma,noise}" in help_text
 
 
 def test_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -1017,7 +942,7 @@ def test_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
 
 
-@pytest.mark.parametrize("command", ["train", "prcurve", "lemma", "noise", "report"])
+@pytest.mark.parametrize("command", ["train", "prcurve", "lemma", "noise"])
 def test_output_path_naming_a_file_rejected_before_work(tmp_path, capsys, monkeypatch, command):
     path, _ = write_conf(tmp_path, mode="full-longremix")
     blocked = tmp_path / "blocked"
@@ -1025,8 +950,7 @@ def test_output_path_naming_a_file_rejected_before_work(tmp_path, capsys, monkey
     args = {"train": ["train", "--config", str(path)],
             "prcurve": ["prcurve", "--config", str(path)],
             "lemma": LEMMA,
-            "noise": ["noise", "--kind", "none", "--n", "50", "--classes", "2"],
-            "report": ["report", "--metrics", str(tmp_path / "metrics.json")]}[command]
+            "noise": ["noise", "--kind", "none", "--n", "50", "--classes", "2"]}[command]
     # any work would fail loudly: the check comes before training or sweeping
     monkeypatch.setattr(cli, "run_training", None)
     monkeypatch.setattr(cli, "run_stage", None)
@@ -1136,6 +1060,21 @@ class TestPairTransports:
                                                 [command, "--config", str(path), "--out", out])
             assert workers[0] == 3 and workers[1].startswith(line)
             assert workers == in_process
+
+    def test_bundle_is_made_again_from_its_own_echo(self, tmp_path, monkeypatch, capsys):
+        # a bundle depends only on the config that its metrics.json echoes:
+        # training on that echo writes every file again, byte for byte
+        path, _ = write_conf(tmp_path, mode="full-longremix",
+                             extra=self.DUMPS + "report.gmm_dump = true\n")
+        first = tmp_path / "first"
+        assert cli.main(["train", "--config", str(path), "--out", str(first)]) == 0
+        want = _tree_bytes(first)
+        assert {"gmm.jsonl", "plans.csv", "model1.ckpt", "model2.ckpt"} <= set(want)
+        echo = tmp_path / "echo.conf"
+        echo.write_text(serialize_flat(json.loads(want["metrics.json"])["config"]))
+        results = self.run_both(tmp_path, monkeypatch, capsys,
+                                ["train", "--config", str(echo), "--out", str(tmp_path / "out")])
+        assert results == [(0, "", want)] * 2
 
     def test_parameters_are_checked_before_outputs(self, tmp_path, monkeypatch, capsys):
         # in train epoch 2 model2's pass ends with NaN parameters, while

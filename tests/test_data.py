@@ -199,3 +199,11 @@ def test_noise_sidecar_fields():
     assert side == {"kind": "asymmetric", "eta": 0.4, "mapping": {"0": 1},
                     "seed": 7, "flipped_count": 123}
     json.dumps(side, allow_nan=False)  # must serialize as strict JSON
+
+
+@pytest.mark.parametrize("key", ["n", "test_n"])
+def test_count_bound_is_max_count(key):
+    # a spec only holds its fields: nothing of this size is built
+    data.DatasetSpec(n=data.MAX_COUNT, test_n=data.MAX_COUNT)
+    with pytest.raises(ConfigError, match=f"dataset.{key} must be <= {data.MAX_COUNT}, "):
+        data.DatasetSpec(**{"n": data.MAX_COUNT, "test_n": data.MAX_COUNT, key: data.MAX_COUNT + 1})

@@ -391,10 +391,15 @@ class TestRunRecordInvariants:
         assert rec.best_acc >= rec.last10_acc
         np.testing.assert_allclose(rec.last10_acc, np.mean(accs[-10:]))
 
-    def test_last10_none_when_short(self):
+    @pytest.mark.parametrize("rows", [9, 10])
+    def test_last10_none_when_short(self, rows):
+        # None below 10 rows; at exactly 10, the mean of them all
         ds, test = blob_pair(n=100, classes=2, noise=0.2)
-        stages = run_training(small_cfg(mode="ce", epochs=4, warmup=1, zeta=1), ds, test)
-        assert stages[-1].record.last10_acc is None
+        stages = run_training(small_cfg(mode="ce", epochs=rows - 1, warmup=1, zeta=1), ds, test)
+        rec = stages[-1].record
+        accs = [r.test_acc for r in rec.epochs]
+        assert len(accs) == rows
+        assert rec.last10_acc == (None if rows < 10 else float(np.mean(accs)))
 
     def test_full_pipeline_determinism(self):
         ds, test = blob_pair(n=150, classes=3, noise=0.4)
