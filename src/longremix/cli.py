@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands: ``train`` (run a configured experiment end to end and write
-its bundle), ``lemma`` (closed-form + Monte-Carlo window sweep), ``noise``
+its bundle), ``lemma`` (closed-form + Monte-Carlo window sweep, printed row
+by row as it is computed, then written to ``lemma.csv``), ``noise``
 (generate or load a dataset, inject label noise, write CSV + provenance
 sidecar), ``prcurve`` (threshold sweep of the selection precision/recall).
 
@@ -105,19 +106,29 @@ def cmd_prcurve(args) -> int:
 
 def cmd_lemma(args) -> int:
     outdir = _output_dir(args.out, ".")
+    # the windows are checked as they enter; a --zeta-max range is valid once
+    # its end is, so no window is listed before the first row is computed
     if args.zeta_max > data.MAX_COUNT:
         raise ConfigError(f"--zeta-max must be <= {data.MAX_COUNT}, got {args.zeta_max}")
-    zetas = (_to_tuple(_to_int)("--zetas", args.zetas) if args.zetas is not None
-             else range(1, args.zeta_max + 1))
-    rows = lemma.sweep_zeta(args.pcc, args.pnn, args.pc, zetas,
-                            mc_trials=_non_negative("--trials", args.trials),
-                            seed=_non_negative("--seed", args.seed))
-    path, = report.write_files(outdir, {"lemma.csv": report.lemma_csv_text(rows)})
-    for row in rows:
+    if args.zetas is None:
+        zetas = range(1, args.zeta_max + 1)
+    else:
+        zetas = _to_tuple(_to_int)("--zetas", args.zetas)
+        for zeta in zetas:
+            if zeta < 1:
+                raise ConfigError(f"window length must be a positive integer, got {zeta}")
+    if not zetas:
+        raise ConfigError("zeta range must be non-empty")
+    rows = []
+    for row in lemma.sweep_zeta(args.pcc, args.pnn, args.pc, zetas,
+                                mc_trials=_non_negative("--trials", args.trials),
+                                seed=_non_negative("--seed", args.seed)):
         mc = "" if "precision_mc" not in row else (
             f" mc=({row['precision_mc']:.4f}, {row['recall_mc']:.4f})")
         print(f"zeta={row['zeta']:3d} precision={row['precision_cf']:.6f} "
               f"recall={row['recall_cf']:.6f}{mc}")
+        rows.append(row)
+    path, = report.write_files(outdir, {"lemma.csv": report.lemma_csv_text(rows)})
     print(f"wrote {path}")
     return 0
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, StateError
 from .gmm import MIN_FIT_SAMPLES
+from .seeding import derive_rng
 
 BLOB_RADIUS = 2.0
 # The largest count an input may give: dataset rows, a hidden layer's width,
@@ -125,9 +126,7 @@ class NoiseSpec:
 
 
 def _clean(features, labels, num_classes, class_names=None) -> NoisyDataset:
-    labels = np.asarray(labels, dtype=int)
-    return NoisyDataset(features=np.asarray(features, dtype=float),
-                        labels=labels, true_labels=labels.copy(),
+    return NoisyDataset(features=features, labels=labels, true_labels=labels.copy(),
                         num_classes=num_classes, class_names=class_names)
 
 
@@ -136,7 +135,7 @@ def make_synthetic_dataset(kind, n, classes, spread, seed) -> NoisyDataset:
     ``moons`` is the usual pair of interleaved half circles. ``DatasetSpec``
     checks the kind and the sizes first, for a config file and the ``noise``
     command's flags alike."""
-    rng = np.random.default_rng(seed)
+    rng = derive_rng(seed)
     labels = np.arange(n) % classes
     if kind == "blobs":
         angles = 2.0 * np.pi * np.arange(classes) / classes
@@ -283,7 +282,7 @@ def apply_noise(ds: NoisyDataset, spec: NoiseSpec) -> NoisyDataset:
             raise ConfigError(f"mapping {src}->{dst} outside class range [0, {ds.num_classes})")
     if ds.mask.any():
         raise StateError("dataset already carries injected noise; re-injection is not allowed")
-    rng = np.random.default_rng(spec.seed)
+    rng = derive_rng(spec.seed)
     flip = rng.random(ds.n) < spec.eta
     labels = ds.true_labels.copy()
     if spec.kind == "symmetric":

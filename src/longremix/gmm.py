@@ -76,7 +76,7 @@ def _log_normal(x, mean, var):
 
 
 def _collapsed(values) -> GmmParams:
-    center = float(np.mean(values)) if len(values) else 0.5
+    center = float(np.mean(values))
     return GmmParams(weights=np.array([0.5, 0.5]),
                      means=np.array([center, center]),
                      variances=np.array([VAR_FLOOR, VAR_FLOOR]), collapsed=True)
@@ -99,8 +99,9 @@ def percentiles_10_90(x) -> np.ndarray:
     return np.array(out)
 
 
-def fit_gmm_em(losses) -> GmmParams:
-    """EM fit of a 2-component 1-D mixture to ``MIN_FIT_SAMPLES`` or more losses.
+def fit_gmm_em(x) -> GmmParams:
+    """EM fit of a 2-component 1-D mixture to the float array ``x`` of
+    ``MIN_FIT_SAMPLES`` or more losses.
 
     The fit starts from the 10th and 90th percentiles of the losses
     (``percentiles_10_90``) as the means, or from their minimum and maximum
@@ -110,7 +111,6 @@ def fit_gmm_em(losses) -> GmmParams:
     variance floor) are rejected, so the recorded likelihood path is
     non-decreasing.
     """
-    x = np.asarray(losses, dtype=float)
     if float(x.max() - x.min()) <= 1e-12:
         return _collapsed(x)
 
@@ -182,12 +182,11 @@ def fit_gmm_em(losses) -> GmmParams:
 def clean_posterior(params: GmmParams, losses) -> np.ndarray:
     """Posterior responsibility of the clean (smaller-mean) component for
     each loss in the array ``losses``; a collapsed fit yields 0.5 everywhere."""
-    x = np.asarray(losses, dtype=float)
     if params.collapsed:
-        return np.full(x.shape, 0.5)
+        return np.full(losses.shape, 0.5)
     w, mu, var = params.weights, params.means, params.variances
-    log_clean = np.log(w[0]) + _log_normal(x, mu[0], var[0])
-    log_noisy = np.log(w[1]) + _log_normal(x, mu[1], var[1])
+    log_clean = np.log(w[0]) + _log_normal(losses, mu[0], var[0])
+    log_noisy = np.log(w[1]) + _log_normal(losses, mu[1], var[1])
     return 1.0 / (1.0 + np.exp(np.clip(log_noisy - log_clean, -700.0, 700.0)))
 
 

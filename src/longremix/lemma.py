@@ -7,7 +7,9 @@ epochs, which is exactly why this simulator lives apart from the pipeline.
 
 The rates are p_cc = P(classified clean | clean), p_nn = P(classified noisy |
 noisy) and p_c, the clean proportion of the training set. The formulas take
-them as given; ``sweep_zeta`` checks them.
+them as given; ``sweep_zeta`` checks them. The ``lemma`` command checks the
+window lengths where they enter, so ``sweep_zeta`` yields one row at a
+time, from the first window on, however long the range.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .data import MAX_COUNT
 from .errors import ConfigError
+from .seeding import derive_rng
 
 
 def closed_form_pr(p_cc, p_nn, p_c, zeta):
@@ -38,11 +41,12 @@ def monte_carlo_pr(p_cc, p_nn, p_c, zeta, n_trials, seed):
     clean with probability p_c and passes zeta independent classification
     rounds; it enters the clean set only if every round calls it clean, so
     the rounds stop once none is left.
+    ``seed`` is the draw's ``derive_rng`` key tuple.
     Returns ``(precision, recall, se_p, se_r)`` with binomial standard
     errors; all four are NaN when the window selects nothing or the draw
     holds no clean sample.
     """
-    rng = np.random.default_rng(seed)
+    rng = derive_rng(*seed)
     clean = rng.random(n_trials) < p_c
     pass_prob = np.where(clean, p_cc, 1.0 - p_nn)
     selected = np.ones(n_trials, dtype=bool)
@@ -63,22 +67,16 @@ def monte_carlo_pr(p_cc, p_nn, p_c, zeta, n_trials, seed):
 def sweep_zeta(p_cc, p_nn, p_c, zetas, mc_trials=0, seed=0):
     """Closed-form rows per window length, with optional Monte-Carlo columns.
 
-    Every input is checked before the first row is computed. Returns a list
-    of dicts with keys: zeta, precision_cf, recall_cf, and when ``mc_trials``
-    > 0 also precision_mc, recall_mc, se_p, se_r.
+    Yields one dict per window of ``zetas``, a non-empty iterable of
+    positive ints, with keys: zeta, precision_cf, recall_cf, and when
+    ``mc_trials`` > 0 also precision_mc, recall_mc, se_p, se_r. The rates
+    and the trial count are checked before the first row is computed.
     """
-    zetas = [int(zeta) for zeta in zetas]
-    if not zetas:
-        raise ConfigError("zeta range must be non-empty")
     for name, rate in (("p_cc", p_cc), ("p_nn", p_nn), ("p_c", p_c)):
         if not 0.0 < rate < 1.0:
             raise ConfigError(f"{name} must lie strictly inside (0, 1), got {rate}")
-    for zeta in zetas:
-        if zeta < 1:
-            raise ConfigError(f"window length must be a positive integer, got {zeta}")
     if mc_trials > MAX_COUNT:
         raise ConfigError(f"Monte-Carlo trials must be <= {MAX_COUNT}, got {mc_trials}")
-    rows = []
     for k, zeta in enumerate(zetas):
         precision, recall = closed_form_pr(p_cc, p_nn, p_c, zeta)
         row = {"zeta": zeta, "precision_cf": precision, "recall_cf": recall}
@@ -86,5 +84,4 @@ def sweep_zeta(p_cc, p_nn, p_c, zetas, mc_trials=0, seed=0):
             p_mc, r_mc, se_p, se_r = monte_carlo_pr(p_cc, p_nn, p_c, zeta, mc_trials,
                                                     seed=(seed, k))
             row.update(precision_mc=p_mc, recall_mc=r_mc, se_p=se_p, se_r=se_r)
-        rows.append(row)
-    return rows
+        yield row

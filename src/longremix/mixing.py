@@ -47,8 +47,6 @@ def build_epoch_plan(labeled_idx, unlabeled_idx, dataset_size, seed,
     plan carries labelled instructions only. ``seed`` is the plan's
     ``derive_rng`` key tuple.
     """
-    labeled_idx = np.asarray(labeled_idx, dtype=int)
-    unlabeled_idx = np.asarray(unlabeled_idx, dtype=int)
     rng = derive_rng(*seed)
     target = int(dataset_size) if longmix else len(labeled_idx)
     pool = np.concatenate([labeled_idx, unlabeled_idx])

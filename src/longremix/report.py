@@ -10,9 +10,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
-from typing import get_type_hints
-
-import numpy as np
 
 from . import nn
 from .config import ExperimentConfig, effective_config
@@ -21,10 +18,8 @@ from .trainer import ModelEpochStats
 
 SCHEMA_VERSION = 2
 
-# the per-model columns of epochs.csv, in ModelEpochStats's field order; the
-# str-typed ones are written as they are, the others through fmt_sig
+# the per-model columns of epochs.csv, in ModelEpochStats's field order
 EPOCH_FIELDS = tuple(f.name for f in fields(ModelEpochStats))
-_TEXT_FIELDS = {name for name, kind in get_type_hints(ModelEpochStats).items() if kind is str}
 
 
 @dataclass
@@ -38,13 +33,15 @@ class ReportBundle:
 
 
 def fmt_sig(value) -> str:
-    """6 significant digits for CSV cells; booleans and ints stay exact."""
+    """6 significant digits for CSV cells; text, booleans and ints stay exact."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), ".6g")
 
 
@@ -120,15 +117,14 @@ def epochs_csv_text(stages) -> str:
     rows = []
     for stage in stages:
         for row in stage["epochs"]:
-            cells = [stage["stage"], str(row["epoch"]), row["phase"],
-                     fmt_sig(row["lr"]), fmt_sig(row["test_acc"])]
+            cells = [fmt_sig(v) for v in (stage["stage"], row["epoch"], row["phase"],
+                                          row["lr"], row["test_acc"])]
             for key in ("model1", "model2"):
                 stats = row[key]
                 if stats is None:
                     cells += [""] * len(EPOCH_FIELDS)
                 else:
-                    cells += [stats[f] if f in _TEXT_FIELDS else fmt_sig(stats[f])
-                              for f in EPOCH_FIELDS]
+                    cells += [fmt_sig(stats[f]) for f in EPOCH_FIELDS]
             rows.append(cells)
     return _csv_text(cols, rows)
 

@@ -80,7 +80,6 @@ def _assemble(in_x, weights, kind) -> SplitSets:
 
 def baseline_split(posteriors, tau) -> SplitSets:
     """Single-epoch split: X gets every sample with posterior >= tau."""
-    posteriors = np.asarray(posteriors, dtype=float)
     return _assemble(posteriors >= tau, posteriors, "baseline")
 
 
@@ -88,7 +87,6 @@ def hct_split(window, tau) -> SplitSets:
     """Windowed split: X keeps only samples classified clean at every epoch
     of the ``(zeta, n)`` confidence ``window``. Weights carry the current
     (last) epoch's posterior."""
-    window = np.asarray(window, dtype=float)
     return _assemble((window >= tau).all(axis=0), window[-1], "hct")
 
 
@@ -110,7 +108,7 @@ def select_core_set(core, epoch, splits, total_epochs) -> CoreSet | None:
 def guided_split(posteriors, tau, core: CoreSet) -> SplitSets:
     """Baseline thresholding with every core-set member pinned into X at
     weight 1; core members never enter U."""
-    weights = np.array(posteriors, dtype=float)
+    weights = posteriors.copy()
     in_x = weights >= tau
     in_x[core.indices] = True
     weights[core.indices] = 1.0
@@ -123,7 +121,6 @@ def clean_set_metrics(split: SplitSets, mask) -> CleanSetMetrics:
     TP: clean samples in X, FP: noisy samples in X, FN: clean samples in U.
     Empty denominators default to 1.0; an empty X is flagged.
     """
-    mask = np.asarray(mask, dtype=bool)
     tp = int((~mask[split.labeled_idx]).sum())
     fp = int(mask[split.labeled_idx].sum())
     fn = int((~mask[split.unlabeled_idx]).sum())

@@ -41,7 +41,7 @@ def test_criterion_1_lemma_monte_carlo_grid():
     assert count == 108
     mono_ok = True
     for pcc, pnn, pc in itertools.product(grid_p, grid_p, grid_pc):
-        rows = lemma.sweep_zeta(pcc, pnn, pc, range(1, 11))
+        rows = list(lemma.sweep_zeta(pcc, pnn, pc, range(1, 11)))
         mono_ok &= all(b["precision_cf"] > a["precision_cf"] for a, b in zip(rows, rows[1:]))
         mono_ok &= all(b["recall_cf"] < a["recall_cf"] for a, b in zip(rows, rows[1:]))
     elapsed = time.time() - t0

@@ -5,6 +5,8 @@ import json
 import multiprocessing
 import os
 import re
+import resource
+import select
 import shutil
 import subprocess
 import sys
@@ -665,6 +667,14 @@ COMMAND_CASES = [
     ("lemma-zetas-not-int", LEMMA + ["--zetas", "1,a"], "--zetas: expected an integer, got 'a'"),
     ("lemma-negative-trials", LEMMA + ["--trials", "-1"], "--trials must be >= 0, got -1"),
     ("lemma-zetas-empty", LEMMA + ["--zetas", ""], "zeta range must be non-empty"),
+    ("lemma-zeta-max-zero", LEMMA + ["--zeta-max", "0"], "zeta range must be non-empty"),
+    ("lemma-zetas-zero", LEMMA + ["--zetas", "0"], "window length must be a positive integer, got 0"),
+    ("lemma-zetas-first-bad-window", LEMMA + ["--zetas", "3,0,-1"],
+     "window length must be a positive integer, got 0"),
+    # the windows are checked where they enter, before sweep_zeta checks the rates
+    ("lemma-window-before-rate", ["lemma", "--pcc", "0.8", "--pnn", "0.7", "--pc", "1.5",
+                                  "--zetas", "3,0,-1"],
+     "window length must be a positive integer, got 0"),
     ("lemma-zetas-blank-item", LEMMA + ["--zetas", "1,,3"], "--zetas: blank item in '1,,3'"),
     # every zeta is checked before the first row: zeta 0 fails before the row of
     # zeta 8000, where both survival masses underflow, is computed
@@ -834,6 +844,33 @@ def test_lemma_checks_every_zeta_before_any_row(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_largest_zeta_max_prints_its_first_row_at_once(tmp_path):
+    # --zeta-max 2**53 is valid and endless: its first row comes at once under
+    # a 1 GiB address space, because no window is listed before it. The sweep
+    # runs only under that limit, and is killed after the first row or 30 s.
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = {**os.environ, "PYTHONUNBUFFERED": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    args = [sys.executable, "-m", "longremix", *LEMMA, "--trials", "0",
+            "--zeta-max", str(data.MAX_COUNT), "--out", str(tmp_path / "out")]
+    with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          preexec_fn=limit_address_space) as proc:
+        try:
+            out = b""
+            while b"\n" not in out and select.select([proc.stdout], [], [], 30)[0]:
+                chunk = os.read(proc.stdout.fileno(), 4096)
+                if not chunk:
+                    break
+                out += chunk
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+    assert out.split(b"\n")[0] == b"zeta=  1 precision=0.727273 recall=0.800000", err
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_example_builds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -982,6 +1019,7 @@ def test_fmt_sig_six_significant_digits():
     assert report.fmt_sig(True) == "true"
     assert report.fmt_sig(None) == ""
     assert report.fmt_sig(7) == "7"
+    assert report.fmt_sig("stage1-hct") == "stage1-hct"
 
 
 def _tree_bytes(root):

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,3 +209,13 @@ def test_count_bound_is_max_count(key):
     data.DatasetSpec(n=data.MAX_COUNT, test_n=data.MAX_COUNT)
     with pytest.raises(ConfigError, match=f"dataset.{key} must be <= {data.MAX_COUNT}, "):
         data.DatasetSpec(**{"n": data.MAX_COUNT, "test_n": data.MAX_COUNT, key: data.MAX_COUNT + 1})
+
+
+def test_only_seeding_builds_a_generator():
+    # every seed stream is a seeding.derive_rng key tuple: no other module of
+    # the package names numpy's default_rng
+    package = Path(data.__file__).parent
+    naming = sorted({path.name for path in package.glob("*.py") if path.name != "seeding.py"
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if "default_rng" in (getattr(node, "attr", None), getattr(node, "id", None))})
+    assert naming == []

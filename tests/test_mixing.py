@@ -31,7 +31,7 @@ def recording(rng):
 def mixed_lambdas(alpha, per_plan, seed):
     """The Beta(alpha, alpha) draws of mix_plan over a plan of ``per_plan``
     labelled and as many unlabelled instructions."""
-    plan = build_epoch_plan([0, 1], [2, 3], per_plan, seed=(0,))
+    plan = build_epoch_plan(np.array([0, 1]), np.array([2, 3]), per_plan, seed=(0,))
     rng, draws = recording(np.random.default_rng(seed))
     mix_plan(plan, np.zeros((4, 1)), np.zeros((4, 2)), alpha, rng)
     assert [len(d) for d in draws] == [per_plan, per_plan]
