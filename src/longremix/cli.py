@@ -169,8 +169,18 @@ def cmd_noise(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own errors (an unknown flag, a missing one, a
+    value of the wrong type or outside its choices) are config errors: one
+    stderr line and exit 2, not argparse's usage block. Subparsers share the
+    class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="longremix",
         description="Noisy-label co-training with confidence-window selection, "
                     "core-set guided retraining, and oversampled MixUp.")
@@ -222,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

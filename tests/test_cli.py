@@ -203,14 +203,6 @@ class TestTrainCommand:
         # warmup 2 + train 6 epochs, single stage, plus header
         assert len(lines) == 1 + 8
 
-    def test_determinism_byte_identical(self, tmp_path):
-        path, out = write_conf(tmp_path, mode="full-longremix")
-        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
-        a = (tmp_path / "out" / "metrics.json").read_bytes()
-        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
-        b = (tmp_path / "out" / "metrics.json").read_bytes()
-        assert a == b
-
     def test_bundle_bytes_do_not_depend_on_the_output_path(self, tmp_path):
         path, _ = write_conf(tmp_path, mode="full-longremix",
                              extra="report.gmm_dump = true\nreport.plan_digests = true\n"
@@ -768,6 +760,14 @@ COMMAND_CASES = [
      "--out must not be empty"),
     ("noise-out-empty", ["noise", "--kind", "none", "--n", "8", "--classes", "2", "--out", ""],
      "--out must not be empty"),
+    # argparse's own errors: one line too, not its usage block
+    ("noise-n-not-int", ["noise", "--kind", "none", "--n", "abc"],
+     "argument --n: invalid int value: 'abc'"),
+    ("noise-kind-unknown", ["noise", "--kind", "bogus"], "argument --kind: invalid choice: 'bogus'"),
+    ("lemma-without-pcc", ["lemma", "--pnn", "0.7", "--pc", "0.5"],
+     "the following arguments are required: --pcc"),
+    ("prcurve-seed-not-int", ["prcurve", "--config", "{tmp}/empty.conf", "--seed", "1.5"],
+     "argument --seed: invalid int value: '1.5'"),
 ]
 
 
@@ -958,6 +958,17 @@ def test_out_of_memory_exits_3(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate 7.11 PiB")
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_trials_bound_is_max_count(tmp_path, capsys):
+    # MAX_COUNT trials are valid, and fail at their first 64 PiB draw; one more is a config error
+    args = LEMMA + ["--zetas", "1", "--out", str(tmp_path / "out"), "--trials"]
+    assert cli.main(args + [str(data.MAX_COUNT)]) == 3
+    assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate 64.0 PiB")
+    assert cli.main(args + [str(data.MAX_COUNT + 1)]) == 2
+    assert capsys.readouterr().err == ("config error: Monte-Carlo trials must be <= "
+                                       f"{data.MAX_COUNT}, got {data.MAX_COUNT + 1}\n")
     assert not (tmp_path / "out").exists()
 
 

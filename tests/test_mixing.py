@@ -106,11 +106,6 @@ class TestEpochPlan:
         assert set(plan.u_anchor) <= set(range(10, 40))
         assert set(plan.x_partner) <= set(range(40))
 
-    def test_baseline_compat_sizes(self):
-        plan = build_epoch_plan(np.arange(7), np.arange(7, 30), 1000, seed=(0,), longmix=False)
-        assert plan.x_ops == 7
-        assert plan.u_ops == 7
-
     def test_deterministic(self):
         a = build_epoch_plan(np.arange(5), np.arange(5, 20), 100, seed=(9,))
         b = build_epoch_plan(np.arange(5), np.arange(5, 20), 100, seed=(9,))
@@ -124,15 +119,6 @@ class TestEpochPlan:
         plan = build_epoch_plan(np.arange(8), np.empty(0, dtype=int), 100, seed=(1,))
         assert plan.u_ops == 0
         assert plan.x_ops == 100
-
-    def test_with_replacement_multiplicity(self):
-        # |X| << |D|: each member's count is Binomial(D, 1/|X|); 4 sigma band
-        d, x_size = 4000, 8
-        plan = build_epoch_plan(np.arange(x_size), np.arange(x_size, 100), d, seed=(3,))
-        counts = np.bincount(plan.x_anchor, minlength=x_size)
-        expect = d / x_size
-        sigma = math.sqrt(d * (1 / x_size) * (1 - 1 / x_size))
-        assert (np.abs(counts - expect) <= 4 * sigma).all()
 
 
 class TestTargetTable:

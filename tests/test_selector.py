@@ -255,61 +255,3 @@ class TestCleanSetMetrics:
         # no clean sample anywhere: recall's empty denominator defaults to 1.0
         m = clean_set_metrics(self._split([0], [1], 2), np.array([True, True]))
         assert m == CleanSetMetrics(precision=0.0, recall=1.0)
-
-
-class TestRandomizedProperties:
-    """Spec invariants over seeded random windows."""
-
-    N_DRAWS = 300  # acceptance suite reruns these with >= 1000 draws
-
-    def _draw(self, rng):
-        n = int(rng.integers(3, 40))
-        zeta = int(rng.integers(1, 6))
-        depth = zeta + int(rng.integers(0, 3))
-        rows = rng.random((depth, n))
-        tau = float(rng.uniform(0.05, 0.95))
-        # unused: drawn so that the windows stay fixed
-        rng.integers(0, 4, n)
-        rng.random((n, 4))
-        return make_window(rows, zeta), tau, n
-
-    def test_partition_property(self):
-        rng = np.random.default_rng(77)
-        for _ in range(self.N_DRAWS):
-            w, tau, n = self._draw(rng)
-            for s in (baseline_split(w[-1], tau), hct_split(w, tau)):
-                joined = np.concatenate([s.labeled_idx, s.unlabeled_idx])
-                np.testing.assert_array_equal(np.sort(joined), np.arange(n))
-
-    def test_window_subset_property(self):
-        rng = np.random.default_rng(78)
-        for _ in range(self.N_DRAWS):
-            w, tau, _ = self._draw(rng)
-            hct = hct_split(w, tau)
-            base = baseline_split(w[-1], tau)
-            assert set(hct.labeled_idx) <= set(base.labeled_idx)
-
-    def test_zeta_monotonicity(self):
-        rng = np.random.default_rng(79)
-        for _ in range(self.N_DRAWS):
-            w, tau, _ = self._draw(rng)
-            if len(w) < 2:
-                continue
-            wide = hct_split(w, tau)
-            narrow = hct_split(w[1:], tau)
-            assert set(wide.labeled_idx) <= set(narrow.labeled_idx)
-
-    def test_core_override_property(self):
-        rng = np.random.default_rng(80)
-        for _ in range(self.N_DRAWS):
-            w, tau, n = self._draw(rng)
-            k = int(rng.integers(1, n + 1))
-            members = rng.choice(n, size=k, replace=False)
-            rng.integers(0, 4, k)  # unused: drawn so that the later draws stay fixed
-            core = CoreSet(indices=members, epoch=1)
-            s = guided_split(w[-1], tau, core)
-            member_set = set(members.tolist())
-            assert member_set <= set(s.labeled_idx.tolist())
-            assert not member_set & set(s.unlabeled_idx.tolist())
-            pos = np.isin(s.labeled_idx, members)
-            assert (s.labeled_w[pos] == 1.0).all()

@@ -53,6 +53,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
 
+    def test_zeta_bound_is_max_count(self):
+        # a config only holds its fields: through train, this one is a valid endless run
+        TrainConfig(zeta=data.MAX_COUNT, epochs=data.MAX_COUNT)
+        with pytest.raises(ConfigError, match=f"^zeta must be <= {data.MAX_COUNT}, "
+                                              f"got {data.MAX_COUNT + 1}$"):
+            TrainConfig(zeta=data.MAX_COUNT + 1, epochs=data.MAX_COUNT + 1)
+
 
 class TestWarmup:
     def test_clean_blobs_reach_high_train_accuracy(self):
@@ -73,18 +80,6 @@ class TestWarmup:
         b = nn.init_network((2, 8, 2), seed=(22, 1))
         run_warmup((a, b), ds, test, cfg)
         assert any((wa != wb).any() for wa, wb in zip(a.weights, b.weights))
-
-    def test_deterministic(self):
-        ds, test = blob_pair(n=100, classes=2)
-        cfg = small_cfg()
-        outs, rows = [], []
-        for _ in range(2):
-            n1 = nn.init_network((2, 8, 2), seed=(11, 1))
-            n2 = nn.init_network((2, 8, 2), seed=(22, 1))
-            rows.append(run_warmup((n1, n2), ds, test, cfg))
-            outs.append(n1.weights[0].copy())
-        np.testing.assert_array_equal(outs[0], outs[1])
-        assert rows[0] == rows[1]
 
 
 class TestEvaluate:
@@ -400,15 +395,6 @@ class TestRunRecordInvariants:
         accs = [r.test_acc for r in rec.epochs]
         assert len(accs) == rows
         assert rec.last10_acc == (None if rows < 10 else float(np.mean(accs)))
-
-    def test_full_pipeline_determinism(self):
-        ds, test = blob_pair(n=150, classes=3, noise=0.4)
-        cfg = small_cfg(mode="full-longremix")
-        a = run_training(cfg, ds, test)
-        b = run_training(cfg, ds, test)
-        assert [s.record for s in a] == [s.record for s in b]
-        assert a[0].core_set.epoch == b[0].core_set.epoch
-        np.testing.assert_array_equal(a[0].core_set.indices, b[0].core_set.indices)
 
     def test_lr_drops_at_midpoint(self):
         ds, test = blob_pair(n=100, classes=2, noise=0.2)
