@@ -38,7 +38,7 @@ class ReportSpec:
             raise ConfigError("report.tau_grid must list at least one threshold")
         for tau in self.tau_grid:
             if not 0.0 <= tau <= 1.0:
-                raise ConfigError(f"tau_grid values must be in [0, 1], got {tau}")
+                raise ConfigError(f"report.tau_grid values must be in [0, 1], got {tau}")
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network, forward
+from .nn import LOG_EPS, Network, forward
 
 VAR_FLOOR = 1e-6
 EM_TOL = 1e-6       # EM stops once a step raises the mean log-likelihood by less
@@ -60,7 +60,7 @@ def per_sample_losses(net: Network, ds, probs=None) -> np.ndarray:
     if probs is None:
         probs = forward(net, ds.features)
     picked = probs[np.arange(ds.n), ds.labels]
-    return -np.log(np.maximum(picked, 1e-12))
+    return -np.log(np.maximum(picked, LOG_EPS))
 
 
 def normalize_losses(losses) -> np.ndarray:

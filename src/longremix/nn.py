@@ -124,8 +124,7 @@ def _forward_cached(net: Network, x):
 
 
 def forward(net: Network, x) -> np.ndarray:
-    """Class probabilities, one row per row of the ``(n, width)`` batch ``x``."""
-    x = np.asarray(x, dtype=float)
+    """Class probabilities, one row per row of the ``(n, width)`` float batch ``x``."""
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input must be (n, {net.input_dim}), rows of the network's "
                          f"input width; got shape {x.shape}")

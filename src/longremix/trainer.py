@@ -90,38 +90,40 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise ConfigError(f"train.mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
+            raise ConfigError(f"train.tau must be in [0, 1], got {self.tau}")
         if self.zeta < 1:
-            raise ConfigError(f"zeta must be >= 1, got {self.zeta}")
+            raise ConfigError(f"train.zeta must be >= 1, got {self.zeta}")
         if self.zeta > MAX_COUNT:
-            raise ConfigError(f"zeta must be <= {MAX_COUNT}, got {self.zeta}")
+            raise ConfigError(f"train.zeta must be <= {MAX_COUNT}, got {self.zeta}")
         if self.epochs < self.zeta:
-            raise ConfigError(f"epochs ({self.epochs}) must be >= zeta ({self.zeta})")
+            raise ConfigError(f"train.epochs must be >= train.zeta ({self.zeta}), "
+                              f"got {self.epochs}")
         if self.warmup < 1:
-            raise ConfigError(f"warmup must be >= 1, got {self.warmup}")
+            raise ConfigError(f"train.warmup must be >= 1, got {self.warmup}")
         if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if self.lambda_u < 0 or self.lambda_reg < 0:
-            raise ConfigError("loss weights must be non-negative")
+            raise ConfigError(f"train.alpha must be positive, got {self.alpha}")
+        for name in ("lambda_u", "lambda_reg"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"train.{name} must be non-negative, got {getattr(self, name)}")
         if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
+            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if any(width < 1 for width in self.hidden):
-            raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden}")
+            raise ConfigError(f"train.hidden widths must be >= 1, got {self.hidden}")
         if any(width > MAX_COUNT for width in self.hidden):
-            raise ConfigError(f"hidden layer widths must be <= {MAX_COUNT}, got {self.hidden}")
+            raise ConfigError(f"train.hidden widths must be <= {MAX_COUNT}, got {self.hidden}")
         if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+            raise ConfigError(f"train.lr must be positive, got {self.lr}")
         if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
+            raise ConfigError(f"train.weight_decay must be non-negative, got {self.weight_decay}")
         if not 0.0 < self.lr_drop <= 1.0:
-            raise ConfigError(f"lr_drop must be in (0, 1], got {self.lr_drop}")
+            raise ConfigError(f"train.lr_drop must be in (0, 1], got {self.lr_drop}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigError(f"train.momentum must be in [0, 1), got {self.momentum}")
         for name in ("data_seed", "model1_seed", "model2_seed", "plan_seed"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ConfigError(f"train.{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from longremix import data
-from longremix.errors import ConfigError, ParseError, StateError
+from longremix.errors import ConfigError, StateError
 
 
 def lstsq_accuracy(ds):
@@ -67,33 +67,6 @@ class TestCsv:
         ds = data.load_csv_dataset(p)
         assert ds.class_names == ["zebra", "ant", "moth"]
         assert ds.num_classes == 3
-
-    def test_missing_value_names_row(self, tmp_path):
-        p = tmp_path / "d.csv"
-        rows = ["a,b,label"] + [f"{i},{i},c0" for i in range(5)] + [",9,c0"]
-        p.write_text("\n".join(rows) + "\n")  # blank cell lands on file row 7
-        with pytest.raises(ParseError, match="row 7"):
-            data.load_csv_dataset(p)
-
-    def test_ragged_row(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("a,b,label\n1,2,c\n1,2\n")
-        with pytest.raises(ParseError, match="row 3"):
-            data.load_csv_dataset(p)
-
-    def test_non_numeric_feature(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("a,label\nbanana,c\n")
-        with pytest.raises(ParseError, match="non-numeric"):
-            data.load_csv_dataset(p)
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
-    def test_non_finite_feature(self, tmp_path, cell):
-        p = tmp_path / "d.csv"
-        p.write_text(f"a,b,label\n1,2,c\n3,{cell},d\n")
-        with pytest.raises(ParseError) as info:
-            data.load_csv_dataset(p)
-        assert str(info.value) == f"{p}: row 3: non-finite value {cell!r} in column 'b'"
 
     def test_round_trip(self, tmp_path):
         ds = data.make_synthetic_dataset("blobs", n=30, classes=3, spread=0.2, seed=1)
@@ -172,21 +145,6 @@ class TestAsymmetricNoise:
         untouched = ds.true_labels != 0
         np.testing.assert_array_equal(out.labels[untouched], ds.labels[untouched])
         assert (out.labels[out.mask] == 1).all()
-
-    def test_rate_limit_cites_theoretical_bound(self):
-        ds = data.make_synthetic_dataset("blobs", n=100, classes=4, spread=0.2, seed=0)
-        with pytest.raises(ConfigError, match="0.5"):
-            data.apply_noise(ds, data.NoiseSpec(kind="asymmetric", eta=0.5, mapping={0: 1}, seed=0))
-
-    def test_identity_mapping_rejected(self):
-        ds = data.make_synthetic_dataset("blobs", n=100, classes=4, spread=0.2, seed=0)
-        with pytest.raises(ConfigError, match="itself"):
-            data.apply_noise(ds, data.NoiseSpec(kind="asymmetric", eta=0.3, mapping={2: 2}, seed=0))
-
-    def test_mapping_range_checked(self):
-        ds = data.make_synthetic_dataset("blobs", n=100, classes=4, spread=0.2, seed=0)
-        with pytest.raises(ConfigError, match="range"):
-            data.apply_noise(ds, data.NoiseSpec(kind="asymmetric", eta=0.3, mapping={0: 9}, seed=0))
 
 
 def test_noise_sidecar_fields():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from longremix.errors import ConfigError
 from longremix.lemma import closed_form_pr, monte_carlo_pr, sweep_zeta
 
 
@@ -38,19 +37,6 @@ class TestClosedForm:
             zeta = int(rng.integers(1, 12))
             _, recall = closed_form_pr(p_cc, p_nn, p_c, zeta)
             assert abs(recall - p_cc ** zeta) < 1e-12
-
-    def test_parameter_validation(self):
-        # the rates are checked before the first row; the windows' rules are
-        # the lemma command's (tests/test_cli.py COMMAND_CASES)
-        with pytest.raises(ConfigError, match=r"p_cc must lie strictly inside \(0, 1\), got 0.0"):
-            next(sweep_zeta(0.0, 0.7, 0.5, [1]))
-        with pytest.raises(ConfigError, match=r"p_nn must lie strictly inside \(0, 1\), got 1.0"):
-            next(sweep_zeta(0.8, 1.0, 0.5, [1]))
-        with pytest.raises(ConfigError, match=r"p_c must lie strictly inside \(0, 1\), got 1.5"):
-            next(sweep_zeta(0.8, 0.7, 1.5, [3]))
-        # several faults report the first in the order: p_cc, p_nn, p_c
-        with pytest.raises(ConfigError, match="p_nn must"):
-            next(sweep_zeta(0.8, 1.0, 1.5, [3]))
 
 
 class TestMonteCarlo:

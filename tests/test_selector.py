@@ -160,12 +160,6 @@ class TestGuidedSplit:
         np.testing.assert_array_equal(s.labeled_idx, [0])
         np.testing.assert_allclose(s.labeled_w, [0.7])
 
-    def test_empty_core_equals_baseline(self):
-        rng = np.random.default_rng(2)
-        post = rng.random(40)
-        assert same_membership(guided_split(post, 0.5, CoreSet.empty()),
-                               baseline_split(post, 0.5))
-
 
 def override_reference(posteriors, tau, core):
     """Threshold split with the core set pinned in afterwards: a boolean
