@@ -21,17 +21,18 @@ import re
 import sys
 
 from . import __version__, data, lemma, report
-from .config import (_to_int, _to_mapping, _to_tuple, apply_seed_override, build_experiment,
-                     parse_flat_config)
+from .config import _to_int, _to_tuple, apply_seed_override, build_experiment, parse_flat_config
 from .errors import ConfigError, LongRemixError, ParseError
-from .trainer import STAGE1_HCT, TrainConfig, run_stage, run_training
+from .trainer import STAGE1_HCT, run_stage, run_training
 
 OUTDIR_ENV = "LONGREMIX_OUTDIR"
 RUN_OUTDIR = "runs/experiment"  # train's and prcurve's default
-# noise's flag for each config key whose rules it applies: in a spec's
-# message, "key" reads as "flag" and "key = value" as "flag value"
+# noise's flag for each config key it sets, the synthetic dataset's first: in
+# a message, "key" reads as "flag" and "key = value" as "flag value"
 NOISE_FLAGS = {"dataset.kind": "--dataset", "dataset.n": "--n", "dataset.classes": "--classes",
-               "dataset.spread": "--spread", "noise.seed": "--seed"}
+               "dataset.spread": "--spread", "train.data_seed": "--data-seed",
+               "noise.kind": "--kind", "noise.eta": "--eta", "noise.mapping": "--mapping",
+               "noise.seed": "--seed"}
 _NOISE_KEY = re.compile(r"\b(" + "|".join(map(re.escape, NOISE_FLAGS)) + r")\b( = )?")
 
 
@@ -106,22 +107,26 @@ def cmd_prcurve(args) -> int:
 
 def cmd_lemma(args) -> int:
     outdir = _output_dir(args.out, ".")
-    # the windows are checked as they enter; a --zeta-max range is valid once
-    # its end is, so no window is listed before the first row is computed
-    if args.zeta_max > data.MAX_COUNT:
-        raise ConfigError(f"--zeta-max must be <= {data.MAX_COUNT}, got {args.zeta_max}")
+    # every flag is checked as it enters; a --zeta-max range is valid once its
+    # end is, so no window is listed before the first row is computed
     if args.zetas is None:
+        if not 1 <= args.zeta_max <= data.MAX_COUNT:
+            raise ConfigError(f"--zeta-max must be in [1, {data.MAX_COUNT}], got {args.zeta_max}")
         zetas = range(1, args.zeta_max + 1)
     else:
         zetas = _to_tuple(_to_int)("--zetas", args.zetas)
+        if not zetas:
+            raise ConfigError("--zetas must list at least one window length")
         for zeta in zetas:
             if zeta < 1:
-                raise ConfigError(f"window length must be a positive integer, got {zeta}")
-    if not zetas:
-        raise ConfigError("zeta range must be non-empty")
+                raise ConfigError(f"--zetas values must be >= 1, got {zeta}")
+    for flag, rate in (("--pcc", args.pcc), ("--pnn", args.pnn), ("--pc", args.pc)):
+        if not 0.0 < rate < 1.0:
+            raise ConfigError(f"{flag} must lie strictly inside (0, 1), got {rate}")
+    if not 0 <= args.trials <= data.MAX_COUNT:
+        raise ConfigError(f"--trials must be in [0, {data.MAX_COUNT}], got {args.trials}")
     rows = []
-    for row in lemma.sweep_zeta(args.pcc, args.pnn, args.pc, zetas,
-                                mc_trials=_non_negative("--trials", args.trials),
+    for row in lemma.sweep_zeta(args.pcc, args.pnn, args.pc, zetas, mc_trials=args.trials,
                                 seed=_non_negative("--seed", args.seed)):
         mc = "" if "precision_mc" not in row else (
             f" mc=({row['precision_mc']:.4f}, {row['recall_mc']:.4f})")
@@ -133,38 +138,37 @@ def cmd_lemma(args) -> int:
     return 0
 
 
-def cmd_noise(args) -> int:
-    outdir = _output_dir(args.out, ".")
-    # the synthetic dataset's flags, None unless given
-    synthetic = {"--dataset": args.dataset, "--n": args.n, "--classes": args.classes,
-                 "--spread": args.spread, "--data-seed": args.data_seed}
-    given = [flag for flag, value in synthetic.items() if value is not None]
-    if args.csv and given:
-        raise ConfigError(f"{given[0]} does not apply to --csv, whose file is the dataset")
-    # every flag is checked before the dataset is read or built
+def _naming_flags(step, *args):
+    """``step(*args)``, whose config errors name noise's flags, not the keys they set."""
     try:
-        if not args.csv:
-            seed = _non_negative("--data-seed", TrainConfig.data_seed if args.data_seed is None
-                                 else args.data_seed)
-            fields = {key.partition(".")[2]: synthetic[flag] for key, flag in NOISE_FLAGS.items()
-                      if key.startswith("dataset.") and synthetic[flag] is not None}
-            # no test set: test_n = n leaves test_n's rules to n's, checked first
-            dataset = data.DatasetSpec(**fields, test_n=fields.get("n", data.DatasetSpec.n))
-        spec = data.NoiseSpec(kind=args.kind, eta=args.eta,
-                              mapping=_to_mapping("--mapping", args.mapping), seed=args.seed)
+        return step(*args)
     except ConfigError as exc:
         raise ConfigError(_NOISE_KEY.sub(lambda m: NOISE_FLAGS[m[1]] + (" " if m[2] else ""),
                                          str(exc))) from None
+
+
+def cmd_noise(args) -> int:
+    outdir = _output_dir(args.out, ".")
+    # the text of each given flag under the config key it sets
+    given = {key: text for key, flag in NOISE_FLAGS.items()
+             if (text := vars(args)[flag[2:].replace("-", "_")]) is not None}
+    synthetic = [NOISE_FLAGS[key] for key in given if not key.startswith("noise.")]
+    if args.csv and synthetic:
+        raise ConfigError(f"{synthetic[0]} does not apply to --csv, whose file is the dataset")
+    # no test set: test_n = n leaves test_n's rules to n's, checked first;
+    # every flag is checked before the dataset is read or built
+    given["dataset.test_n"] = given.get("dataset.n", str(data.DatasetSpec.n))
+    exp = _naming_flags(build_experiment, given)
+    d = exp.dataset
     ds = (data.load_csv_dataset(args.csv) if args.csv
-          else data.make_synthetic_dataset(dataset.kind, dataset.n, dataset.classes,
-                                           dataset.spread, seed))
-    if spec.kind != "none" and ds.num_classes < 2:
+          else data.make_synthetic_dataset(d.kind, d.n, d.classes, d.spread, exp.train.data_seed))
+    if exp.noise.kind != "none" and ds.num_classes < 2:
         raise ConfigError(f"{args.csv}: every label is {ds.class_names[0]!r}; "
-                          f"{spec.kind} noise needs at least 2 classes")
-    noisy = data.apply_noise(ds, spec)
+                          f"{exp.noise.kind} noise needs at least 2 classes")
+    noisy = _naming_flags(data.apply_noise, ds, exp.noise)
     csv_path, sidecar_path = report.write_files(outdir, {
         "dataset.csv": data.dataset_csv_text(noisy),
-        "dataset.noise.json": report.json_text(data.noise_sidecar(spec, noisy.mask.sum()))})
+        "dataset.noise.json": report.json_text(data.noise_sidecar(exp.noise, noisy.mask.sum()))})
     print(f"wrote {csv_path} and {sidecar_path} (flipped {int(noisy.mask.sum())} of {noisy.n})")
     return 0
 
@@ -216,16 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma.set_defaults(func=cmd_lemma)
 
     p_noise = sub.add_parser("noise", help="inject label noise and write CSV + sidecar")
-    p_noise.add_argument("--kind", choices=("symmetric", "asymmetric", "none"), required=True)
-    p_noise.add_argument("--eta", type=float, default=data.NoiseSpec.eta)
+    # a flag of NOISE_FLAGS gives its key's text, parsed as a config file's value
+    p_noise.add_argument("--kind", required=True, help="symmetric, asymmetric or none")
+    p_noise.add_argument("--eta")
     p_noise.add_argument("--mapping", help="asymmetric class mapping, e.g. 0:1,2:3")
-    p_noise.add_argument("--seed", type=int, default=data.NoiseSpec.seed, help="noise draw seed")
+    p_noise.add_argument("--seed", help="noise draw seed")
     p_noise.add_argument("--csv", help="noise an existing CSV dataset, instead of a synthetic one")
     p_noise.add_argument("--dataset", choices=("blobs", "moons"))
-    p_noise.add_argument("--n", type=int)
-    p_noise.add_argument("--classes", type=int)
-    p_noise.add_argument("--spread", type=float)
-    p_noise.add_argument("--data-seed", type=int)
+    p_noise.add_argument("--n")
+    p_noise.add_argument("--classes")
+    p_noise.add_argument("--spread")
+    p_noise.add_argument("--data-seed")
     p_noise.add_argument("--out")
     p_noise.set_defaults(func=cmd_noise)
     return parser

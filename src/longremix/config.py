@@ -33,7 +33,7 @@ class ReportSpec:
     def __post_init__(self):
         for f in self.formats:
             if f not in ("json", "csv"):
-                raise ConfigError(f"unknown report format: {f!r}")
+                raise ConfigError(f"report.formats values must be json or csv, got {f!r}")
         if not self.tau_grid:
             raise ConfigError("report.tau_grid must list at least one threshold")
         for tau in self.tau_grid:

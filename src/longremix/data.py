@@ -72,7 +72,7 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.kind not in ("blobs", "moons", "csv"):
-            raise ConfigError(f"unknown dataset kind: {self.kind!r}")
+            raise ConfigError(f"dataset.kind must be blobs, moons or csv, got {self.kind!r}")
         if self.kind == "csv":
             if not self.path:
                 raise ConfigError("dataset.path is required for csv datasets")
@@ -104,25 +104,24 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric", "none"):
-            raise ConfigError(f"unknown noise kind: {self.kind!r}")
+            raise ConfigError(
+                f"noise.kind must be symmetric, asymmetric or none, got {self.kind!r}")
         if self.seed < 0:
             raise ConfigError(f"noise.seed must be >= 0, got {self.seed}")
         if self.mapping is not None and self.kind != "asymmetric":
-            raise ConfigError(f"a class mapping needs asymmetric noise, got kind {self.kind!r}")
+            raise ConfigError(f"noise.mapping needs noise.kind = asymmetric, got {self.kind!r}")
         if self.kind == "none" and self.eta != 0:
-            raise ConfigError(
-                "a noise rate needs symmetric or asymmetric noise, got kind 'none'")
-        if self.kind == "symmetric" and not 0.0 <= self.eta < 1.0:
-            raise ConfigError(f"symmetric noise rate must be in [0, 1), got {self.eta}")
+            raise ConfigError("noise.eta needs noise.kind = symmetric or asymmetric, got 'none'")
+        top = 0.5 if self.kind == "asymmetric" else 1  # 0.5: asymmetric noise's theoretical limit
+        if not 0.0 <= self.eta < top:
+            raise ConfigError(f"noise.eta must be in [0, {top}) for {self.kind} noise, "
+                              f"got {self.eta}")
         if self.kind == "asymmetric":
-            if not 0.0 <= self.eta < 0.5:
-                raise ConfigError(
-                    f"asymmetric noise rate must be below the theoretical limit of 0.5, got {self.eta}")
             if not self.mapping:
-                raise ConfigError("asymmetric noise needs a class mapping")
+                raise ConfigError("noise.mapping is required for asymmetric noise")
             for src, dst in self.mapping.items():
                 if src == dst:
-                    raise ConfigError(f"asymmetric mapping {src}->{dst} maps a class to itself")
+                    raise ConfigError(f"noise.mapping {src}:{dst} maps a class to itself")
 
 
 def _clean(features, labels, num_classes, class_names=None) -> NoisyDataset:
@@ -279,7 +278,8 @@ def apply_noise(ds: NoisyDataset, spec: NoiseSpec) -> NoisyDataset:
         return ds
     for src, dst in (spec.mapping or {}).items():
         if not (0 <= src < ds.num_classes and 0 <= dst < ds.num_classes):
-            raise ConfigError(f"mapping {src}->{dst} outside class range [0, {ds.num_classes})")
+            raise ConfigError(f"noise.mapping {src}:{dst} names a class outside "
+                              f"[0, {ds.num_classes})")
     if ds.mask.any():
         raise StateError("dataset already carries injected noise; re-injection is not allowed")
     rng = derive_rng(spec.seed)

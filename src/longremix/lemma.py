@@ -6,10 +6,10 @@ noisy one with (1 - p_nn)^zeta. Real training correlates rounds across
 epochs, which is exactly why this simulator lives apart from the pipeline.
 
 The rates are p_cc = P(classified clean | clean), p_nn = P(classified noisy |
-noisy) and p_c, the clean proportion of the training set. The formulas take
-them as given; ``sweep_zeta`` checks them. The ``lemma`` command checks the
-window lengths where they enter, so ``sweep_zeta`` yields one row at a
-time, from the first window on, however long the range.
+noisy) and p_c, the clean proportion of the training set. Every function
+takes its inputs as given: the ``lemma`` command checks the rates, the
+window lengths and the trial count where they enter, so ``sweep_zeta``
+yields one row at a time, from the first window on, however long the range.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import math
 
 import numpy as np
 
-from .data import MAX_COUNT
-from .errors import ConfigError
 from .seeding import derive_rng
 
 
@@ -69,14 +67,9 @@ def sweep_zeta(p_cc, p_nn, p_c, zetas, mc_trials=0, seed=0):
 
     Yields one dict per window of ``zetas``, a non-empty iterable of
     positive ints, with keys: zeta, precision_cf, recall_cf, and when
-    ``mc_trials`` > 0 also precision_mc, recall_mc, se_p, se_r. The rates
-    and the trial count are checked before the first row is computed.
+    ``mc_trials`` > 0 also precision_mc, recall_mc, se_p, se_r. Each rate
+    lies strictly inside (0, 1).
     """
-    for name, rate in (("p_cc", p_cc), ("p_nn", p_nn), ("p_c", p_c)):
-        if not 0.0 < rate < 1.0:
-            raise ConfigError(f"{name} must lie strictly inside (0, 1), got {rate}")
-    if mc_trials > MAX_COUNT:
-        raise ConfigError(f"Monte-Carlo trials must be <= {MAX_COUNT}, got {mc_trials}")
     for k, zeta in enumerate(zetas):
         precision, recall = closed_form_pr(p_cc, p_nn, p_c, zeta)
         row = {"zeta": zeta, "precision_cf": precision, "recall_cf": recall}

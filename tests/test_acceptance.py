@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from longremix import data, gmm, lemma, nn, report, trainer
+from longremix import config, data, gmm, lemma, nn, report, trainer
 from longremix.mixing import build_epoch_plan
 from longremix.selector import CoreSet, baseline_split, guided_split, hct_split
 from conftest import fd_gradient, flatten_grads, max_rel_err, random_net, random_soft_labels
@@ -188,21 +188,13 @@ LADDER_SEEDS = (1, 2, 3, 4, 5)
 LADDER_MODES = ("ce", "baseline", "longmix", "full-longremix")
 
 
-def _ladder_config(mode, seed):
-    return trainer.TrainConfig(
-        mode=mode, tau=0.7, zeta=5, alpha=0.2, lambda_u=10.0, lambda_reg=1.0,
-        epochs=60, warmup=20, batch_size=64, lr=0.02, momentum=0.8,
-        weight_decay=5e-4, hidden=(64, 64),
-        data_seed=seed, model1_seed=seed + 11, model2_seed=seed + 22,
-        plan_seed=seed + 33)
-
-
 def _ladder_run(mode, eta, seed):
-    ds = data.make_synthetic_dataset("blobs", n=2000, classes=16, spread=0.15, seed=seed)
-    test = data.make_synthetic_dataset("blobs", n=1000, classes=16, spread=0.15,
-                                       seed=seed + 1000003)
-    noisy = data.apply_noise(ds, data.NoiseSpec(kind="symmetric", eta=eta, seed=seed + 101))
-    return trainer.run_training(_ladder_config(mode, seed), noisy, test)[-1].record.best_acc
+    # train's run of this config under --seed N: the default dataset and network
+    exp = config.build_experiment(config.apply_seed_override(
+        {"noise.kind": "symmetric", "noise.eta": str(eta), "train.mode": mode,
+         "train.tau": "0.7", "train.warmup": "20"}, seed))
+    ds, test = data.training_sets(exp, fits_mixture=mode != "ce")
+    return trainer.run_training(exp.train, ds, test)[-1].record.best_acc
 
 
 def test_criterion_6_mode_ladder():

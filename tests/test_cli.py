@@ -296,12 +296,7 @@ def _reject_constant(name):
 
 class TestNoiseCommand:
     def test_defaults_are_the_spec_fields(self, tmp_path):
-        args = cli.build_parser().parse_args(["noise", "--kind", "none"])
-        noise, dataset = data.NoiseSpec(), config.DatasetSpec()
-        assert (args.eta, args.seed) == (noise.eta, noise.seed)
-        # the synthetic dataset's flags stay unset unless given, so that --csv
-        # can reject them; unset, they take the config fields' values
-        assert (args.dataset, args.n, args.classes, args.spread, args.data_seed) == (None,) * 5
+        dataset = config.DatasetSpec()
         assert cli.main(["noise", "--kind", "none", "--out", str(tmp_path)]) == 0
         ds = data.make_synthetic_dataset(dataset.kind, dataset.n, dataset.classes, dataset.spread,
                                          seed=trainer.TrainConfig().data_seed)
@@ -504,9 +499,9 @@ VALUE_CASES = [
     ("baseline", "train.data_seed = -4", 2, "train.data_seed must be >= 0, got -4"),
     ("baseline", "noise.seed = -1", 2, "noise.seed must be >= 0, got -1"),
     ("baseline", "noise.mapping = 0:1", 2,
-     "a class mapping needs asymmetric noise, got kind 'symmetric'"),
+     "noise.mapping needs noise.kind = asymmetric, got 'symmetric'"),
     ("baseline", "noise.kind = none", 2,
-     "a noise rate needs symmetric or asymmetric noise, got kind 'none'"),
+     "noise.eta needs noise.kind = symmetric or asymmetric, got 'none'"),
     ("baseline", "output.dir = x", 2, "unknown config key: output.dir"),
     ("baseline", "report.formats =", 2,
      "report.formats is empty and no dump is on: the run would write no results"),
@@ -536,18 +531,19 @@ VALUE_CASES = [
     ("baseline", "report.prcurve = maybe", 2, "report.prcurve: expected a boolean, got 'maybe'"),
     ("baseline", "train.tau = abc", 2, "train.tau: expected a number, got 'abc'"),
     ("baseline", "noise.mapping = 0-1", 2, "noise.mapping: expected 'src:dst' pairs, got '0-1'"),
-    ("baseline", "report.formats = xml", 2, "unknown report format: 'xml'"),
-    ("baseline", "dataset.kind = spiral", 2, "unknown dataset kind: 'spiral'"),
+    ("baseline", "report.formats = xml", 2, "report.formats values must be json or csv, got 'xml'"),
+    ("baseline", "dataset.kind = spiral", 2, "dataset.kind must be blobs, moons or csv, got 'spiral'"),
     ("baseline", "dataset.kind = csv", 2, "dataset.path is required for csv datasets"),
-    ("baseline", "noise.kind = bogus", 2, "unknown noise kind: 'bogus'"),
-    ("baseline", "noise.eta = 1.5", 2, "symmetric noise rate must be in [0, 1), got 1.5"),
+    ("baseline", "noise.kind = bogus", 2,
+     "noise.kind must be symmetric, asymmetric or none, got 'bogus'"),
+    ("baseline", "noise.eta = 1.5", 2, "noise.eta must be in [0, 1) for symmetric noise, got 1.5"),
     ("baseline", "noise.kind = asymmetric\nnoise.eta = 0.5\nnoise.mapping = 0:1", 2,
-     "asymmetric noise rate must be below the theoretical limit of 0.5, got 0.5"),
+     "noise.eta must be in [0, 0.5) for asymmetric noise, got 0.5"),
     ("baseline", "noise.kind = asymmetric\nnoise.eta = 0.3\nnoise.mapping = 2:2", 2,
-     "asymmetric mapping 2->2 maps a class to itself"),
+     "noise.mapping 2:2 maps a class to itself"),
     # the class range is the dataset's, checked once it is built, before training
     ("baseline", "noise.kind = asymmetric\nnoise.eta = 0.3\nnoise.mapping = 0:9", 2,
-     "mapping 0->9 outside class range [0, 4)"),
+     "noise.mapping 0:9 names a class outside [0, 4)"),
     ("baseline", "train.mode = divide", 2, "train.mode must be one of ('ce', 'baseline', "
      "'longmix', 'retrain-only', 'full-longremix'), got 'divide'"),
     ("baseline", "train.tau = 1.5", 2, "train.tau must be in [0, 1], got 1.5"),
@@ -589,26 +585,26 @@ def test_ce_trains_on_fewer_rows_than_the_mixture_needs(tmp_path, capsys):
     assert json.loads((tmp_path / "out" / "metrics.json").read_text())["dataset"]["n"] == 3
 
 
-# BASE_CONF's dataset, as noise flags
-BASE_DATASET = {"dataset.kind": "blobs", "dataset.n": "300", "dataset.classes": "4",
-                "dataset.spread": "0.15"}
-
-
-# VALUE_CASES rows of a spec rule about a key that has a noise flag; a parse
-# error such as "dataset.spread: expected a finite number" is the config reader's own
+# BASE_CONF's dataset and noise lines, each the config key of a noise flag
+NOISE_BASE = {key: value for key, value in config.parse_flat_config(BASE_CONF).items()
+              if key in cli.NOISE_FLAGS}
+# VALUE_CASES rows whose every key is a noise flag's, but for rules that noise
+# does not apply: it fits no loss mixture, and --dataset takes argparse's choices
+NOT_NOISE_RULES = ("dataset.classes = 2\ndataset.n = 3", "dataset.kind = spiral",
+                   "dataset.kind = csv")
 NOISE_RULE_CASES = [(line, message) for _, line, _, message in VALUE_CASES
-                    if line.split(" = ")[0] in cli.NOISE_FLAGS
-                    and message.startswith(line.split(" = ")[0] + " ")]
+                    if line not in NOT_NOISE_RULES
+                    and all(key in cli.NOISE_FLAGS for key in config.parse_flat_config(line))]
 
 
-@pytest.mark.parametrize("line,message", NOISE_RULE_CASES, ids=[c[0] for c in NOISE_RULE_CASES])
+@pytest.mark.parametrize("line,message", NOISE_RULE_CASES,
+                         ids=[line.replace("\n", "; ") for line, _ in NOISE_RULE_CASES])
 def test_noise_flag_rules_are_the_config_rules(tmp_path, capsys, line, message):
-    key, _, value = line.partition(" = ")
-    flags = {**BASE_DATASET, key: value}
-    args = [arg for k, v in flags.items() for arg in (cli.NOISE_FLAGS[k], v)]
-    assert cli.main(["noise", "--kind", "none", *args, "--out", str(tmp_path / "out")]) == 2
-    for k, flag in cli.NOISE_FLAGS.items():
-        message = message.replace(f"{k} = ", f"{flag} ").replace(k, flag)
+    flags = {**NOISE_BASE, **config.parse_flat_config(line)}
+    args = [arg for key, value in flags.items() for arg in (cli.NOISE_FLAGS[key], value)]
+    assert cli.main(["noise", *args, "--out", str(tmp_path / "out")]) == 2
+    for key, flag in cli.NOISE_FLAGS.items():
+        message = message.replace(f"{key} = ", f"{flag} ").replace(key, flag)
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
@@ -641,34 +637,23 @@ LEMMA = ["lemma", "--pcc", "0.8", "--pnn", "0.7", "--pc", "0.5"]
 # which holds the INPUT_FILES
 COMMAND_CASES = [
     ("lemma-zetas-not-int", LEMMA + ["--zetas", "1,a"], "--zetas: expected an integer, got 'a'"),
-    ("lemma-negative-trials", LEMMA + ["--trials", "-1"], "--trials must be >= 0, got -1"),
-    ("lemma-zetas-empty", LEMMA + ["--zetas", ""], "zeta range must be non-empty"),
-    ("lemma-zeta-max-zero", LEMMA + ["--zeta-max", "0"], "zeta range must be non-empty"),
-    ("lemma-zetas-zero", LEMMA + ["--zetas", "0"], "window length must be a positive integer, got 0"),
+    ("lemma-negative-trials", LEMMA + ["--trials", "-1"],
+     "--trials must be in [0, 9007199254740992], got -1"),
+    ("lemma-zetas-empty", LEMMA + ["--zetas", ""], "--zetas must list at least one window length"),
+    ("lemma-zeta-max-zero", LEMMA + ["--zeta-max", "0"],
+     "--zeta-max must be in [1, 9007199254740992], got 0"),
+    ("lemma-zetas-zero", LEMMA + ["--zetas", "0"], "--zetas values must be >= 1, got 0"),
     ("lemma-zetas-first-bad-window", LEMMA + ["--zetas", "3,0,-1"],
-     "window length must be a positive integer, got 0"),
-    # the windows are checked where they enter, before sweep_zeta checks the rates
+     "--zetas values must be >= 1, got 0"),
+    # the windows are checked before the rates
     ("lemma-window-before-rate", ["lemma", "--pcc", "0.8", "--pnn", "0.7", "--pc", "1.5",
-                                  "--zetas", "3,0,-1"],
-     "window length must be a positive integer, got 0"),
+                                  "--zetas", "3,0,-1"], "--zetas values must be >= 1, got 0"),
     ("lemma-zetas-blank-item", LEMMA + ["--zetas", "1,,3"], "--zetas: blank item in '1,,3'"),
     # every zeta is checked before the first row: zeta 0 fails before the row of
     # zeta 8000, where both survival masses underflow, is computed
     ("lemma-long-window-then-zero", LEMMA + ["--zetas", "8000,0", "--trials", "0"],
-     "window length must be a positive integer, got 0"),
-    ("noise-spread-nan", ["noise", "--kind", "none", "--spread", "nan"],
-     "--spread must be finite and positive, got nan"),
-    ("noise-spread-inf", ["noise", "--kind", "none", "--spread", "inf"],
-     "--spread must be finite and positive, got inf"),
-    ("noise-spread-zero", ["noise", "--kind", "none", "--spread", "0"],
-     "--spread must be finite and positive, got 0.0"),
-    ("noise-rate-without-kind", ["noise", "--kind", "none", "--eta", "nan"],
-     "a noise rate needs symmetric or asymmetric noise, got kind 'none'"),
+     "--zetas values must be >= 1, got 0"),
     ("lemma-negative-seed", LEMMA + ["--seed", "-1"], "--seed must be >= 0, got -1"),
-    ("noise-negative-seed", ["noise", "--kind", "symmetric", "--eta", "0.2", "--seed", "-3"],
-     "--seed must be >= 0, got -3"),
-    ("noise-negative-data-seed", ["noise", "--kind", "none", "--data-seed", "-3"],
-     "--data-seed must be >= 0, got -3"),
     ("train-negative-seed", ["train", "--config", "{tmp}/empty.conf", "--seed", "-1"],
      "--seed must be >= 0, got -1"),
     ("noise-mapping-repeats-class",
@@ -689,21 +674,13 @@ COMMAND_CASES = [
     ("train-csv-without-test-path-unread", ["train", "--config", "{tmp}/missing-csv-no-test.conf"],
      "dataset.test_path is required for csv training runs"),
     ("noise-asymmetric-without-mapping", ["noise", "--kind", "asymmetric", "--eta", "0.2"],
-     "asymmetric noise needs a class mapping"),
-    ("noise-one-class", ["noise", "--kind", "none", "--classes", "1"],
-     "--classes must be >= 2, got 1"),
-    ("noise-moons-three-classes", ["noise", "--kind", "none", "--dataset", "moons",
-                                   "--classes", "3"], "--dataset moons needs --classes 2, got 3"),
-    ("noise-n-below-classes", ["noise", "--kind", "none", "--n", "3", "--classes", "4"],
-     "--n must be >= --classes (4), got 3"),
+     "--mapping is required for asymmetric noise"),
     # counts past data.MAX_COUNT are config errors, not numpy's size ValueError
-    ("noise-n-past-max-count", ["noise", "--kind", "none", "--n", "99999999999999999999999"],
-     "--n must be <= 9007199254740992, got 99999999999999999999999"),
     ("lemma-trials-past-max-count", LEMMA + ["--zetas", "1", "--trials", "99999999999999999999999"],
-     "Monte-Carlo trials must be <= 9007199254740992, got 99999999999999999999999"),
+     "--trials must be in [0, 9007199254740992], got 99999999999999999999999"),
     # checked before the window range is built
     ("lemma-zeta-max-past-max-count", LEMMA + ["--trials", "0", "--zeta-max", "9007199254740993"],
-     "--zeta-max must be <= 9007199254740992, got 9007199254740993"),
+     "--zeta-max must be in [1, 9007199254740992], got 9007199254740993"),
     ("noise-csv-empty", ["noise", "--kind", "none", "--csv", "{tmp}/empty.csv"],
      "{tmp}/empty.csv: row 1: empty file"),
     ("noise-csv-header-only", ["noise", "--kind", "none", "--csv", "{tmp}/header-only.csv"],
@@ -728,10 +705,10 @@ COMMAND_CASES = [
     ("noise-csv-with-data-seed", ["noise", "--kind", "none", "--csv", "{tmp}/missing.csv",
                                   "--data-seed", "1"], "--data-seed does not apply to --csv"),
     ("noise-csv-rate-unread", ["noise", "--csv", "{tmp}/missing.csv", "--kind", "symmetric",
-                               "--eta", "1.5"], "symmetric noise rate must be in [0, 1), got 1.5"),
+                               "--eta", "1.5"], "--eta must be in [0, 1) for symmetric noise, got 1.5"),
     ("noise-csv-mapping-unread", ["noise", "--csv", "{tmp}/missing.csv", "--kind", "symmetric",
                                   "--eta", "0.2", "--mapping", "0:1"],
-     "a class mapping needs asymmetric noise, got kind 'symmetric'"),
+     "--mapping needs --kind asymmetric, got 'symmetric'"),
     # prcurve fits the mixture whatever the mode
     ("prcurve-three-rows-ce", ["prcurve", "--config", "{tmp}/three-rows-ce.conf"],
      "dataset.n: 3 training rows; the loss mixture needs at least 4"),
@@ -757,26 +734,24 @@ COMMAND_CASES = [
      "{tmp}/inf.csv: row 3: non-finite value 'inf' in column 'x1'"),
     ("noise-csv-minus-infinity", ["noise", "--kind", "none", "--csv", "{tmp}/minus-infinity.csv"],
      "{tmp}/minus-infinity.csv: row 3: non-finite value '-Infinity' in column 'x1'"),
-    ("noise-asymmetric-rate-past-limit",
-     ["noise", "--kind", "asymmetric", "--eta", "0.6", "--mapping", "0:1"],
-     "asymmetric noise rate must be below the theoretical limit of 0.5, got 0.6"),
     ("noise-mapping-not-int", ["noise", "--kind", "asymmetric", "--eta", "0.3", "--mapping", "a:1"],
      "--mapping: expected an integer, got 'a'"),
-    # the rates are checked before the first row, in the order p_cc, p_nn, p_c
+    ("noise-n-not-int", ["noise", "--kind", "none", "--n", "abc"], "--n: expected an integer, got 'abc'"),
+    # the rates are checked before the first row, in the order --pcc, --pnn, --pc
     ("lemma-pcc-above-one", ["lemma", "--pcc", "1.5", "--pnn", "0.7", "--pc", "0.5"],
-     "p_cc must lie strictly inside (0, 1), got 1.5"),
+     "--pcc must lie strictly inside (0, 1), got 1.5"),
     ("lemma-pnn-one", ["lemma", "--pcc", "0.8", "--pnn", "1", "--pc", "0.5"],
-     "p_nn must lie strictly inside (0, 1), got 1.0"),
+     "--pnn must lie strictly inside (0, 1), got 1.0"),
     ("lemma-pc-above-one", ["lemma", "--pcc", "0.8", "--pnn", "0.7", "--pc", "1.5"],
-     "p_c must lie strictly inside (0, 1), got 1.5"),
+     "--pc must lie strictly inside (0, 1), got 1.5"),
     ("lemma-pcc-zero-first", ["lemma", "--pcc", "0", "--pnn", "1", "--pc", "1.5"],
-     "p_cc must lie strictly inside (0, 1), got 0.0"),
+     "--pcc must lie strictly inside (0, 1), got 0.0"),
     ("lemma-pnn-before-pc", ["lemma", "--pcc", "0.8", "--pnn", "1", "--pc", "1.5"],
-     "p_nn must lie strictly inside (0, 1), got 1.0"),
-    # argparse's own errors: one line too, not its usage block
-    ("noise-n-not-int", ["noise", "--kind", "none", "--n", "abc"],
-     "argument --n: invalid int value: 'abc'"),
-    ("noise-kind-unknown", ["noise", "--kind", "bogus"], "argument --kind: invalid choice: 'bogus'"),
+     "--pnn must lie strictly inside (0, 1), got 1.0"),
+    # argparse's own errors: one line too, not its usage block; noise reads a
+    # CSV dataset through --csv, so --dataset keeps argparse's choices
+    ("noise-dataset-unknown", ["noise", "--kind", "none", "--dataset", "spiral"],
+     "argument --dataset: invalid choice: 'spiral'"),
     ("lemma-without-pcc", ["lemma", "--pnn", "0.7", "--pc", "0.5"],
      "the following arguments are required: --pcc"),
     ("prcurve-seed-not-int", ["prcurve", "--config", "{tmp}/empty.conf", "--seed", "1.5"],
@@ -852,8 +827,7 @@ def test_lemma_checks_every_zeta_before_any_row(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.lemma, "closed_form_pr", no_work)
     monkeypatch.setattr(cli.lemma, "monte_carlo_pr", no_work)
     assert cli.main(LEMMA + ["--zetas", "10,0", "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == ("config error: window length must be a positive "
-                                       "integer, got 0\n")
+    assert capsys.readouterr().err == "config error: --zetas values must be >= 1, got 0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -980,8 +954,8 @@ def test_trials_bound_is_max_count(tmp_path, capsys):
     assert cli.main(args + [str(data.MAX_COUNT)]) == 3
     assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate 64.0 PiB")
     assert cli.main(args + [str(data.MAX_COUNT + 1)]) == 2
-    assert capsys.readouterr().err == ("config error: Monte-Carlo trials must be <= "
-                                       f"{data.MAX_COUNT}, got {data.MAX_COUNT + 1}\n")
+    assert capsys.readouterr().err == (f"config error: --trials must be in [0, {data.MAX_COUNT}], "
+                                       f"got {data.MAX_COUNT + 1}\n")
     assert not (tmp_path / "out").exists()
 
 
